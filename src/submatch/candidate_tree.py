@@ -33,8 +33,16 @@ class CandidateTree:
 
     tree_adj is keyed (parent, child) and maps each parent candidate to
     its sorted child candidates. non_tree_adj holds both directed views
-    of every non-tree query edge. size_bytes and max_degree are cached;
-    tree_metrics recomputes them from scratch.
+    of every non-tree query edge. Every stored list is non-empty, sorted
+    ascending, keyed by a candidate of its source vertex, and holds only
+    candidates of its target vertex.
+
+    Trees are immutable once built: nothing changes a candidate list, an
+    adjacency group or a stored list afterwards, so a projection
+    (partition.project_tree) shares the unchanged ones with its parent
+    instead of copying them. size_bytes and max_degree are cached:
+    assemble computes them, projections sum them while restricting, and
+    tree_metrics recomputes them from scratch as the check.
     """
 
     candidates: list[list[int]]

@@ -20,7 +20,7 @@ from .oracle import OracleGuardError, brute_force_embeddings
 from .partition import PartitionConfig, UnsplittableTreeError
 from .plan import build_query_plan
 from .randgraph import powerlaw_graph, random_graph
-from .scheduler import SchedulerState, run_job
+from .scheduler import JOB_VARIANTS, SchedulerState, run_job
 
 COMPARE_FIELDS = ("variant", "delta", "k", "embeddings", "partitions", "cycles", "wall_ms")
 
@@ -50,7 +50,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="six stage latencies, comma separated")
     p.add_argument("--dram-ratio", dest="dram_ratio", type=float, default=1.0,
                    help="latency multiplier modeling slow external memory (about 7 is typical)")
-    p.add_argument("--seed", type=int, default=0, help="seed (reserved for generated inputs)")
     p.add_argument("--trace", help="write the per-round kernel trace CSV here")
     p.add_argument("--json", action="store_true", help="report errors as JSON on stdout")
 
@@ -133,11 +132,8 @@ def _write_trace(path: str, traces) -> None:
 def _cmd_run(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
-    if not 0.0 <= args.delta <= 1.0:
-        raise CliError("config", "delta must lie in [0, 1]")
-    if args.fixed_k is not None and args.fixed_k < 2:
-        raise CliError("config", "k must be >= 2")
-    args.fixed_k_value = args.fixed_k
+    _check_delta(args.delta)
+    args.fixed_k_value = _check_k(args.fixed_k)
     config = _config_from(args)
     model = _model_from(args)
     delta = args.delta if args.variant == "share" else 0.0
@@ -159,23 +155,42 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _check_delta(delta: float) -> float:
+    if not 0.0 <= delta <= 1.0:
+        raise CliError("config", "delta must lie in [0, 1]")
+    return delta
+
+
+def _check_k(k: int | None) -> int | None:
+    if k is not None and k < 2:
+        raise CliError("config", "k must be >= 2")
+    return k
+
+
+def _compare_grid(args) -> tuple[list[str], list[float], list[tuple[str, int | None]]]:
+    """Parse and check every compare list value before any job runs."""
+    variants = _split_list(args.variant)
+    for variant in variants:
+        if variant not in JOB_VARIANTS:
+            raise CliError("config", f"unknown variant {variant!r}")
+    try:
+        deltas = [_check_delta(float(text)) for text in _split_list(args.delta)]
+        ks = [(text, _check_k(None if text == "auto" else int(text))) for text in _split_list(args.fixed_k)]
+    except ValueError as exc:
+        raise CliError("config", f"bad --delta or --k value: {exc}")
+    return variants, deltas, ks
+
+
 def _cmd_compare(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
-    variants = _split_list(args.variant)
-    deltas = [float(x) for x in _split_list(str(args.delta))]
-    ks = _split_list(str(args.fixed_k))
+    variants, deltas, ks = _compare_grid(args)
 
     writer = csv.writer(sys.stdout)
     writer.writerow(COMPARE_FIELDS)
     for variant in variants:
-        if variant not in ("basic", "task", "sep", "share"):
-            raise CliError("config", f"unknown variant {variant!r}")
         for delta in deltas:
-            for k_text in ks:
-                fixed_k = None if k_text == "auto" else int(k_text)
-                if fixed_k is not None and fixed_k < 2:
-                    raise CliError("config", "k must be >= 2")
+            for k_text, fixed_k in ks:
                 args.fixed_k_value = fixed_k
                 config = _config_from(args)
                 model = _model_from(args)

@@ -5,6 +5,15 @@ into k even contiguous chunks; each chunk is projected into a complete
 sub-tree whose downstream candidates are exactly those reachable from
 the chunk, so the chunks' embedding sets partition the original's.
 Recursion advances to the next order position once C(u) is a singleton.
+
+The k sibling chunks of one split share a SplitContext, so a projection
+costs in proportion to what its chunk reaches, not to the parent tree.
+Only u and the vertices after it get new candidate sets; a vertex whose
+set is unchanged keeps the parent's list object, and an adjacency group
+whose endpoints are both unchanged is shared by reference (trees are
+immutable once built, see CandidateTree). Every other group is cut
+down by walking its shorter side. size_bytes and max_degree are
+summed during the restriction; tree_metrics is the from-scratch check.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .candidate_tree import BASE_HEADER_BYTES, AdjacencyMap, CandidateTree
+from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree
 from .plan import QueryPlan
 
 
@@ -62,61 +71,232 @@ def partition_factor(tree: CandidateTree, config: PartitionConfig, u: int) -> in
     return max(1, min(ratio, len(tree.candidates[u])))
 
 
-def project_tree(tree: CandidateTree, plan: QueryPlan, u: int, part: Sequence[int]) -> CandidateTree:
+def _group_metrics(lists: dict[int, list[int]]) -> tuple[int, int, int]:
+    """(bytes, longest list, entries) of one adjacency group, as tree_metrics counts them."""
+    lengths = list(map(len, lists.values()))
+    entries = sum(lengths)
+    return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * entries, max(lengths, default=0), entries
+
+
+def _reach(index: dict[int, list[int]], keep) -> set[int]:
+    """Union of index[v] over v in keep."""
+    out: set[int] = set()
+    for v in keep:
+        row = index.get(v)
+        if row:
+            out.update(row)
+    return out
+
+
+class SplitContext:
+    """What every chunk of one split of `tree` at query vertex u shares.
+
+    A chunk can restrict only u and the later vertices whose candidates
+    are not all reached from vertices no chunk restricts ("live"
+    vertices). The context holds the parent's candidate sets of u and
+    the live vertices; for each live vertex, the part of its
+    reachability set that comes from vertices no chunk restricts, which
+    is the same for every chunk; and the groups no chunk can touch, with
+    their summed size and degree. Metrics of the other groups, reverse
+    indexes and the reach of an unrestricted vertex are computed on
+    first use and kept for the remaining chunks.
+    """
+
+    def __init__(self, tree: CandidateTree, plan: QueryPlan, u: int):
+        self.tree = tree
+        self.u = u
+        self._reverse: dict[tuple[int, int], dict[int, list[int]]] = {}
+        self._metrics: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._rows: dict[tuple[int, int], list[tuple[int, set[int]]]] = {}
+        self._full_reach: dict[tuple[int, int], set[int]] = {}
+        pos_u = plan.position[u]
+        self.full = {u: set(tree.candidates[u])}
+        # (w, reach from vertices no chunk restricts, links from u and live vertices as (vertex, index))
+        self.live: list[tuple[int, set[int], list[tuple[int, dict[int, list[int]]]]]] = []
+        for w in plan.order[pos_u + 1 :]:
+            base: set[int] = set()
+            links = []
+            for w_from, key, keyed_by_w in _earlier_links(plan, w):
+                index = self._reverse_index(key) if keyed_by_w else self._lists(key)
+                if w_from in self.full:
+                    links.append((w_from, index))
+                else:
+                    base |= _reach(index, tree.candidates[w_from])
+            if not base.issuperset(tree.candidates[w]):
+                self.full[w] = set(tree.candidates[w])
+                self.live.append((w, base & self.full[w], links))
+
+        may_change = self.full.keys()
+        self.size = BASE_HEADER_BYTES + sum(
+            LIST_HEADER_BYTES + ENTRY_BYTES * len(cand) for w, cand in enumerate(tree.candidates) if w not in may_change
+        )
+        self.shared: tuple[AdjacencyMap, AdjacencyMap] = ({}, {})
+        self.groups: list[tuple[tuple[int, int], dict[int, list[int]], bool]] = []
+        for non_tree, groups in enumerate((tree.tree_adj, tree.non_tree_adj)):
+            for key, lists in groups.items():
+                if key[0] in may_change or key[1] in may_change:
+                    self.groups.append((key, lists, bool(non_tree)))
+                else:
+                    self.shared[non_tree][key] = lists
+        lengths = [len(row) for shared in self.shared for lists in shared.values() for row in lists.values()]
+        self.size += LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths)
+        self.degree = max(lengths, default=0)
+
+    def _lists(self, key: tuple[int, int]) -> dict[int, list[int]]:
+        return self.tree.tree_adj.get(key) or self.tree.non_tree_adj.get(key) or {}
+
+    def _reverse_index(self, key: tuple[int, int]) -> dict[int, list[int]]:
+        """Group `key` inverted: each target candidate -> the sources listing it."""
+        rev = self._reverse.get(key)
+        if rev is None:
+            rev = self._reverse[key] = {}
+            for v, row in self._lists(key).items():
+                for x in row:
+                    if x in rev:
+                        rev[x].append(v)
+                    else:
+                        rev[x] = [v]
+        return rev
+
+    def _metrics_of(self, key: tuple[int, int]) -> tuple[int, int, int]:
+        metrics = self._metrics.get(key)
+        if metrics is None:
+            metrics = self._metrics[key] = _group_metrics(self._lists(key))
+        return metrics
+
+    def _row_sets(self, key: tuple[int, int]) -> list[tuple[int, set[int]]]:
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = [(v, set(row)) for v, row in self._lists(key).items()]
+        return rows
+
+    def _restrict(
+        self,
+        key: tuple[int, int],
+        lists: dict[int, list[int]],
+        keep_a: set[int] | None,
+        cand_a: list[int],
+        keep_b: set[int] | None,
+        cand_b: list[int],
+    ) -> dict[int, list[int]]:
+        """Group `key` cut to the retained sets (None: unchanged), walking its shorter side.
+
+        cand_a and cand_b are the sorted retained candidates; stored lists
+        are sorted too, so a list rebuilt from b's side equals the filtered
+        parent list.
+        """
+        if keep_b is None:
+            # b keeps everything, so surviving lists are shared whole
+            if len(lists) < len(keep_a):
+                return {v: row for v, row in lists.items() if v in keep_a}
+            return {v: row for v in cand_a if (row := lists.get(v))}
+        new: dict[int, list[int]] = {}
+        if keep_a is None and len(lists) * len(cand_b) < self._metrics_of(key)[2]:
+            # few sources: test b's retained candidates against each source's list
+            for v, row_set in self._row_sets(key):
+                row = [x for x in cand_b if x in row_set]
+                if row:
+                    new[v] = row
+        elif keep_a is not None and len(cand_b) < len(cand_a):
+            # from b's side: each retained target names the sources listing it
+            rev = self._reverse_index(key)
+            for x in cand_b:
+                for v in rev.get(x, ()):
+                    if v in keep_a:
+                        if v in new:
+                            new[v].append(x)
+                        else:
+                            new[v] = [x]
+        else:
+            for v in lists if keep_a is None else cand_a:
+                row = lists.get(v)
+                if row:
+                    row = [x for x in row if x in keep_b]
+                    if row:
+                        new[v] = row
+        return new
+
+    def project(self, part: Sequence[int]) -> CandidateTree:
+        full, u = self.full, self.u
+        part_set = set(part)
+        if not part_set:
+            raise ValueError("part must be non-empty")
+        if not part_set <= full[u]:
+            raise ValueError("part must be a subset of the candidates of u")
+
+        # Retained sets of the vertices this chunk restricts; all others keep their full set.
+        candidates = list(self.tree.candidates)
+        retained: dict[int, set[int]] = {}
+        if len(part_set) < len(full[u]):
+            retained[u] = part_set
+            candidates[u] = sorted(part_set)
+        for w, base, links in self.live:
+            full_w = full[w]
+            linked = set(base)
+            for w_from, index in links:
+                keep = retained.get(w_from)
+                if keep is not None:
+                    linked |= _reach(index, keep)
+                    continue
+                reach = self._full_reach.get((w, w_from))
+                if reach is None:
+                    reach = self._full_reach[(w, w_from)] = _reach(index, self.tree.candidates[w_from]) & full_w
+                if len(reach) == len(full_w):
+                    break
+                linked |= reach
+            else:
+                linked &= full_w
+                if len(linked) < len(full_w):
+                    retained[w] = linked
+                    candidates[w] = sorted(linked)
+
+        size = self.size
+        for w in full:
+            size += LIST_HEADER_BYTES + ENTRY_BYTES * len(candidates[w])
+        max_degree = self.degree
+        tree_adj, non_tree_adj = dict(self.shared[0]), dict(self.shared[1])
+        restricted = []
+        for key, lists, non_tree in self.groups:
+            a, b = key
+            keep_a, keep_b = retained.get(a), retained.get(b)
+            if keep_a is None and keep_b is None:
+                new = lists
+                group_size, group_degree, _ = self._metrics_of(key)
+                size += group_size
+                if group_degree > max_degree:
+                    max_degree = group_degree
+            else:
+                new = self._restrict(key, lists, keep_a, candidates[a], keep_b, candidates[b])
+                restricted.append(new)
+            (non_tree_adj if non_tree else tree_adj)[key] = new
+        lengths = [len(row) for new in restricted for row in new.values()]
+        if lengths:
+            size += LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths)
+            max_degree = max(max_degree, max(lengths))
+        return CandidateTree(candidates, tree_adj, non_tree_adj, size, max_degree)
+
+
+def project_tree(
+    tree: CandidateTree,
+    plan: QueryPlan,
+    u: int,
+    part: Sequence[int],
+    split: SplitContext | None = None,
+) -> CandidateTree:
     """Restrict the tree to the candidates of u in `part`.
 
     Vertices before u in the matching order keep their full candidate
     sets; u keeps exactly `part`; each later vertex keeps the candidates
     reachable from the retained set of at least one earlier query
     neighbor, evaluated level by level in order (so reachability from
-    `part` is transitive). All adjacency lists are re-restricted to the
-    retained candidates.
+    `part` is transitive). All adjacency lists are restricted to the
+    retained candidates. `split` is the context shared by the sibling
+    chunks of one split of (tree, u); without it a one-off context is
+    built.
     """
-    if not part:
-        raise ValueError("part must be non-empty")
-    pos_u = plan.position[u]
-    part_set = set(part)
-    if not part_set <= set(tree.candidates[u]):
-        raise ValueError("part must be a subset of the candidates of u")
-
-    retained: list[set[int]] = [
-        set(tree.candidates[w]) if plan.position[w] < pos_u else set() for w in range(plan.num_vertices)
-    ]
-    retained[u] = part_set
-
-    for pos in range(pos_u + 1, plan.num_vertices):
-        w = plan.order[pos]
-        linked: set[int] = set()
-        for w_from, key, keyed_by_w in _earlier_links(plan, w):
-            lists = tree.tree_adj.get(key) or tree.non_tree_adj.get(key) or {}
-            if keyed_by_w:
-                # lists map w's candidates to the earlier vertex's
-                keep = retained[w_from]
-                linked.update(v for v, row in lists.items() if any(x in keep for x in row))
-            else:
-                for v_from in retained[w_from]:
-                    linked.update(lists.get(v_from, ()))
-        retained[w] = linked & set(tree.candidates[w])
-
-    def restrict(groups: AdjacencyMap) -> AdjacencyMap:
-        out: AdjacencyMap = {}
-        for (a, b), lists in groups.items():
-            keep_a, keep_b = retained[a], retained[b]
-            new_lists = {}
-            for v, row in lists.items():
-                if v not in keep_a:
-                    continue
-                new_row = [x for x in row if x in keep_b]
-                if new_row:
-                    new_lists[v] = new_row
-            out[(a, b)] = new_lists
-        return out
-
-    return CandidateTree.assemble(
-        [sorted(retained[w]) for w in range(plan.num_vertices)],
-        restrict(tree.tree_adj),
-        restrict(tree.non_tree_adj),
-    )
+    if split is None:
+        split = SplitContext(tree, plan, u)
+    return split.project(part)
 
 
 def _earlier_links(plan: QueryPlan, w: int):
@@ -173,6 +353,7 @@ def partition_tree(
     else:
         k = partition_factor(tree, config, u)
 
+    split = SplitContext(tree, plan, u)
     base, extra = divmod(len(cand), k)
     emitted = 0
     start = 0
@@ -180,7 +361,7 @@ def partition_tree(
         size = base + (1 if i < extra else 0)
         part = cand[start : start + size]
         start += size
-        sub = project_tree(tree, plan, u, part)
+        sub = project_tree(tree, plan, u, part, split)
         if within_budgets(sub, config):
             sink(sub)
             emitted += 1

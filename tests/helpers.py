@@ -8,12 +8,17 @@ from __future__ import annotations
 import random
 
 from submatch import (
+    CandidateTree,
     Graph,
+    UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
+    partition_factor,
     random_connected_query,
     random_graph,
+    within_budgets,
 )
+from submatch.partition import _earlier_links
 from submatch.oracle import brute_force_embeddings
 
 
@@ -73,3 +78,81 @@ def add_random_edges(graph: Graph, count: int, rng: random.Random) -> Graph:
     ]
     rng.shuffle(missing)
     return Graph.from_edges(list(graph.labels), sorted(existing | set(missing[:count])))
+
+
+def reference_project_tree(tree, plan, u, part):
+    """From-scratch projection: rebuild every set and list of the tree.
+
+    The test reference for submatch.project_tree, which shares unchanged
+    lists with its parent instead; both must give == trees.
+    """
+    if not part:
+        raise ValueError("part must be non-empty")
+    pos_u = plan.position[u]
+    part_set = set(part)
+    if not part_set <= set(tree.candidates[u]):
+        raise ValueError("part must be a subset of the candidates of u")
+
+    retained = [set(tree.candidates[w]) if plan.position[w] < pos_u else set() for w in range(plan.num_vertices)]
+    retained[u] = part_set
+
+    for pos in range(pos_u + 1, plan.num_vertices):
+        w = plan.order[pos]
+        linked = set()
+        for w_from, key, keyed_by_w in _earlier_links(plan, w):
+            lists = tree.tree_adj.get(key) or tree.non_tree_adj.get(key) or {}
+            if keyed_by_w:
+                keep = retained[w_from]
+                linked.update(v for v, row in lists.items() if any(x in keep for x in row))
+            else:
+                for v_from in retained[w_from]:
+                    linked.update(lists.get(v_from, ()))
+        retained[w] = linked & set(tree.candidates[w])
+
+    def restrict(groups):
+        out = {}
+        for (a, b), lists in groups.items():
+            keep_a, keep_b = retained[a], retained[b]
+            new_lists = {}
+            for v, row in lists.items():
+                if v not in keep_a:
+                    continue
+                new_row = [x for x in row if x in keep_b]
+                if new_row:
+                    new_lists[v] = new_row
+            out[(a, b)] = new_lists
+        return out
+
+    return CandidateTree.assemble(
+        [sorted(retained[w]) for w in range(plan.num_vertices)],
+        restrict(tree.tree_adj),
+        restrict(tree.non_tree_adj),
+    )
+
+
+def reference_partitions(tree, plan, index, config):
+    """The trees partition_tree emits, in order, split by reference_project_tree."""
+    if within_budgets(tree, config):
+        return [tree]
+    if any(not c for c in tree.candidates):
+        return []
+    if index >= plan.num_vertices:
+        raise UnsplittableTreeError("budgets still violated after exhausting the matching order", -1)
+    u = plan.order[index]
+    cand = tree.candidates[u]
+    if config.fixed_k is not None:
+        k = max(1, min(config.fixed_k, len(cand)))
+    else:
+        k = partition_factor(tree, config, u)
+    base, extra = divmod(len(cand), k)
+    out = []
+    start = 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        sub = reference_project_tree(tree, plan, u, cand[start : start + size])
+        start += size
+        if within_budgets(sub, config):
+            out.append(sub)
+        else:
+            out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config)
+    return out

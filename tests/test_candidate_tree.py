@@ -183,3 +183,18 @@ def test_metrics_of_empty_tree():
     size, degree = tree_metrics(empty)
     assert degree == 0
     assert size == BASE_HEADER_BYTES + 2 * LIST_HEADER_BYTES
+
+
+def test_stored_lists_are_sorted_nonempty_and_within_candidates():
+    # the invariant projections rely on to share and restrict stored lists
+    trees = [tree for _, _, _, tree, _ in helpers.built_instances(20, 24_000, max_data=40)]
+    data = fixtures.benchmark_graph()
+    for name in ("q3", "q7", "q8"):
+        query = fixtures.benchmark_queries()[name]
+        trees.append(build_candidate_tree(data, query, build_query_plan(query, data)))
+    for tree in trees:
+        for (a, b), lists in list(tree.tree_adj.items()) + list(tree.non_tree_adj.items()):
+            cand_a, cand_b = set(tree.candidates[a]), set(tree.candidates[b])
+            for v, row in lists.items():
+                assert v in cand_a
+                assert row and row == sorted(set(row)) and set(row) <= cand_b

@@ -69,6 +69,41 @@ def test_run_parse_error_is_machine_readable(capsys, tmp_path, worked_paths):
     assert err["type"] == "format" and err["line"] == 4
 
 
+def test_run_isolated_query_vertex_is_typed_error(capsys, worked_paths, tmp_path):
+    query = tmp_path / "isolated.graph"
+    query.write_text("t 3 1\nv 0 0 1\nv 1 1 1\nv 2 2 0\ne 0 1\n")
+    code, out = run_cli(capsys, "run", "--data", worked_paths[0], "--query", str(query))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "run" and "disconnected" in err["message"]
+
+
+def test_run_and_compare_reject_seed(capsys, worked_paths):
+    data, query = worked_paths
+    for command in ("run", "compare"):
+        with pytest.raises(SystemExit):
+            main([command, "--data", data, "--query", query, "--seed", "1"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--delta", "abc"],
+        ["--delta", "0.1,nan"],
+        ["--k", "x"],
+        ["--k", "auto,1"],
+        ["--delta", "2", "--variant", "share"],
+        ["--variant", "basic,fast"],
+    ],
+)
+def test_compare_rejects_bad_list_values(capsys, worked_paths, flags):
+    data, query = worked_paths
+    code, out = run_cli(capsys, "compare", "--data", data, "--query", query, "--json", *flags)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "config"
+
+
 def test_run_writes_trace_csv(capsys, worked_paths, tmp_path):
     data, query = worked_paths
     trace_path = tmp_path / "trace.csv"

@@ -7,6 +7,7 @@ from submatch import (
     UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
+    dump_tree,
     host_match,
     partition_factor,
     partition_tree,
@@ -207,3 +208,63 @@ def test_within_budgets_matches_metrics():
     tree, _ = fixtures.partition_example()
     assert within_budgets(tree, PartitionConfig())
     assert not within_budgets(tree, PartitionConfig(size_budget=tree.size_bytes - 1))
+
+
+def assert_partitions_match_reference(tree, plan, config):
+    """partition_tree emits, in order, exactly the reference's trees."""
+    emitted = []
+    try:
+        count = partition_tree(tree, plan, 0, config, emitted.append)
+    except UnsplittableTreeError:
+        with pytest.raises(UnsplittableTreeError):
+            helpers.reference_partitions(tree, plan, 0, config)
+        return 0
+    expected = helpers.reference_partitions(tree, plan, 0, config)
+    assert count == len(emitted) == len(expected)
+    for got, want in zip(emitted, expected):
+        assert got == want
+        assert dump_tree(got) == dump_tree(want)
+        assert (got.size_bytes, got.max_degree) == tree_metrics(got)
+    return count
+
+
+def test_partitions_match_reference_on_fixtures():
+    tree, plan = fixtures.partition_example()
+    for config in (
+        PartitionConfig(size_budget=tree.size_bytes - 1),
+        PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2),
+        PartitionConfig(size_budget=150, degree_budget=2, fixed_k=3),
+        PartitionConfig(degree_budget=1),
+    ):
+        assert assert_partitions_match_reference(tree, plan, config) >= 2
+    data, query = fixtures.worked_data(), fixtures.worked_query()
+    qplan = build_query_plan(query, data)
+    qtree = build_candidate_tree(data, query, qplan)
+    for budget in range(40, qtree.size_bytes, 8):
+        for fixed_k in (None, 2, 3):
+            config = PartitionConfig(size_budget=budget, degree_budget=1, fixed_k=fixed_k)
+            assert_partitions_match_reference(qtree, qplan, config)
+
+
+@pytest.mark.parametrize("name", ["q3", "q7", "q8"])
+def test_partitions_match_reference_on_benchmark_queries(name):
+    data = fixtures.benchmark_graph()
+    query = fixtures.benchmark_queries()[name]
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    assert assert_partitions_match_reference(tree, plan, PartitionConfig()) > 100
+
+
+def test_partitions_match_reference_on_random_budgets():
+    rng = random.Random(31)
+    split = 0
+    for data, query, plan, _ in helpers.solvable_instances(30, 23_000, max_data=45):
+        tree = build_candidate_tree(data, query, plan)
+        for _ in range(3):
+            config = PartitionConfig(
+                size_budget=rng.randint(max(17, tree.size_bytes // 8), max(18, tree.size_bytes)),
+                degree_budget=rng.randint(1, 8),
+                fixed_k=rng.choice([None, None, 2, 3, 5]),
+            )
+            split += assert_partitions_match_reference(tree, plan, config) > 1
+    assert split >= 30

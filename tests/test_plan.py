@@ -77,6 +77,13 @@ def test_disconnected_query_rejected():
         build_query_plan(query, fixtures.worked_data())
 
 
+def test_isolated_query_vertex_rejected_as_disconnected():
+    # vertex 2 has degree 0; the root ratio must not divide by it first
+    query = Graph.from_edges([0, 0, 1], [(0, 1)])
+    with pytest.raises(DisconnectedQueryError):
+        build_query_plan(query, fixtures.worked_data())
+
+
 def test_single_vertex_query_rejected():
     query = Graph.from_edges([0], [])
     with pytest.raises(ValueError):
