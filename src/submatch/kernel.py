@@ -8,6 +8,13 @@ or into the match set. Per round at most `capacity` new partials are
 produced, and expanding deepest-first keeps every buffer level within
 that same bound.
 
+pipeline_enumerate runs each round as one pass over the inputs it
+admits and takes the round's task counts from closed forms. The staged
+functions (generate_batch, validate_visited, validate_edges,
+synchronize) model the individual stages with per-task records and bit
+vectors; driven round by round they give the same matches, counters,
+trace and buffer peaks.
+
 The three pipeline variants (basic, task, sep) are functionally
 identical; they differ only in how the closed-form cycle estimates and
 the event-driven schedule account for stage overlap.
@@ -118,35 +125,50 @@ class ResultBuffer:
 
     Levels 1..depth_levels each hold at most `capacity` entries,
     continuation records included; the bound is checked on every push.
+    Only a level's front entry can be a continuation (a split input is
+    requeued at the front), so a level stores bare partials plus the
+    resume offset of its front entry.
     """
 
     def __init__(self, depth_levels: int, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._levels: dict[int, deque[_Pending]] = {d: deque() for d in range(1, depth_levels + 1)}
+        self._levels: dict[int, deque[tuple[int, ...]]] = {d: deque() for d in range(1, depth_levels + 1)}
+        self._front_offset = dict.fromkeys(self._levels, 0)
         self.max_occupancy = 0
 
     def push(self, item: _Pending, depth: int) -> None:
+        if item.offset:
+            raise ValueError("only the front entry of a level can resume mid-list")
+        self.extend([item.partial], depth)
+
+    def extend(self, partials: Sequence[tuple[int, ...]], depth: int) -> None:
+        """Append fresh partials to one level, checking the bound once."""
         level = self._levels[depth]
-        if len(level) >= self.capacity:
-            raise BufferOverflowError(f"level {depth} already holds {len(level)} of {self.capacity}")
-        level.append(item)
+        if len(level) + len(partials) > self.capacity:
+            raise BufferOverflowError(
+                f"level {depth} holds {len(level)} of {self.capacity}; {len(partials)} more do not fit"
+            )
+        level.extend(partials)
         self.max_occupancy = max(self.max_occupancy, len(level))
 
     def requeue_front(self, item: _Pending, depth: int) -> None:
         level = self._levels[depth]
         if len(level) >= self.capacity:
             raise BufferOverflowError(f"level {depth} already holds {len(level)} of {self.capacity}")
-        level.appendleft(item)
+        level.appendleft(item.partial)
+        self._front_offset[depth] = item.offset
         self.max_occupancy = max(self.max_occupancy, len(level))
 
     def peek(self, depth: int) -> _Pending | None:
         level = self._levels[depth]
-        return level[0] if level else None
+        return _Pending(level[0], self._front_offset[depth]) if level else None
 
     def pop(self, depth: int) -> _Pending:
-        return self._levels[depth].popleft()
+        item = _Pending(self._levels[depth].popleft(), self._front_offset[depth])
+        self._front_offset[depth] = 0
+        return item
 
     def occupancy(self, depth: int) -> int:
         return len(self._levels[depth])
@@ -256,9 +278,16 @@ def pipeline_enumerate(
 
     Root candidates are streamed into level 1 at most `capacity` at a
     time, and only once everything deeper has drained, so no level ever
-    exceeds `capacity`. Counters on `model` accumulate across calls,
+    exceeds `capacity`. Each round admits inputs exactly as
+    generate_batch does and runs as one pass over them: an input's
+    outputs are checked against every earlier non-tree row (each looked
+    up once per input) and against the input itself, and the survivors
+    are filed in bulk. The round's task counts are closed forms: one
+    visited task per output and one edge task per output and earlier
+    non-tree neighbor. Counters on `model` accumulate across calls,
     which lets one model aggregate a whole partitioned job. When given,
     `buffer_stats` receives one (peak level occupancy, capacity) pair.
+    A 1-vertex query runs no round: its root candidates are the matches.
     """
     _flavor(variant)
     if model is None:
@@ -268,37 +297,84 @@ def pipeline_enumerate(
 
     order_length = plan.num_vertices
     buffer = ResultBuffer(order_length - 1, capacity)
+    levels, front_offset = buffer._levels, buffer._front_offset
     roots = tree.candidates[plan.root]
-    cursor = 0
-    matches: list[tuple[int, ...]] = []
-    round_no = 0
+    matches: list[tuple[int, ...]] = [(v,) for v in roots] if order_length == 1 else []
+    cursor = len(matches)
 
+    # Per depth: parent position, tree-edge lists, earlier non-tree groups.
+    stages: list = [None]
+    for u in plan.order[1:]:
+        parent = plan.parent[u]
+        checks = [(plan.position[un], tree.non_tree_adj.get((un, u), {})) for un in plan.earlier_non_tree[u]]
+        stages.append((plan.position[parent], tree.tree_adj.get((parent, u), {}), checks))
+
+    round_no = 0
+    depth = 0  # every level deeper than this one is empty
     while True:
-        depth = buffer.deepest_nonempty()
-        if depth is None:
+        while depth and not levels[depth]:
+            depth -= 1
+        if not depth:
             if cursor >= len(roots):
                 break
-            take = min(capacity, len(roots) - cursor)
-            for v in roots[cursor : cursor + take]:
-                buffer.push(_Pending((v,), 0), 1)
-            cursor += take
+            buffer.extend([(v,) for v in roots[cursor : cursor + capacity]], 1)
+            cursor += capacity
             depth = 1
-        batch = generate_batch(buffer, depth, tree, plan, capacity)
-        batch.visited_bits = validate_visited(batch.visited_tasks, batch.sources)
-        batch.edge_bits = validate_edges(tree, batch.edge_tasks, len(batch.outputs))
-        accepted = synchronize(batch, buffer, matches, order_length)
-        model.results_generated += len(batch.outputs)
-        model.edge_tasks_generated += len(batch.edge_tasks)
+        parent_pos, lists, checks = stages[depth]
+        level = levels[depth]
+        offset = front_offset[depth]
+        outputs = 0
+        survivors: list[tuple[int, ...]] = []
+        while level and outputs < capacity:
+            partial = level[0]
+            cands = lists.get(partial[parent_pos], ())
+            if outputs + len(cands) - offset > capacity:
+                if outputs:
+                    break  # unconsumed input stays at the front of its level
+                chunk = cands[offset : offset + capacity]  # the rest stays queued as a continuation
+                offset += capacity
+            else:
+                level.popleft()
+                chunk = cands[offset:] if offset else cands
+                offset = 0
+            outputs += len(chunk)
+            for pos, rows in checks:
+                row = rows.get(partial[pos], ())
+                chunk = [v for v in chunk if v in row]
+            survivors += [partial + (v,) for v in chunk if v not in partial]
+        front_offset[depth] = offset
+
+        edge_tasks = outputs * len(checks)
+        model.results_generated += outputs
+        model.edge_tasks_generated += edge_tasks
         if trace is not None:
-            trace.append(
-                RoundTrace(round_no, depth, len(batch.outputs), len(batch.visited_tasks), len(batch.edge_tasks), accepted)
-            )
+            trace.append(RoundTrace(round_no, depth, outputs, outputs, edge_tasks, len(survivors)))
         round_no += 1
+        if depth + 1 == order_length:
+            matches += survivors
+        elif survivors:
+            buffer.extend(survivors, depth + 1)
+            depth += 1
 
     if buffer_stats is not None:
         buffer_stats.append((buffer.max_occupancy, capacity))
     matches.sort()
     return matches, model
+
+
+def _issue_cycles(flavor: str, n: int, m: int) -> int:
+    """Cycles to issue n results and m edge tasks, one item per stage per cycle.
+
+    basic runs the four per-result and two edge-task stages back to
+    back; task overlaps {expand | visited check}, then runs the edge
+    stream beside collection; sep also overlaps collection with
+    expansion, leaving the expansion stream plus the bottleneck stream.
+    """
+    if flavor == "basic":
+        return 4 * n + 2 * m
+    if flavor == "task":
+        return 2 * n + max(n, m)
+    return n + max(n, m)
 
 
 def cycle_estimate(model: CycleModel, variant: str, capacity: int = DEFAULT_CAPACITY) -> float:
@@ -317,10 +393,8 @@ def cycle_estimate(model: CycleModel, variant: str, capacity: int = DEFAULT_CAPA
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     if flavor == "basic":
-        return (n * model.per_result_latency + m * model.per_edge_task_latency) / capacity + 4 * n + 2 * m
-    if flavor == "task":
-        return 2 * n + max(n, m)
-    return n + max(n, m)
+        return (n * model.per_result_latency + m * model.per_edge_task_latency) / capacity + _issue_cycles(flavor, n, m)
+    return _issue_cycles(flavor, n, m)
 
 
 def _round_fill(outputs: int, edge_tasks: int, max_latency: float) -> float:
@@ -337,24 +411,14 @@ def pipeline_fill_slack(trace: Iterable[RoundTrace], model: CycleModel) -> float
 def simulate_dataflow_schedule(trace: Iterable[RoundTrace], variant: str, model: CycleModel) -> float:
     """Event-style makespan of a recorded run under a stage schedule.
 
-    Stages issue one item per cycle once filled. basic runs the six
-    stages back to back each round; task overlaps {expand | visited
-    check} then {edge-task generation | edge check | collect}; sep
-    additionally overlaps collection with expansion via the duplicated
-    output stream, leaving the bottleneck stream plus the expansion
-    stream. Makespan is never less than the closed-form estimate minus
-    the fill slack for the same trace.
+    Each round issues its items as _issue_cycles counts them and pays a
+    fill of its active stages times the largest latency. Makespan is
+    never less than the closed-form estimate minus the fill slack for
+    the same trace.
     """
     flavor = _flavor(variant)
     max_latency = max(model.latencies)
     total = 0.0
     for r in trace:
-        n, m = r.outputs, r.edge_tasks
-        if flavor == "basic":
-            body = 4 * n + 2 * m
-        elif flavor == "task":
-            body = 2 * n + max(n, m)
-        else:
-            body = n + max(n, m)
-        total += body + _round_fill(n, m, max_latency)
+        total += _issue_cycles(flavor, r.outputs, r.edge_tasks) + _round_fill(r.outputs, r.edge_tasks, max_latency)
     return total

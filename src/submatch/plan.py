@@ -72,15 +72,12 @@ def build_query_plan(query: Graph, data: Graph) -> QueryPlan:
     ordered by (candidate-count product, path ids).
     """
     n = query.num_vertices
-    if n < 2:
-        raise ValueError("query must have at least 2 vertices")
-
-    if 0 in query.degrees:
+    if n > 1 and 0 in query.degrees:
         # checked before the root ratio below divides by each degree
         raise DisconnectedQueryError(f"query graph is disconnected (vertex {query.degrees.index(0)} has no edges)")
 
     local = [candidates_by_local_features(data, query, u) for u in range(n)]
-    root = min(range(n), key=lambda u: (Fraction(len(local[u]), query.degrees[u]), u))
+    root = 0 if n == 1 else min(range(n), key=lambda u: (Fraction(len(local[u]), query.degrees[u]), u))
 
     parent: list[int | None] = [None] * n
     children: list[list[int]] = [[] for _ in range(n)]

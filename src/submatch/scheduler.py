@@ -164,9 +164,10 @@ def run_job(
     routing_log: list[tuple[int, str]] = []
     traces: list[RoundTrace] = [] if collect_trace else None  # type: ignore[assignment]
     kernel_trees = 0
+    sorted_runs = 0  # non-empty sorted lists merged into embeddings
 
     def dispatch(part: CandidateTree) -> None:
-        nonlocal kernel_trees
+        nonlocal kernel_trees, sorted_runs
         workload = estimate_workload(part, plan).total
         side = route_tree(state, part, workload)
         routing_log.append((workload, side))
@@ -176,15 +177,19 @@ def run_job(
                 part, plan, variant, capacity, model, port_limit=config.port_limit, trace=traces
             )
             embeddings.extend(found)
+            sorted_runs += bool(found)
 
     partitions = partition_tree(tree, plan, 0, config, dispatch)
 
     host_trees = len(state.host_queue)
     for cached in state.host_queue:
-        embeddings.extend(host_match(cached, plan))
+        found = host_match(cached, plan)
+        embeddings.extend(found)
+        sorted_runs += bool(found)
     state.host_queue.clear()
 
-    embeddings.sort()
+    if sorted_runs > 1:
+        embeddings.sort()
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = JobStats(
         embeddings=len(embeddings),

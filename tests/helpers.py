@@ -18,6 +18,18 @@ from submatch import (
     random_graph,
     within_budgets,
 )
+from submatch.kernel import (
+    DEFAULT_CAPACITY,
+    CycleModel,
+    ResultBuffer,
+    RoundTrace,
+    _flavor,
+    _Pending,
+    generate_batch,
+    synchronize,
+    validate_edges,
+    validate_visited,
+)
 from submatch.partition import _earlier_links
 from submatch.oracle import brute_force_embeddings
 
@@ -156,3 +168,61 @@ def reference_partitions(tree, plan, index, config):
         else:
             out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config)
     return out
+
+
+def reference_pipeline_enumerate(
+    tree,
+    plan,
+    variant="sep",
+    capacity=DEFAULT_CAPACITY,
+    model=None,
+    *,
+    port_limit=None,
+    trace=None,
+    buffer_stats=None,
+):
+    """Stage-by-stage driver: generate_batch, both validators, synchronize.
+
+    The test reference for submatch.pipeline_enumerate, which runs each
+    round as one pass instead; both must give == matches, counters,
+    traces and buffer peaks. Needs a query of at least two vertices.
+    """
+    _flavor(variant)
+    if model is None:
+        model = CycleModel()
+    if port_limit is not None and tree.max_degree > port_limit:
+        raise ValueError(f"tree degree {tree.max_degree} exceeds port limit {port_limit}")
+
+    order_length = plan.num_vertices
+    buffer = ResultBuffer(order_length - 1, capacity)
+    roots = tree.candidates[plan.root]
+    cursor = 0
+    matches = []
+    round_no = 0
+
+    while True:
+        depth = buffer.deepest_nonempty()
+        if depth is None:
+            if cursor >= len(roots):
+                break
+            take = min(capacity, len(roots) - cursor)
+            for v in roots[cursor : cursor + take]:
+                buffer.push(_Pending((v,), 0), 1)
+            cursor += take
+            depth = 1
+        batch = generate_batch(buffer, depth, tree, plan, capacity)
+        batch.visited_bits = validate_visited(batch.visited_tasks, batch.sources)
+        batch.edge_bits = validate_edges(tree, batch.edge_tasks, len(batch.outputs))
+        accepted = synchronize(batch, buffer, matches, order_length)
+        model.results_generated += len(batch.outputs)
+        model.edge_tasks_generated += len(batch.edge_tasks)
+        if trace is not None:
+            trace.append(
+                RoundTrace(round_no, depth, len(batch.outputs), len(batch.visited_tasks), len(batch.edge_tasks), accepted)
+            )
+        round_no += 1
+
+    if buffer_stats is not None:
+        buffer_stats.append((buffer.max_occupancy, capacity))
+    matches.sort()
+    return matches, model

@@ -222,6 +222,47 @@ def test_buffer_push_overflow_raises():
         buf.push(_Pending((3,), 0), 1)
 
 
+def test_buffer_bulk_extend_checks_bound_once():
+    buf = ResultBuffer(2, 3)
+    buf.extend([(1,), (2,)], 1)
+    with pytest.raises(BufferOverflowError):
+        buf.extend([(3,), (4,)], 1)
+    assert buf.occupancy(1) == 2 and buf.max_occupancy == 2
+    buf.extend([(3,)], 1)
+    assert buf.max_occupancy == 3
+    with pytest.raises(BufferOverflowError):
+        buf.extend([(4,)], 1)
+    with pytest.raises(ValueError):
+        buf.push(_Pending((5,), 1), 2)  # only a level's front entry resumes mid-list
+
+
+def _kernel_cases():
+    yield "worked", fixtures.worked_data(), fixtures.worked_query()
+    for i, (data, query, _, _) in enumerate(helpers.solvable_instances(20, 36_000, max_data=40)):
+        yield f"random{i}", data, query
+    data = fixtures.benchmark_graph()
+    for name, query in fixtures.benchmark_queries().items():
+        yield name, data, query
+
+
+def _run_kernel(enumerate_fn, tree, plan, capacity):
+    trace, buffer_stats = [], []
+    matches, model = enumerate_fn(tree, plan, "sep", capacity, CycleModel(), trace=trace, buffer_stats=buffer_stats)
+    return matches, model.results_generated, model.edge_tasks_generated, trace, buffer_stats
+
+
+def test_fused_rounds_equal_staged_reference():
+    trees = [("partition", *fixtures.partition_example()), ("partition_a", *partition_a())]
+    for name, data, query in _kernel_cases():
+        plan = build_query_plan(query, data)
+        trees.append((name, build_candidate_tree(data, query, plan), plan))
+    for name, tree, plan in trees:
+        for capacity in (1, 8, 1024):
+            fused = _run_kernel(pipeline_enumerate, tree, plan, capacity)
+            staged = _run_kernel(helpers.reference_pipeline_enumerate, tree, plan, capacity)
+            assert fused == staged, (name, capacity)
+
+
 def test_port_limit_precondition_enforced():
     tree, plan = fixtures.partition_example()
     with pytest.raises(ValueError):

@@ -1,8 +1,22 @@
+import json
 import random
 
 import pytest
 
-from submatch import Graph, build_query_plan
+from submatch import (
+    CycleModel,
+    Graph,
+    PartitionConfig,
+    SchedulerState,
+    brute_force_embeddings,
+    build_candidate_tree,
+    build_query_plan,
+    host_match,
+    pipeline_enumerate,
+    run_job,
+    save_graph,
+)
+from submatch.cli import main
 from submatch.plan import DisconnectedQueryError
 from submatch import fixtures
 
@@ -84,10 +98,37 @@ def test_isolated_query_vertex_rejected_as_disconnected():
         build_query_plan(query, fixtures.worked_data())
 
 
-def test_single_vertex_query_rejected():
-    query = Graph.from_edges([0], [])
-    with pytest.raises(ValueError):
-        build_query_plan(query, fixtures.worked_data())
+def test_single_vertex_query_matches_each_label_class(tmp_path, capsys):
+    data, _ = helpers.make_instance(4242)
+    data_file = tmp_path / "data.graph"
+    save_graph(data, data_file)
+    split = PartitionConfig(size_budget=40)  # 16 + 8 + 4 bytes per candidate: more than 4 must split
+    split_partitions = []
+    for label in sorted(set(data.labels)) + [max(data.labels) + 1]:
+        query = Graph.from_edges([label], [])
+        plan = build_query_plan(query, data)
+        assert (plan.root, plan.order, plan.parent) == (0, (0,), (None,))
+        expected = brute_force_embeddings(query, data, plan.order)
+        assert expected == [(v,) for v, l in enumerate(data.labels) if l == label]
+
+        tree = build_candidate_tree(data, query, plan)
+        assert host_match(tree, plan) == expected
+        trace, buffer_stats = [], []
+        found, model = pipeline_enumerate(tree, plan, "sep", 2, CycleModel(), trace=trace, buffer_stats=buffer_stats)
+        assert found == expected
+        assert trace == [] and buffer_stats == [(0, 2)]
+        assert model.results_generated == model.edge_tasks_generated == 0
+
+        for config, delta in ((PartitionConfig(), 0.1), (split, 0.0), (split, 0.5)):
+            embeddings, stats = run_job(data, query, config, SchedulerState(delta), "share")
+            assert embeddings == expected
+        split_partitions.append(stats.partitions)
+
+        query_file = tmp_path / f"q{label}.graph"
+        save_graph(query, query_file)
+        assert main(["run", "--data", str(data_file), "--query", str(query_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["embeddings"] == len(expected)
+    assert max(split_partitions) > 1
 
 
 def test_plan_is_deterministic():
