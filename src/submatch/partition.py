@@ -6,6 +6,16 @@ sub-tree whose downstream candidates are exactly those reachable from
 the chunk, so the chunks' embedding sets partition the original's.
 Recursion advances to the next order position once C(u) is a singleton.
 
+A split at u is made only where a chunk could fit. Projection is
+monotone in the part, so the projection onto the empty part (the
+floor) is contained in every chunk's, and its max_degree bounds every
+chunk's from below. When the floor is over the degree budget, the tree
+is within the size budget, and no stored list into u or an earlier
+order vertex is over the degree budget (only splits at or before u
+could shorten those), u is left unsplit and recursion advances to the
+next order position with the same tree. Cutting C(u) there would only
+multiply the pieces by |C(u)| without bringing any under budget.
+
 The k sibling chunks of one split share a SplitContext, so a projection
 costs in proportion to what its chunk reaches, not to the parent tree.
 Only u and the vertices after it get new candidate sets; a vertex whose
@@ -217,13 +227,24 @@ class SplitContext:
         return new
 
     def project(self, part: Sequence[int]) -> CandidateTree:
-        full, u = self.full, self.u
         part_set = set(part)
         if not part_set:
             raise ValueError("part must be non-empty")
-        if not part_set <= full[u]:
+        if not part_set <= self.full[self.u]:
             raise ValueError("part must be a subset of the candidates of u")
+        return self._project(part_set)
 
+    def floor(self) -> CandidateTree:
+        """The projection onto the empty part of C(u).
+
+        Projection is monotone in the part, so every chunk's projection
+        contains this tree, and its max_degree is a lower bound on every
+        chunk's max_degree.
+        """
+        return self._project(set())
+
+    def _project(self, part_set: set[int]) -> CandidateTree:
+        full, u = self.full, self.u
         # Retained sets of the vertices this chunk restricts; all others keep their full set.
         candidates = list(self.tree.candidates)
         retained: dict[int, set[int]] = {}
@@ -317,6 +338,21 @@ def _earlier_links(plan: QueryPlan, w: int):
             yield un, (un, w), False
 
 
+def _longest_list_into(tree: CandidateTree, plan: QueryPlan, index: int) -> int:
+    """Longest stored list whose target vertex is at or before order position `index`."""
+    position = plan.position
+    return max(
+        (
+            len(row)
+            for groups in (tree.tree_adj, tree.non_tree_adj)
+            for (_, b), lists in groups.items()
+            if position[b] <= index
+            for row in lists.values()
+        ),
+        default=0,
+    )
+
+
 def partition_tree(
     tree: CandidateTree,
     plan: QueryPlan,
@@ -328,8 +364,13 @@ def partition_tree(
 
     Returns the number of emitted trees. Trees with an empty candidate
     set hold no embeddings and are dropped rather than split further.
-    Raises UnsplittableTreeError if the order is exhausted while budgets
-    are still violated.
+    The order vertex u = plan.order[index] is skipped, not split, when
+    no chunk of C(u) could come within the degree budget: the tree fits
+    the size budget, every stored list into u or an earlier order vertex
+    fits the degree budget, and the split's floor (the projection onto
+    the empty part, contained in every chunk's projection) is still
+    over it. Raises UnsplittableTreeError if the order is exhausted while
+    budgets are still violated.
     """
     if within_budgets(tree, config):
         sink(tree)
@@ -347,13 +388,20 @@ def partition_tree(
         )
 
     u = plan.order[index]
+    split = SplitContext(tree, plan, u)
+    if (
+        tree.size_bytes <= config.size_budget
+        and _longest_list_into(tree, plan, index) <= config.degree_budget
+        and split.floor().max_degree > config.degree_budget
+    ):
+        return partition_tree(tree, plan, index + 1, config, sink)
+
     cand = tree.candidates[u]
     if config.fixed_k is not None:
         k = max(1, min(config.fixed_k, len(cand)))
     else:
         k = partition_factor(tree, config, u)
 
-    split = SplitContext(tree, plan, u)
     base, extra = divmod(len(cand), k)
     emitted = 0
     start = 0

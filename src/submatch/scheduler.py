@@ -150,7 +150,9 @@ def run_job(
     independent of the share threshold, the kernel variant, and the
     partition budgets. `variant` selects the kernel pipeline flavor;
     "share" runs the sep pipeline and is the mode under which a nonzero
-    host share is meaningful.
+    host share is meaningful. `state` supplies the share threshold; the
+    job is routed and reported from zero totals and leaves `state` as
+    it was.
     """
     if variant not in JOB_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -159,6 +161,7 @@ def run_job(
     tree = build_candidate_tree(data, query, plan)
     if model is None:
         model = CycleModel()
+    state = SchedulerState(state.delta)
 
     embeddings: list[tuple[int, ...]] = []
     routing_log: list[tuple[int, str]] = []
@@ -186,7 +189,6 @@ def run_job(
         found = host_match(cached, plan)
         embeddings.extend(found)
         sorted_runs += bool(found)
-    state.host_queue.clear()
 
     if sorted_runs > 1:
         embeddings.sort()

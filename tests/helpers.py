@@ -92,13 +92,15 @@ def add_random_edges(graph: Graph, count: int, rng: random.Random) -> Graph:
     return Graph.from_edges(list(graph.labels), sorted(existing | set(missing[:count])))
 
 
-def reference_project_tree(tree, plan, u, part):
+def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
     """From-scratch projection: rebuild every set and list of the tree.
 
     The test reference for submatch.project_tree, which shares unchanged
-    lists with its parent instead; both must give == trees.
+    lists with its parent instead; both must give == trees. With
+    allow_empty, an empty part gives the floor tree that
+    SplitContext.floor builds.
     """
-    if not part:
+    if not part and not allow_empty:
         raise ValueError("part must be non-empty")
     pos_u = plan.position[u]
     part_set = set(part)
@@ -142,8 +144,12 @@ def reference_project_tree(tree, plan, u, part):
     )
 
 
-def reference_partitions(tree, plan, index, config):
-    """The trees partition_tree emits, in order, split by reference_project_tree."""
+def reference_partitions(tree, plan, index, config, skipped=None):
+    """The trees partition_tree emits, in order, split by reference_project_tree.
+
+    Each query vertex left unsplit by the skip rule is appended to
+    `skipped` when a list is given.
+    """
     if within_budgets(tree, config):
         return [tree]
     if any(not c for c in tree.candidates):
@@ -151,6 +157,22 @@ def reference_partitions(tree, plan, index, config):
     if index >= plan.num_vertices:
         raise UnsplittableTreeError("budgets still violated after exhausting the matching order", -1)
     u = plan.order[index]
+    into_prefix = [
+        row
+        for groups in (tree.tree_adj, tree.non_tree_adj)
+        for (_, b), lists in groups.items()
+        if plan.position[b] <= index
+        for row in lists.values()
+    ]
+    floor = reference_project_tree(tree, plan, u, [], allow_empty=True)
+    if (
+        tree.size_bytes <= config.size_budget
+        and all(len(row) <= config.degree_budget for row in into_prefix)
+        and floor.max_degree > config.degree_budget
+    ):
+        if skipped is not None:
+            skipped.append(u)
+        return reference_partitions(tree, plan, index + 1, config, skipped)
     cand = tree.candidates[u]
     if config.fixed_k is not None:
         k = max(1, min(config.fixed_k, len(cand)))
@@ -166,7 +188,7 @@ def reference_partitions(tree, plan, index, config):
         if within_budgets(sub, config):
             out.append(sub)
         else:
-            out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config)
+            out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config, skipped)
     return out
 
 

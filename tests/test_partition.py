@@ -17,6 +17,8 @@ from submatch import (
 )
 from submatch import Graph
 from submatch import fixtures
+import submatch.partition
+from submatch.partition import SplitContext
 
 import helpers
 
@@ -210,7 +212,7 @@ def test_within_budgets_matches_metrics():
     assert not within_budgets(tree, PartitionConfig(size_budget=tree.size_bytes - 1))
 
 
-def assert_partitions_match_reference(tree, plan, config):
+def assert_partitions_match_reference(tree, plan, config, skipped=None):
     """partition_tree emits, in order, exactly the reference's trees."""
     emitted = []
     try:
@@ -219,7 +221,7 @@ def assert_partitions_match_reference(tree, plan, config):
         with pytest.raises(UnsplittableTreeError):
             helpers.reference_partitions(tree, plan, 0, config)
         return 0
-    expected = helpers.reference_partitions(tree, plan, 0, config)
+    expected = helpers.reference_partitions(tree, plan, 0, config, skipped)
     assert count == len(emitted) == len(expected)
     for got, want in zip(emitted, expected):
         assert got == want
@@ -252,12 +254,16 @@ def test_partitions_match_reference_on_benchmark_queries(name):
     query = fixtures.benchmark_queries()[name]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    assert assert_partitions_match_reference(tree, plan, PartitionConfig()) > 100
+    skipped = []
+    # more than one tree means real splits; a skipped vertex means the skip rule ran
+    assert assert_partitions_match_reference(tree, plan, PartitionConfig(), skipped) > 1
+    assert skipped
 
 
 def test_partitions_match_reference_on_random_budgets():
     rng = random.Random(31)
     split = 0
+    skipped = []
     for data, query, plan, _ in helpers.solvable_instances(30, 23_000, max_data=45):
         tree = build_candidate_tree(data, query, plan)
         for _ in range(3):
@@ -266,5 +272,52 @@ def test_partitions_match_reference_on_random_budgets():
                 degree_budget=rng.randint(1, 8),
                 fixed_k=rng.choice([None, None, 2, 3, 5]),
             )
-            split += assert_partitions_match_reference(tree, plan, config) > 1
+            split += assert_partitions_match_reference(tree, plan, config, skipped) > 1
     assert split >= 30
+    assert len(skipped) >= 100
+
+
+def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
+    """A vertex left unsplit has no candidate whose own projection fits the degree budget.
+
+    Projection is monotone in the part, so every chunk containing v
+    contains v's single-candidate projection: no chunk of the skipped
+    split could have been emitted. The floor tree equals the
+    from-scratch projection onto the empty part.
+    """
+    calls = []
+    original = submatch.partition.partition_tree
+
+    def recording(tree, plan, index, config, sink):
+        calls.append((tree, index))
+        return original(tree, plan, index, config, sink)
+
+    monkeypatch.setattr(submatch.partition, "partition_tree", recording)
+    rng = random.Random(47)
+    skips = 0
+    for data, query, plan, _ in helpers.solvable_instances(30, 24_000, max_data=45):
+        tree = build_candidate_tree(data, query, plan)
+        for _ in range(4):
+            config = PartitionConfig(
+                size_budget=rng.randint(max(17, tree.size_bytes // 4), max(18, tree.size_bytes * 2)),
+                degree_budget=rng.randint(1, 8),
+                fixed_k=rng.choice([None, None, 2, 3]),
+            )
+            calls.clear()
+            try:
+                recording(tree, plan, 0, config, lambda part: None)
+            except UnsplittableTreeError:
+                continue
+            # Only a skip passes the same tree object on, at the next order position.
+            for (parent, index), (child, child_index) in zip(calls, calls[1:]):
+                if child is not parent:
+                    continue
+                assert child_index == index + 1
+                u = plan.order[index]
+                for v in parent.candidates[u]:
+                    assert project_tree(parent, plan, u, [v]).max_degree > config.degree_budget
+                floor = SplitContext(parent, plan, u).floor()
+                assert floor == helpers.reference_project_tree(parent, plan, u, [], allow_empty=True)
+                assert floor.max_degree > config.degree_budget
+                skips += 1
+    assert skips >= 100

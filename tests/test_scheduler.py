@@ -163,3 +163,21 @@ def test_run_job_rejects_unknown_variant():
     data, query = fixtures.worked_data(), fixtures.worked_query()
     with pytest.raises(ValueError):
         run_job(data, query, PartitionConfig(), SchedulerState(), "warp")
+
+
+def test_reused_state_reports_like_a_fresh_one():
+    # a state carried over from an earlier job must not shift routing or totals
+    data = fixtures.benchmark_graph()
+    query = fixtures.benchmark_queries()["q1"]
+    reused = SchedulerState(delta=0.1)
+    runs = [
+        run_job(data, query, PartitionConfig(), state, "share")[1]
+        for state in (reused, reused, SchedulerState(delta=0.1))
+    ]
+    views = [
+        ({k: v for k, v in stats.to_report().items() if k != "wall_ms"}, stats.host_trees, stats.routing_log)
+        for stats in runs
+    ]
+    assert views[0] == views[1] == views[2]
+    assert runs[0].host_trees > 0 and runs[0].kernel_trees > 0
+    assert (reused.w_c, reused.w_f, reused.host_queue) == (0, 0, [])
