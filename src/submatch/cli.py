@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .graph import GraphFormatError, load_graph, save_graph
@@ -113,8 +114,8 @@ def _model_from(args) -> CycleModel:
     try:
         model = CycleModel(tuple(args.l_consts))
         if args.dram_ratio != 1.0:
-            if args.dram_ratio < 1.0:
-                raise ValueError("dram-ratio must be >= 1")
+            if not 1.0 <= args.dram_ratio < math.inf:
+                raise ValueError("dram-ratio must be finite and >= 1")
             model = model.scaled(args.dram_ratio)
         return model
     except ValueError as exc:
@@ -185,6 +186,7 @@ def _cmd_compare(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
     variants, deltas, ks = _compare_grid(args)
+    _model_from(args)  # checked before the header, like the grid
 
     writer = csv.writer(sys.stdout)
     writer.writerow(COMPARE_FIELDS)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -55,6 +56,14 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees) if self.degrees else 0
+
+    @cached_property
+    def vertices_by_label(self) -> dict[int, list[int]]:
+        """Vertex ids of each present label, ascending; built on first use."""
+        index: dict[int, list[int]] = {}
+        for v, lab in enumerate(self.labels):
+            index.setdefault(lab, []).append(v)
+        return index
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -203,8 +212,9 @@ def candidates_by_local_features(data: Graph, query: Graph, u: int) -> list[int]
     """Data vertices matching u's label with at least u's degree, ascending.
 
     This is the weakest sound per-vertex filter: any embedding must map u
-    to a vertex with the same label and at least as many neighbors.
+    to a vertex with the same label and at least as many neighbors. Only
+    u's label class is scanned, from the data graph's label index.
     """
-    lab = query.labels[u]
     deg = query.degrees[u]
-    return [v for v in range(data.num_vertices) if data.labels[v] == lab and data.degrees[v] >= deg]
+    degrees = data.degrees
+    return [v for v in data.vertices_by_label.get(query.labels[u], ()) if degrees[v] >= deg]

@@ -15,6 +15,16 @@ synchronize) model the individual stages with per-task records and bit
 vectors; driven round by round they give the same matches, counters,
 trace and buffer peaks.
 
+Matches come out strictly increasing with no sort. Candidate lists are
+sorted and every level is FIFO, so each level holds its partials in
+increasing order; a level is refilled only once every deeper level has
+drained, and roots stream in ascending order, so all extensions of one
+partial are filed before any extension of a later one. The visited
+check runs only when two query vertices share a candidate: every
+stored list holds candidates of its target vertex alone, so with
+pairwise disjoint candidate sets (every query label distinct) no
+candidate can repeat a vertex of its partial.
+
 The three pipeline variants (basic, task, sep) are functionally
 identical; they differ only in how the closed-form cycle estimates and
 the event-driven schedule account for stage overlap.
@@ -22,6 +32,7 @@ the event-driven schedule account for stage overlap.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -60,8 +71,8 @@ class CycleModel:
     def __post_init__(self):
         if len(self.latencies) != 6:
             raise ValueError("expected six stage latencies")
-        if any(l < 1 for l in self.latencies):
-            raise ValueError("stage latencies must be >= 1")
+        if not all(1 <= l < math.inf for l in self.latencies):
+            raise ValueError("stage latencies must be finite and >= 1")
 
     @property
     def per_result_latency(self) -> float:
@@ -281,13 +292,16 @@ def pipeline_enumerate(
     exceeds `capacity`. Each round admits inputs exactly as
     generate_batch does and runs as one pass over them: an input's
     outputs are checked against every earlier non-tree row (each looked
-    up once per input) and against the input itself, and the survivors
-    are filed in bulk. The round's task counts are closed forms: one
-    visited task per output and one edge task per output and earlier
-    non-tree neighbor. Counters on `model` accumulate across calls,
-    which lets one model aggregate a whole partitioned job. When given,
+    up once per input) and, only if two candidate sets of the tree meet
+    (tested once per call), against the input itself. Survivors are
+    filed in bulk. The round's task counts are closed forms: one visited
+    task per output and one edge task per output and earlier non-tree
+    neighbor. Counters on `model` accumulate across calls, which lets
+    one model aggregate a whole partitioned job. When given,
     `buffer_stats` receives one (peak level occupancy, capacity) pair.
     A 1-vertex query runs no round: its root candidates are the matches.
+    Matches are returned strictly increasing without a sort (see the
+    module docstring).
     """
     _flavor(variant)
     if model is None:
@@ -308,6 +322,7 @@ def pipeline_enumerate(
         parent = plan.parent[u]
         checks = [(plan.position[un], tree.non_tree_adj.get((un, u), {})) for un in plan.earlier_non_tree[u]]
         stages.append((plan.position[parent], tree.tree_adj.get((parent, u), {}), checks))
+    may_repeat = len(set().union(*tree.candidates)) < sum(map(len, tree.candidates))
 
     round_no = 0
     depth = 0  # every level deeper than this one is empty
@@ -341,7 +356,9 @@ def pipeline_enumerate(
             for pos, rows in checks:
                 row = rows.get(partial[pos], ())
                 chunk = [v for v in chunk if v in row]
-            survivors += [partial + (v,) for v in chunk if v not in partial]
+            if may_repeat:
+                chunk = [v for v in chunk if v not in partial]
+            survivors += [partial + (v,) for v in chunk]
         front_offset[depth] = offset
 
         edge_tasks = outputs * len(checks)
@@ -358,7 +375,6 @@ def pipeline_enumerate(
 
     if buffer_stats is not None:
         buffer_stats.append((buffer.max_occupancy, capacity))
-    matches.sort()
     return matches, model
 
 

@@ -9,8 +9,10 @@ trees run through the pipeline immediately.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .candidate_tree import CandidateTree, build_candidate_tree, estimate_workload
 from .graph import Graph
@@ -148,14 +150,35 @@ def run_job(
 
     The merged embedding list is sorted lexicographically and is
     independent of the share threshold, the kernel variant, and the
-    partition budgets. `variant` selects the kernel pipeline flavor;
-    "share" runs the sep pipeline and is the mode under which a nonzero
-    host share is meaningful. `state` supplies the share threshold; the
-    job is routed and reported from zero totals and leaves `state` as
-    it was.
+    partition budgets. Each side returns a sorted list; the non-empty
+    ones are kept as runs, a single run is returned as it is (no copy),
+    and only several runs are merged and sorted. `variant` selects the
+    kernel pipeline flavor; "share" runs the sep pipeline and is the
+    mode under which a nonzero host share is meaningful. `state`
+    supplies the share threshold; the job is routed and reported from
+    zero totals and leaves `state` as it was.
+
+    The cyclic garbage collector is paused for the whole job and turned
+    back on afterwards only if the caller had it on. A job allocates
+    millions of int-only tuples, which the collector would otherwise
+    scan as they are made, and makes only small cycles (host_match's
+    recursive closure), which a later collection frees. The returned
+    tuples are still tracked: a caller that keeps them while it
+    allocates has them scanned once by its next collection. Results
+    never depend on the pause.
     """
     if variant not in JOB_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_job(data, query, config, state, variant, capacity, model, collect_trace)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run_job(data, query, config, state, variant, capacity, model, collect_trace):
     start = time.perf_counter()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
@@ -163,14 +186,13 @@ def run_job(
         model = CycleModel()
     state = SchedulerState(state.delta)
 
-    embeddings: list[tuple[int, ...]] = []
+    runs: list[list[tuple[int, ...]]] = []  # non-empty sorted embedding lists
     routing_log: list[tuple[int, str]] = []
     traces: list[RoundTrace] = [] if collect_trace else None  # type: ignore[assignment]
     kernel_trees = 0
-    sorted_runs = 0  # non-empty sorted lists merged into embeddings
 
     def dispatch(part: CandidateTree) -> None:
-        nonlocal kernel_trees, sorted_runs
+        nonlocal kernel_trees
         workload = estimate_workload(part, plan).total
         side = route_tree(state, part, workload)
         routing_log.append((workload, side))
@@ -179,19 +201,18 @@ def run_job(
             found, _ = pipeline_enumerate(
                 part, plan, variant, capacity, model, port_limit=config.port_limit, trace=traces
             )
-            embeddings.extend(found)
-            sorted_runs += bool(found)
+            if found:
+                runs.append(found)
 
     partitions = partition_tree(tree, plan, 0, config, dispatch)
 
     host_trees = len(state.host_queue)
     for cached in state.host_queue:
         found = host_match(cached, plan)
-        embeddings.extend(found)
-        sorted_runs += bool(found)
+        if found:
+            runs.append(found)
 
-    if sorted_runs > 1:
-        embeddings.sort()
+    embeddings = runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = JobStats(
         embeddings=len(embeddings),

@@ -217,3 +217,21 @@ def test_dram_ratio_scales_basic_cycles(capsys, worked_paths):
     _, out1 = run_cli(capsys, "run", "--data", data, "--query", query, "--no", "4")
     _, out7 = run_cli(capsys, "run", "--data", data, "--query", query, "--no", "4", "--dram-ratio", "7")
     assert json.loads(out7)["cycles_basic"] > json.loads(out1)["cycles_basic"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--l-consts", "nan,2,1,1,1,1"], "latencies"),
+        (["--l-consts", "2,2,1,1,1,inf"], "latencies"),
+        (["--dram-ratio", "nan"], "dram-ratio"),
+        (["--dram-ratio", "inf"], "dram-ratio"),
+    ],
+)
+def test_non_finite_cycle_constants_are_config_errors(capsys, worked_paths, command, flags, names):
+    data, query = worked_paths
+    code, out = run_cli(capsys, command, "--data", data, "--query", query, "--json", *flags)
+    assert code == 1
+    err = json.loads(out)["error"]  # the whole output: no report or CSV header
+    assert err["type"] == "config" and names in err["message"]

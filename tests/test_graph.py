@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -125,3 +126,21 @@ def test_every_oracle_embedding_passes_local_filter():
         for emb in expected:
             for pos, v in enumerate(emb):
                 assert v in cands[plan.order[pos]]
+
+
+def test_label_index_filter_equals_full_scan_for_every_label_and_degree():
+    # every label (the last two absent) and every degree up to one past the maximum
+    rng = random.Random(31)
+    bench = fixtures.benchmark_graph()
+    graphs = [Graph(bench.labels, bench.adj, bench.degrees)]  # a fresh object: the fixture is shared
+    graphs += [random_graph(rng.randint(1, 40), rng.uniform(0.05, 0.5), 4, rng) for _ in range(20)]
+    for data in graphs:
+        assert "vertices_by_label" not in data.__dict__  # built on first use only
+        for label in range(data.label_count + 2):
+            label_class = [v for v in range(data.num_vertices) if data.labels[v] == label]
+            for degree in range(data.max_degree + 2):
+                query = SimpleNamespace(labels=(label,), degrees=(degree,))
+                expected = [v for v in label_class if data.degrees[v] >= degree]
+                assert candidates_by_local_features(data, query, 0) == expected, (label, degree)
+        assert "vertices_by_label" in data.__dict__
+        assert data == Graph(data.labels, data.adj, data.degrees)  # the index is not compared

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from submatch import (
     build_query_plan,
     cycle_estimate,
     generate_batch,
+    host_match,
     pipeline_enumerate,
     synchronize,
     validate_edges,
@@ -251,16 +254,65 @@ def _run_kernel(enumerate_fn, tree, plan, capacity):
     return matches, model.results_generated, model.edge_tasks_generated, trace, buffer_stats
 
 
-def test_fused_rounds_equal_staged_reference():
+@functools.lru_cache(maxsize=None)
+def _kernel_trees():
     trees = [("partition", *fixtures.partition_example()), ("partition_a", *partition_a())]
     for name, data, query in _kernel_cases():
         plan = build_query_plan(query, data)
         trees.append((name, build_candidate_tree(data, query, plan), plan))
-    for name, tree, plan in trees:
+    return trees
+
+
+def test_fused_rounds_equal_staged_reference():
+    for name, tree, plan in _kernel_trees():
         for capacity in (1, 8, 1024):
             fused = _run_kernel(pipeline_enumerate, tree, plan, capacity)
             staged = _run_kernel(helpers.reference_pipeline_enumerate, tree, plan, capacity)
             assert fused == staged, (name, capacity)
+
+
+def test_matches_come_out_strictly_increasing_without_a_sort():
+    for name, tree, plan in _kernel_trees():
+        expected = host_match(tree, plan)
+        for capacity in (1, 2, 8, 1024):
+            matches, _ = pipeline_enumerate(tree, plan, "sep", capacity)
+            assert all(a < b for a, b in zip(matches, matches[1:])), (name, capacity)
+            assert matches == expected, (name, capacity)
+
+
+def _walks(tree, plan):
+    """Order-aligned walks through the stored lists passing every non-tree row; vertices may repeat."""
+    walks = [(v,) for v in tree.candidates[plan.root]]
+    for u in plan.order[1:]:
+        parent = plan.parent[u]
+        lists = tree.tree_adj.get((parent, u), {})
+        checks = [(plan.position[un], tree.non_tree_adj.get((un, u), {})) for un in plan.earlier_non_tree[u]]
+        walks = [
+            w + (v,)
+            for w in walks
+            for v in lists.get(w[plan.position[parent]], ())
+            if all(v in rows.get(w[pos], ()) for pos, rows in checks)
+        ]
+    return walks
+
+
+def test_only_queries_with_shared_candidates_check_repeats():
+    data = fixtures.benchmark_graph()
+    for name, query in fixtures.benchmark_queries().items():
+        plan = build_query_plan(query, data)
+        tree = build_candidate_tree(data, query, plan)
+        cands = [set(tree.candidates[u]) for u in plan.order]
+        shared = [(i, j) for j in range(len(cands)) for i in range(j) if cands[i] & cands[j]]
+        if name != "q8":
+            assert not shared, name  # distinct labels: disjoint candidate sets, no visited check runs
+            continue
+        # q8 repeats labels 0 and 10, so the visited check runs and must drop repeated vertices
+        assert shared
+        walks = _walks(tree, plan)
+        assert any(len(set(w)) < len(w) for w in walks)
+        for capacity in (1, 2, 8, 1024):
+            matches, _ = pipeline_enumerate(tree, plan, "sep", capacity)
+            assert matches == [w for w in walks if len(set(w)) == len(w)], capacity
 
 
 def test_port_limit_precondition_enforced():
@@ -310,6 +362,14 @@ def test_variant_ordering_for_any_counters():
         task = cycle_estimate(model, "task", cap)
         sep = cycle_estimate(model, "sep", cap)
         assert sep <= task <= basic
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_latencies(bad):
+    with pytest.raises(ValueError):
+        CycleModel((bad, 2.0, 1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        CycleModel().scaled(bad)
 
 
 def test_model_validation_and_scaling():

@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 
 from submatch import (
+    Graph,
     UnsplittableTreeError,
     PartitionConfig,
     SchedulerState,
@@ -12,7 +14,7 @@ from submatch import (
     route_tree,
     run_job,
 )
-from submatch import fixtures
+from submatch import fixtures, scheduler
 
 import helpers
 
@@ -181,3 +183,47 @@ def test_reused_state_reports_like_a_fresh_one():
     assert views[0] == views[1] == views[2]
     assert runs[0].host_trees > 0 and runs[0].kernel_trees > 0
     assert (reused.w_c, reused.w_f, reused.host_queue) == (0, 0, [])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_job_pauses_gc_and_leaves_it_as_found(monkeypatch, enabled):
+    data, query = fixtures.worked_data(), fixtures.worked_query()
+    paused = []
+    real_plan = scheduler.build_query_plan
+
+    def plan_and_record(*args):
+        paused.append(not gc.isenabled())
+        return real_plan(*args)
+
+    monkeypatch.setattr(scheduler, "build_query_plan", plan_and_record)
+    failing = [
+        (query, PartitionConfig(size_budget=17), UnsplittableTreeError),
+        (Graph.from_edges([0, 1, 2], [(0, 1)]), PartitionConfig(), ValueError),  # disconnected query
+    ]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        embeddings, _ = run_job(data, query, PartitionConfig(), SchedulerState(), "share")
+        assert len(embeddings) == 2 and gc.isenabled() == enabled
+        for bad_query, config, error in failing:
+            with pytest.raises(error):
+                run_job(data, bad_query, config, SchedulerState(), "share")
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert paused == [True, True, True]
+
+
+def test_run_job_returns_a_single_run_without_copying(monkeypatch):
+    data, query = fixtures.worked_data(), fixtures.worked_query()
+    runs = []
+    real_enumerate = scheduler.pipeline_enumerate
+
+    def enumerate_and_keep(*args, **kwargs):
+        found, model = real_enumerate(*args, **kwargs)
+        runs.append(found)
+        return found, model
+
+    monkeypatch.setattr(scheduler, "pipeline_enumerate", enumerate_and_keep)
+    embeddings, stats = run_job(data, query, PartitionConfig(), SchedulerState(0.0), "share")
+    assert stats.kernel_trees == 1 and embeddings is runs[0]
