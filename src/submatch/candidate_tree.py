@@ -6,11 +6,13 @@ candidates adjacent in the data graph; for each non-tree query edge it
 stores the analogous lists in both directions. Any embedding can be
 enumerated by walking these lists alone, never touching the data graph.
 
-Construction is one top-down pass (local-feature filter plus a link to
-at least one parent candidate), one bottom-up pass removing candidates
-with an empty list toward any child, and one top-down sweep removing
-candidates no surviving parent candidate links to. After those passes
-the structure is a fixpoint: re-running refinement removes nothing.
+Construction first refines the candidate sets alone. Starting from the
+local-feature filter, one rule "keep the v in C(u) with a data neighbour
+in C(x)" is swept top-down (x = parent), bottom-up (x = each child) and
+top-down again. On a tree those three sweeps reach the fixpoint:
+re-running any of them removes nothing. Every stored list is then built
+once from the final sets, so each is non-empty, sorted and holds only
+candidates of its target vertex by construction.
 """
 
 from __future__ import annotations
@@ -85,90 +87,26 @@ def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
 
 def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> CandidateTree:
     """Construct and refine the candidate tree for (query, data)."""
-    n = query.num_vertices
-    local = [candidates_by_local_features(data, query, u) for u in range(n)]
+    cand = [set(candidates_by_local_features(data, query, u)) for u in range(query.num_vertices)]
 
-    cand: list[list[int]] = [[] for _ in range(n)]
-    cand_set: list[set[int]] = [set() for _ in range(n)]
-    tree_adj: AdjacencyMap = {}
+    def keep_linked(u: int, x: int) -> None:
+        other = cand[x]
+        cand[u] = {v for v in cand[u] if not other.isdisjoint(data.adj[v])}
 
-    # Top-down: candidates must pass local features and touch a parent candidate.
-    cand[plan.root] = list(local[plan.root])
-    cand_set[plan.root] = set(cand[plan.root])
     for u in plan.bfs_order[1:]:
-        p = plan.parent[u]
-        assert p is not None
-        local_set = set(local[u])
-        lists: dict[int, list[int]] = {}
-        linked: set[int] = set()
-        for vp in cand[p]:
-            row = [w for w in data.adj[vp] if w in local_set]
-            if row:
-                lists[vp] = row
-                linked.update(row)
-        tree_adj[(p, u)] = lists
-        cand[u] = sorted(linked)
-        cand_set[u] = linked
-
-    # Bottom-up: drop candidates whose list toward any child is empty.
+        keep_linked(u, plan.parent[u])
     for u in reversed(plan.bfs_order):
-        kids = plan.children[u]
-        if not kids:
-            continue
-        survivors = []
-        for v in cand[u]:
-            ok = True
-            for c in kids:
-                row = [w for w in tree_adj[(u, c)].get(v, ()) if w in cand_set[c]]
-                if row:
-                    tree_adj[(u, c)][v] = row
-                else:
-                    ok = False
-                    break
-            if ok:
-                survivors.append(v)
-            else:
-                for c in kids:
-                    tree_adj[(u, c)].pop(v, None)
-        cand[u] = survivors
-        cand_set[u] = set(survivors)
-
-    # Top-down: drop candidates no surviving parent candidate links to.
+        for c in plan.children[u]:
+            keep_linked(u, c)
     for u in plan.bfs_order[1:]:
-        p = plan.parent[u]
-        lists = tree_adj[(p, u)]
-        for vp in list(lists):
-            if vp not in cand_set[p]:
-                del lists[vp]
-        linked = set()
-        for row in lists.values():
-            linked.update(row)
-        removed = cand_set[u] - linked
-        if removed:
-            cand[u] = [v for v in cand[u] if v not in removed]
-            cand_set[u] = set(cand[u])
-            for c in plan.children[u]:
-                for v in removed:
-                    tree_adj[(u, c)].pop(v, None)
+        keep_linked(u, plan.parent[u])
 
-    # Entries may point at candidates the sweep removed later; filter once.
-    for (p, u), lists in tree_adj.items():
-        keep = cand_set[u]
-        for vp in list(lists):
-            lists[vp] = [w for w in lists[vp] if w in keep]
+    def group(a: int, b: int) -> dict[int, list[int]]:
+        target = cand[b]
+        return {v: row for v in sorted(cand[a]) if (row := [w for w in data.adj[v] if w in target])}
 
-    # Non-tree lists, both directions, built after refinement.
-    non_tree_adj: AdjacencyMap = {}
-    for u in range(n):
-        for un in plan.non_tree[u]:
-            target = cand_set[un]
-            lists = {}
-            for v in cand[u]:
-                row = [w for w in data.adj[v] if w in target]
-                if row:
-                    lists[v] = row
-            non_tree_adj[(u, un)] = lists
-
+    tree_adj = {(plan.parent[u], u): group(plan.parent[u], u) for u in plan.bfs_order[1:]}
+    non_tree_adj = {(u, un): group(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]}
     return CandidateTree.assemble(cand, tree_adj, non_tree_adj)
 
 

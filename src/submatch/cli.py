@@ -97,9 +97,8 @@ def _load(path: str, role: str):
         raise CliError("format", f"{role}: {exc}", exc.line)
 
 
-def _config_from(args) -> PartitionConfig:
+def _config_from(args, fixed_k: int | None) -> PartitionConfig:
     try:
-        fixed_k = getattr(args, "fixed_k_value", None)
         return PartitionConfig(
             size_budget=args.delta_s,
             degree_budget=args.delta_d,
@@ -123,19 +122,22 @@ def _model_from(args) -> CycleModel:
 
 
 def _write_trace(path: str, traces) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "depth", "p_o", "t_v", "t_n", "accepted"])
-        for i, row in enumerate(traces):
-            writer.writerow([i, row.depth, row.outputs, row.visited_tasks, row.edge_tasks, row.accepted])
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["round", "depth", "p_o", "t_v", "t_n", "accepted"])
+            for i, row in enumerate(traces):
+                writer.writerow([i, row.depth, row.outputs, row.visited_tasks, row.edge_tasks, row.accepted])
+    except OSError as exc:
+        raise CliError("io", f"cannot write trace file: {exc}")
 
 
 def _cmd_run(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
     _check_delta(args.delta)
-    args.fixed_k_value = _check_k(args.fixed_k)
-    config = _config_from(args)
+    _check_capacity(args.capacity)
+    config = _config_from(args, _check_k(args.fixed_k))
     model = _model_from(args)
     delta = args.delta if args.variant == "share" else 0.0
     state = SchedulerState(delta=delta)
@@ -168,33 +170,37 @@ def _check_k(k: int | None) -> int | None:
     return k
 
 
-def _compare_grid(args) -> tuple[list[str], list[float], list[tuple[str, int | None]]]:
-    """Parse and check every compare list value before any job runs."""
+def _check_capacity(capacity: int) -> None:
+    if capacity < 1:
+        raise CliError("config", "--no must be >= 1")
+
+
+def _compare_grid(args) -> tuple[list[str], list[float], list[tuple[str, PartitionConfig]]]:
+    """Parse and check every compare value, configs included, before any job runs."""
     variants = _split_list(args.variant)
     for variant in variants:
         if variant not in JOB_VARIANTS:
             raise CliError("config", f"unknown variant {variant!r}")
+    _check_capacity(args.capacity)
     try:
         deltas = [_check_delta(float(text)) for text in _split_list(args.delta)]
         ks = [(text, _check_k(None if text == "auto" else int(text))) for text in _split_list(args.fixed_k)]
     except ValueError as exc:
         raise CliError("config", f"bad --delta or --k value: {exc}")
-    return variants, deltas, ks
+    return variants, deltas, [(text, _config_from(args, fixed_k)) for text, fixed_k in ks]
 
 
 def _cmd_compare(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
-    variants, deltas, ks = _compare_grid(args)
+    variants, deltas, configs = _compare_grid(args)
     _model_from(args)  # checked before the header, like the grid
 
     writer = csv.writer(sys.stdout)
     writer.writerow(COMPARE_FIELDS)
     for variant in variants:
         for delta in deltas:
-            for k_text, fixed_k in ks:
-                args.fixed_k_value = fixed_k
-                config = _config_from(args)
+            for k_text, config in configs:
                 model = _model_from(args)
                 state = SchedulerState(delta=delta if variant == "share" else 0.0)
                 try:

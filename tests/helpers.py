@@ -92,6 +92,40 @@ def add_random_edges(graph: Graph, count: int, rng: random.Random) -> Graph:
     return Graph.from_edges(list(graph.labels), sorted(existing | set(missing[:count])))
 
 
+def reference_candidate_tree(data, query, plan):
+    """Naive fixpoint of the index: the test reference for build_candidate_tree.
+
+    From the local filter (same label, at least the query degree), drop
+    every candidate with no data neighbour in the candidate set across
+    some tree edge, in either direction, until nothing changes. Each
+    stored group then holds, per candidate of its source with at least
+    one, the data neighbours among its target's candidates.
+    """
+    cand = [
+        {v for v in range(data.num_vertices) if data.labels[v] == query.labels[u] and data.degrees[v] >= query.degrees[u]}
+        for u in range(query.num_vertices)
+    ]
+    tree_edges = [(plan.parent[u], u) for u in range(plan.num_vertices) if plan.parent[u] is not None]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in tree_edges + [(b, a) for a, b in tree_edges]:
+            keep = {v for v in cand[a] if any(w in cand[b] for w in data.adj[v])}
+            if keep != cand[a]:
+                cand[a] = keep
+                changed = True
+
+    def groups(edges):
+        out = {}
+        for a, b in edges:
+            rows = {v: sorted(set(data.adj[v]) & cand[b]) for v in cand[a]}
+            out[(a, b)] = {v: row for v, row in rows.items() if row}
+        return out
+
+    non_tree_edges = [(u, un) for u in range(plan.num_vertices) for un in plan.non_tree[u]]
+    return CandidateTree.assemble([sorted(c) for c in cand], groups(tree_edges), groups(non_tree_edges))
+
+
 def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
     """From-scratch projection: rebuild every set and list of the tree.
 

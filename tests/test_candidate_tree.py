@@ -198,3 +198,24 @@ def test_stored_lists_are_sorted_nonempty_and_within_candidates():
             for v, row in lists.items():
                 assert v in cand_a
                 assert row and row == sorted(set(row)) and set(row) <= cand_b
+
+
+def test_index_equals_naive_fixpoint_reference():
+    # maximality as well as soundness: refinement keeps every candidate
+    # the naive fixpoint keeps, and every group is adj ∩ target, keys ascending
+    data = fixtures.worked_data()
+    instances = [
+        (data, fixtures.worked_query()),
+        (data, Graph.from_edges([2], [])),
+        (data, Graph.from_edges([0, 9, 2, 3], [(0, 1), (0, 2), (1, 2), (2, 3)])),
+    ]
+    bench = fixtures.benchmark_graph()
+    instances += [(bench, query) for _, query in sorted(fixtures.benchmark_queries().items())]
+    instances += [(data, query) for data, query, _, _ in helpers.solvable_instances(40, 25_000, max_data=50)]
+    for data, query in instances:
+        plan = build_query_plan(query, data)
+        tree = build_candidate_tree(data, query, plan)
+        assert tree == helpers.reference_candidate_tree(data, query, plan)
+        for groups in (tree.tree_adj, tree.non_tree_adj):
+            for lists in groups.values():
+                assert list(lists) == sorted(lists)

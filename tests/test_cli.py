@@ -235,3 +235,29 @@ def test_non_finite_cycle_constants_are_config_errors(capsys, worked_paths, comm
     assert code == 1
     err = json.loads(out)["error"]  # the whole output: no report or CSV header
     assert err["type"] == "config" and names in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("compare", ["--delta-d", "0"]),
+        ("run", ["--no", "0"]),
+        ("compare", ["--no", "0"]),
+        ("run", ["--no", "-3"]),
+        ("compare", ["--no", "-3"]),
+    ],
+)
+def test_bad_budget_or_capacity_is_config_error_before_any_output(capsys, worked_paths, command, flags):
+    data, query = worked_paths
+    code, out = run_cli(capsys, command, "--data", data, "--query", query, "--json", *flags)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "config"  # the whole output: no report or CSV header
+
+
+def test_run_unwritable_trace_path_is_io_error(capsys, worked_paths, tmp_path):
+    data, query = worked_paths
+    trace_path = tmp_path / "missing" / "trace.csv"
+    code, out = run_cli(capsys, "run", "--data", data, "--query", query, "--trace", str(trace_path))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "io" and "trace" in err["message"]
