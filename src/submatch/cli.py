@@ -91,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path: str, role: str):
     try:
         return load_graph(path)
-    except FileNotFoundError:
-        raise CliError("io", f"{role} file not found: {path}")
-    except GraphFormatError as exc:
-        raise CliError("format", f"{role}: {exc}", exc.line)
+    except OSError as exc:
+        raise CliError("io", f"cannot read {role} file: {exc}")
+    except (GraphFormatError, UnicodeDecodeError) as exc:
+        raise CliError("format", f"{role}: {exc}", getattr(exc, "line", None))
 
 
 def _config_from(args, fixed_k: int | None) -> PartitionConfig:
@@ -141,6 +141,8 @@ def _cmd_run(args) -> int:
     model = _model_from(args)
     delta = args.delta if args.variant == "share" else 0.0
     state = SchedulerState(delta=delta)
+    if args.trace:
+        _write_trace(args.trace, ())  # an unwritable path fails here, before the job
     try:
         _, stats = run_job(
             data, query, config, state, args.variant,

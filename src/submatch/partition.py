@@ -22,8 +22,10 @@ Only u and the vertices after it get new candidate sets; a vertex whose
 set is unchanged keeps the parent's list object, and an adjacency group
 whose endpoints are both unchanged is shared by reference (trees are
 immutable once built, see CandidateTree). Every other group is cut
-down by walking its shorter side. size_bytes and max_degree are
-summed during the restriction; tree_metrics is the from-scratch check.
+down to the retained sets by one rule: a row whose target is unchanged
+is kept whole, any other row is filtered. size_bytes and max_degree
+are summed during the restriction; tree_metrics is the from-scratch
+check.
 """
 
 from __future__ import annotations
@@ -81,11 +83,9 @@ def partition_factor(tree: CandidateTree, config: PartitionConfig, u: int) -> in
     return max(1, min(ratio, len(tree.candidates[u])))
 
 
-def _group_metrics(lists: dict[int, list[int]]) -> tuple[int, int, int]:
-    """(bytes, longest list, entries) of one adjacency group, as tree_metrics counts them."""
-    lengths = list(map(len, lists.values()))
-    entries = sum(lengths)
-    return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * entries, max(lengths, default=0), entries
+def _lists_metrics(lengths: list[int]) -> tuple[int, int]:
+    """(bytes, longest list) of stored adjacency lists of these lengths, as tree_metrics counts them."""
+    return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths, default=0)
 
 
 def _reach(index: dict[int, list[int]], keep) -> set[int]:
@@ -98,6 +98,35 @@ def _reach(index: dict[int, list[int]], keep) -> set[int]:
     return out
 
 
+def _reverse_index(lists: dict[int, list[int]]) -> dict[int, list[int]]:
+    """One adjacency group inverted: each target candidate -> the sources listing it."""
+    rev: dict[int, list[int]] = {}
+    for v, row in lists.items():
+        for x in row:
+            if x in rev:
+                rev[x].append(v)
+            else:
+                rev[x] = [v]
+    return rev
+
+
+def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None) -> dict[int, list[int]]:
+    """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged).
+
+    A row is shared whole when the targets are unchanged and filtered
+    otherwise (stored rows are sorted, so filtered ones are too); empty
+    rows are dropped.
+    """
+    new: dict[int, list[int]] = {}
+    for v in lists if cand_a is None else cand_a:
+        row = lists.get(v)
+        if row and keep_b is not None:
+            row = [x for x in row if x in keep_b]
+        if row:
+            new[v] = row
+    return new
+
+
 class SplitContext:
     """What every chunk of one split of `tree` at query vertex u shares.
 
@@ -107,18 +136,17 @@ class SplitContext:
     the live vertices; for each live vertex, the part of its
     reachability set that comes from vertices no chunk restricts, which
     is the same for every chunk; and the groups no chunk can touch, with
-    their summed size and degree. Metrics of the other groups, reverse
-    indexes and the reach of an unrestricted vertex are computed on
-    first use and kept for the remaining chunks.
+    their summed size and degree. The reverse indexes that child-keyed
+    links need are built once here; the metrics of the other groups are
+    computed on first use and kept for the chunks that leave both
+    endpoints of a group unchanged.
     """
 
     def __init__(self, tree: CandidateTree, plan: QueryPlan, u: int):
         self.tree = tree
         self.u = u
-        self._reverse: dict[tuple[int, int], dict[int, list[int]]] = {}
-        self._metrics: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self._rows: dict[tuple[int, int], list[tuple[int, set[int]]]] = {}
-        self._full_reach: dict[tuple[int, int], set[int]] = {}
+        self._metrics: dict[tuple[int, int], tuple[int, int]] = {}
+        adj = {**tree.tree_adj, **tree.non_tree_adj}
         pos_u = plan.position[u]
         self.full = {u: set(tree.candidates[u])}
         # (w, reach from vertices no chunk restricts, links from u and live vertices as (vertex, index))
@@ -127,7 +155,8 @@ class SplitContext:
             base: set[int] = set()
             links = []
             for w_from, key, keyed_by_w in _earlier_links(plan, w):
-                index = self._reverse_index(key) if keyed_by_w else self._lists(key)
+                lists = adj.get(key, {})
+                index = _reverse_index(lists) if keyed_by_w else lists
                 if w_from in self.full:
                     links.append((w_from, index))
                 else:
@@ -148,83 +177,16 @@ class SplitContext:
                     self.groups.append((key, lists, bool(non_tree)))
                 else:
                     self.shared[non_tree][key] = lists
-        lengths = [len(row) for shared in self.shared for lists in shared.values() for row in lists.values()]
-        self.size += LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths)
-        self.degree = max(lengths, default=0)
+        shared_size, self.degree = _lists_metrics(
+            [len(row) for shared in self.shared for lists in shared.values() for row in lists.values()]
+        )
+        self.size += shared_size
 
-    def _lists(self, key: tuple[int, int]) -> dict[int, list[int]]:
-        return self.tree.tree_adj.get(key) or self.tree.non_tree_adj.get(key) or {}
-
-    def _reverse_index(self, key: tuple[int, int]) -> dict[int, list[int]]:
-        """Group `key` inverted: each target candidate -> the sources listing it."""
-        rev = self._reverse.get(key)
-        if rev is None:
-            rev = self._reverse[key] = {}
-            for v, row in self._lists(key).items():
-                for x in row:
-                    if x in rev:
-                        rev[x].append(v)
-                    else:
-                        rev[x] = [v]
-        return rev
-
-    def _metrics_of(self, key: tuple[int, int]) -> tuple[int, int, int]:
+    def _metrics_of(self, key: tuple[int, int], lists: dict[int, list[int]]) -> tuple[int, int]:
         metrics = self._metrics.get(key)
         if metrics is None:
-            metrics = self._metrics[key] = _group_metrics(self._lists(key))
+            metrics = self._metrics[key] = _lists_metrics(list(map(len, lists.values())))
         return metrics
-
-    def _row_sets(self, key: tuple[int, int]) -> list[tuple[int, set[int]]]:
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = [(v, set(row)) for v, row in self._lists(key).items()]
-        return rows
-
-    def _restrict(
-        self,
-        key: tuple[int, int],
-        lists: dict[int, list[int]],
-        keep_a: set[int] | None,
-        cand_a: list[int],
-        keep_b: set[int] | None,
-        cand_b: list[int],
-    ) -> dict[int, list[int]]:
-        """Group `key` cut to the retained sets (None: unchanged), walking its shorter side.
-
-        cand_a and cand_b are the sorted retained candidates; stored lists
-        are sorted too, so a list rebuilt from b's side equals the filtered
-        parent list.
-        """
-        if keep_b is None:
-            # b keeps everything, so surviving lists are shared whole
-            if len(lists) < len(keep_a):
-                return {v: row for v, row in lists.items() if v in keep_a}
-            return {v: row for v in cand_a if (row := lists.get(v))}
-        new: dict[int, list[int]] = {}
-        if keep_a is None and len(lists) * len(cand_b) < self._metrics_of(key)[2]:
-            # few sources: test b's retained candidates against each source's list
-            for v, row_set in self._row_sets(key):
-                row = [x for x in cand_b if x in row_set]
-                if row:
-                    new[v] = row
-        elif keep_a is not None and len(cand_b) < len(cand_a):
-            # from b's side: each retained target names the sources listing it
-            rev = self._reverse_index(key)
-            for x in cand_b:
-                for v in rev.get(x, ()):
-                    if v in keep_a:
-                        if v in new:
-                            new[v].append(x)
-                        else:
-                            new[v] = [x]
-        else:
-            for v in lists if keep_a is None else cand_a:
-                row = lists.get(v)
-                if row:
-                    row = [x for x in row if x in keep_b]
-                    if row:
-                        new[v] = row
-        return new
 
     def project(self, part: Sequence[int]) -> CandidateTree:
         part_set = set(part)
@@ -255,21 +217,11 @@ class SplitContext:
             full_w = full[w]
             linked = set(base)
             for w_from, index in links:
-                keep = retained.get(w_from)
-                if keep is not None:
-                    linked |= _reach(index, keep)
-                    continue
-                reach = self._full_reach.get((w, w_from))
-                if reach is None:
-                    reach = self._full_reach[(w, w_from)] = _reach(index, self.tree.candidates[w_from]) & full_w
-                if len(reach) == len(full_w):
-                    break
-                linked |= reach
-            else:
-                linked &= full_w
-                if len(linked) < len(full_w):
-                    retained[w] = linked
-                    candidates[w] = sorted(linked)
+                linked |= _reach(index, candidates[w_from])
+            linked &= full_w
+            if len(linked) < len(full_w):
+                retained[w] = linked
+                candidates[w] = sorted(linked)
 
         size = self.size
         for w in full:
@@ -282,19 +234,17 @@ class SplitContext:
             keep_a, keep_b = retained.get(a), retained.get(b)
             if keep_a is None and keep_b is None:
                 new = lists
-                group_size, group_degree, _ = self._metrics_of(key)
+                group_size, group_degree = self._metrics_of(key, lists)
                 size += group_size
                 if group_degree > max_degree:
                     max_degree = group_degree
             else:
-                new = self._restrict(key, lists, keep_a, candidates[a], keep_b, candidates[b])
+                new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
                 restricted.append(new)
             (non_tree_adj if non_tree else tree_adj)[key] = new
-        lengths = [len(row) for new in restricted for row in new.values()]
-        if lengths:
-            size += LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths)
-            max_degree = max(max_degree, max(lengths))
-        return CandidateTree(candidates, tree_adj, non_tree_adj, size, max_degree)
+        restricted_size, restricted_degree = _lists_metrics([len(row) for new in restricted for row in new.values()])
+        size += restricted_size
+        return CandidateTree(candidates, tree_adj, non_tree_adj, size, max(max_degree, restricted_degree))
 
 
 def project_tree(

@@ -261,3 +261,31 @@ def test_run_unwritable_trace_path_is_io_error(capsys, worked_paths, tmp_path):
     assert code == 1
     err = json.loads(out)["error"]
     assert err["type"] == "io" and "trace" in err["message"]
+
+
+def test_run_unwritable_trace_path_fails_before_the_job(capsys, worked_paths, tmp_path, monkeypatch):
+    def no_job(*args, **kwargs):
+        raise AssertionError("run_job called despite an unwritable trace path")
+
+    monkeypatch.setattr("submatch.cli.run_job", no_job)
+    data, query = worked_paths
+    trace_path = tmp_path / "missing" / "trace.csv"
+    code, out = run_cli(capsys, "run", "--data", data, "--query", query, "--trace", str(trace_path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "io"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("role", ["data", "query"])
+@pytest.mark.parametrize("kind", ["io", "format"])
+def test_unreadable_input_is_typed_error(capsys, worked_paths, tmp_path, command, role, kind):
+    """A directory is an io error, a non-UTF-8 file a format error; neither a traceback."""
+    path = tmp_path
+    if kind == "format":
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"t 2 1\nv 0 0 1\xff\xfe\n")
+    paths = dict(zip(("data", "query"), worked_paths), **{role: str(path)})
+    code, out = run_cli(capsys, command, "--data", paths["data"], "--query", paths["query"], "--json")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == kind and role in err["message"]

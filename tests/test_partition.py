@@ -321,3 +321,64 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
                 assert floor.max_degree > config.degree_budget
                 skips += 1
     assert skips >= 100
+
+
+def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
+    """Every projection made while partitioning reuses, by reference, what its chunk left unchanged.
+
+    A vertex is unchanged when its candidate set keeps its size. Its list
+    is the parent's object; a group between two unchanged vertices is the
+    parent's object; a restricted group into an unchanged target keeps
+    each surviving row as the parent's object. Returns how many groups
+    and rows were checked by identity.
+    """
+    original = submatch.partition.project_tree
+    shared = {"groups": 0, "rows": 0}
+
+    def checking(parent, plan, u, part, split=None):
+        sub = original(parent, plan, u, part, split)
+        same = [len(new) == len(old) for new, old in zip(sub.candidates, parent.candidates)]
+        for w, unchanged in enumerate(same):
+            if unchanged:
+                assert sub.candidates[w] is parent.candidates[w]
+        for groups, parent_groups in ((sub.tree_adj, parent.tree_adj), (sub.non_tree_adj, parent.non_tree_adj)):
+            for (a, b), lists in groups.items():
+                parent_lists = parent_groups[(a, b)]
+                if same[a] and same[b]:
+                    assert lists is parent_lists
+                    shared["groups"] += 1
+                elif same[b]:
+                    for v, row in lists.items():
+                        assert row is parent_lists[v]
+                        shared["rows"] += 1
+        return sub
+
+    with monkeypatch.context() as patch:
+        patch.setattr(submatch.partition, "project_tree", checking)
+        partition_tree(tree, plan, 0, config, lambda part: None)
+    return shared
+
+
+def test_projections_share_unchanged_groups_and_rows_on_fixture(monkeypatch):
+    tree, plan = fixtures.partition_example()
+    total = {"groups": 0, "rows": 0}
+    for config in (
+        PartitionConfig(size_budget=tree.size_bytes - 1),
+        PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2),
+        PartitionConfig(size_budget=150, degree_budget=2, fixed_k=3),
+        PartitionConfig(degree_budget=1),
+    ):
+        for key, count in assert_projections_share_unchanged(monkeypatch, tree, plan, config).items():
+            total[key] += count
+    assert total["groups"] and total["rows"]
+
+
+@pytest.mark.parametrize("name", ["q3", "q7", "q8"])
+def test_projections_share_unchanged_groups_and_rows_on_benchmark_queries(monkeypatch, name):
+    data = fixtures.benchmark_graph()
+    query = fixtures.benchmark_queries()[name]
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    shared = assert_projections_share_unchanged(monkeypatch, tree, plan, PartitionConfig())
+    # on the tree query q3 no chunk cuts a group whose target it leaves unchanged
+    assert shared["groups"] and (shared["rows"] or name == "q3")
