@@ -10,13 +10,19 @@ Construction first refines the candidate sets alone. Starting from the
 local-feature filter, one rule "keep the v in C(u) with a data neighbour
 in C(x)" is swept top-down (x = parent), bottom-up (x = each child) and
 top-down again. On a tree those three sweeps reach the fixpoint:
-re-running any of them removes nothing. Every stored list is then built
-once from the final sets, so each is non-empty, sorted and holds only
-candidates of its target vertex by construction.
+re-running any of them removes nothing. A query with non-tree edges then
+applies the same rule across every query edge, tree and non-tree, from a
+worklist that starts with the non-tree arcs and re-checks only the arcs
+into a set that shrank, until no set shrinks (arc consistency). Every
+stored list is then built once from the final sets, so each is
+non-empty, sorted and holds only candidates of its target vertex by
+construction, and every candidate has a stored partner toward each of
+its query neighbours.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph, candidates_by_local_features
@@ -43,8 +49,9 @@ class CandidateTree:
     adjacency group or a stored list afterwards, so a projection
     (partition.project_tree) shares the unchanged ones with its parent
     instead of copying them. size_bytes and max_degree are cached:
-    assemble computes them, projections sum them while restricting, and
-    tree_metrics recomputes them from scratch as the check.
+    assemble and partition.refine_tree compute them with tree_metrics,
+    projections sum them while restricting, and tree_metrics recomputes
+    them from scratch as the check.
     """
 
     candidates: list[list[int]]
@@ -89,9 +96,11 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
     """Construct and refine the candidate tree for (query, data)."""
     cand = [set(candidates_by_local_features(data, query, u)) for u in range(query.num_vertices)]
 
-    def keep_linked(u: int, x: int) -> None:
-        other = cand[x]
-        cand[u] = {v for v in cand[u] if not other.isdisjoint(data.adj[v])}
+    def keep_linked(u: int, x: int) -> bool:
+        """Drop from C(u) every candidate with no data neighbour in C(x); True if C(u) shrank."""
+        other, before = cand[x], cand[u]
+        cand[u] = {v for v in before if not other.isdisjoint(data.adj[v])}
+        return len(cand[u]) < len(before)
 
     for u in plan.bfs_order[1:]:
         keep_linked(u, plan.parent[u])
@@ -100,6 +109,19 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
             keep_linked(u, c)
     for u in plan.bfs_order[1:]:
         keep_linked(u, plan.parent[u])
+
+    # The sweeps leave every tree arc consistent, so the worklist starts
+    # from the non-tree arcs and re-checks only the arcs into a set that shrank.
+    arcs = deque((u, un) for u in range(query.num_vertices) for un in plan.non_tree[u])
+    queued = set(arcs)
+    while arcs:
+        u, x = arcs.popleft()
+        queued.discard((u, x))
+        if keep_linked(u, x):
+            for y in query.adj[u]:
+                if y != x and (y, u) not in queued:
+                    queued.add((y, u))
+                    arcs.append((y, u))
 
     def group(a: int, b: int) -> dict[int, list[int]]:
         target = cand[b]

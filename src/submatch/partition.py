@@ -16,6 +16,20 @@ could shorten those), u is left unsplit and recursion advances to the
 next order position with the same tree. Cutting C(u) there would only
 multiply the pieces by |C(u)| without bringing any under budget.
 
+When the query has non-tree edges, each chunk is then refined to its
+arc-consistency fixpoint over its stored groups (refine_tree): a
+candidate is kept only if its row toward every query neighbour still
+holds a partner. Cutting C(u) leaves candidates of other vertices, before
+u in the order as well as after it, with no partner across a non-tree
+edge; most chunks of a cyclic query lose a whole set that way and hold
+no embedding. A tree with an empty candidate set is dropped before its
+budget check, wherever it appears. The skip rule still tests the
+unrefined floor. A refined chunk need not contain that floor, so a skip
+may pass over a split whose refined chunks would fit: that can cost
+pieces, never an embedding. Tree queries are not refined: on the
+bundled tree queries over the 3k benchmark graph it changed no
+partition and no modelled cycle.
+
 The k sibling chunks of one split share a SplitContext, so a projection
 costs in proportion to what its chunk reaches, not to the parent tree.
 Only u and the vertices after it get new candidate sets; a vertex whose
@@ -31,9 +45,9 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree
+from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree, tree_metrics
 from .plan import QueryPlan
 
 
@@ -270,6 +284,86 @@ def project_tree(
     return split.project(part)
 
 
+def _drop(lists: dict[int, list[int]], removed: set[int], from_sources: bool) -> dict[int, list[int]]:
+    """One adjacency group without the candidates in `removed`, as sources or as targets.
+
+    Rows that lose no target are shared; empty rows are dropped.
+    """
+    if from_sources:
+        new = dict(lists)
+        for v in removed:
+            new.pop(v, None)
+        return new
+    new = {}
+    for v, row in lists.items():
+        if not removed.isdisjoint(row):
+            row = [w for w in row if w not in removed]
+        if row:
+            new[v] = row
+    return new
+
+
+def refine_tree(tree: CandidateTree, changed: Iterable[int]) -> CandidateTree:
+    """The tree at its arc-consistency fixpoint over its stored groups.
+
+    A candidate v of a is kept only if its row toward each query
+    neighbour b meets C(b); a tree child's candidates are looked up
+    through the union of its retained parents' rows. `changed` lists
+    the vertices whose sets shrank since the tree was last at its
+    fixpoint (every vertex, to refine from scratch): only arcs into a
+    shrunk set can lose their support. Every stored list is within its
+    target's set, so a row meets C(b) exactly when it is stored. Only
+    the groups with a shrunk endpoint are restricted; the others are
+    shared by reference. A shrink that empties a set stops the pass:
+    the tree then holds no embedding. Returns `tree` itself when
+    nothing shrinks.
+    """
+    candidates = list(tree.candidates)
+    adj = {**tree.tree_adj, **tree.non_tree_adj}
+    # Per query vertex y: the arcs into y, as (x, key, keyed_by_x), and the
+    # groups with y as an endpoint, as (key, y_is_source).
+    into: list[list[tuple[int, tuple[int, int], bool]]] = [[] for _ in candidates]
+    ends: list[list[tuple[tuple[int, int], bool]]] = [[] for _ in candidates]
+    for a, b in adj:
+        into[b].append((a, (a, b), True))
+        if (a, b) in tree.tree_adj:  # a tree child's candidates are looked up through the parent's rows
+            into[a].append((b, (a, b), False))
+        ends[a].append(((a, b), True))
+        ends[b].append(((a, b), False))
+    queue = list(changed)
+    queued = set(queue)
+    while queue:
+        y = queue.pop()
+        queued.discard(y)
+        for x, key, keyed_by_x in into[y]:
+            lists = adj[key]
+            if keyed_by_x:
+                if len(lists) == len(candidates[x]):
+                    continue
+                keep = set(lists)
+            else:
+                keep = set().union(*lists.values())
+                if len(keep) == len(candidates[x]):
+                    continue
+            removed = set(candidates[x]).difference(keep)
+            candidates[x] = sorted(keep)
+            if not keep:
+                queue.clear()
+                break
+            for key_x, x_is_source in ends[x]:
+                adj[key_x] = _drop(adj[key_x], removed, x_is_source)
+            if x not in queued:
+                queued.add(x)
+                queue.append(x)
+    if candidates == tree.candidates:
+        return tree
+    refined = CandidateTree(
+        candidates, {key: adj[key] for key in tree.tree_adj}, {key: adj[key] for key in tree.non_tree_adj}
+    )
+    refined.size_bytes, refined.max_degree = tree_metrics(refined)
+    return refined
+
+
 def _earlier_links(plan: QueryPlan, w: int):
     """Query neighbors of w earlier in the order, with their list keys.
 
@@ -313,20 +407,25 @@ def partition_tree(
     """Emit budget-compliant sub-trees covering the input's search space.
 
     Returns the number of emitted trees. Trees with an empty candidate
-    set hold no embeddings and are dropped rather than split further.
-    The order vertex u = plan.order[index] is skipped, not split, when
-    no chunk of C(u) could come within the degree budget: the tree fits
-    the size budget, every stored list into u or an earlier order vertex
-    fits the degree budget, and the split's floor (the projection onto
-    the empty part, contained in every chunk's projection) is still
-    over it. Raises UnsplittableTreeError if the order is exhausted while
-    budgets are still violated.
+    set hold no embeddings and are dropped before the budget check, so
+    none is emitted. When the query has non-tree edges, every chunk is
+    refined to its arc-consistency fixpoint right after its projection
+    (refine_tree); with `tree` at its own fixpoint (as
+    build_candidate_tree leaves it), every emitted tree is at its
+    fixpoint. The order vertex u = plan.order[index] is skipped, not
+    split, when no chunk of C(u) could come within the degree budget
+    before refinement: the tree fits the size budget, every stored list
+    into u or an earlier order vertex fits the degree budget, and the
+    split's floor (the projection onto the empty part, contained in
+    every unrefined chunk's projection) is still over it. Raises
+    UnsplittableTreeError if the order is exhausted while budgets are
+    still violated.
     """
+    if any(not c for c in tree.candidates):
+        return 0
     if within_budgets(tree, config):
         sink(tree)
         return 1
-    if any(not c for c in tree.candidates):
-        return 0
     if index >= plan.num_vertices:
         worst = max(
             ((len(row), key[0]) for key, lists in list(tree.tree_adj.items()) + list(tree.non_tree_adj.items()) for row in lists.values()),
@@ -352,6 +451,7 @@ def partition_tree(
     else:
         k = partition_factor(tree, config, u)
 
+    refine = any(plan.non_tree)
     base, extra = divmod(len(cand), k)
     emitted = 0
     start = 0
@@ -360,11 +460,7 @@ def partition_tree(
         part = cand[start : start + size]
         start += size
         sub = project_tree(tree, plan, u, part, split)
-        if within_budgets(sub, config):
-            sink(sub)
-            emitted += 1
-        elif len(sub.candidates[u]) == 1:
-            emitted += partition_tree(sub, plan, index + 1, config, sink)
-        else:
-            emitted += partition_tree(sub, plan, index, config, sink)
+        if refine:
+            sub = refine_tree(sub, [w for w, c in enumerate(sub.candidates) if len(c) < len(tree.candidates[w])])
+        emitted += partition_tree(sub, plan, index + (len(sub.candidates[u]) == 1), config, sink)
     return emitted

@@ -97,19 +97,21 @@ def reference_candidate_tree(data, query, plan):
 
     From the local filter (same label, at least the query degree), drop
     every candidate with no data neighbour in the candidate set across
-    some tree edge, in either direction, until nothing changes. Each
-    stored group then holds, per candidate of its source with at least
-    one, the data neighbours among its target's candidates.
+    some query edge, tree or non-tree, in either direction, until
+    nothing changes. Each stored group then holds, per candidate of its
+    source with at least one, the data neighbours among its target's
+    candidates.
     """
     cand = [
         {v for v in range(data.num_vertices) if data.labels[v] == query.labels[u] and data.degrees[v] >= query.degrees[u]}
         for u in range(query.num_vertices)
     ]
     tree_edges = [(plan.parent[u], u) for u in range(plan.num_vertices) if plan.parent[u] is not None]
+    non_tree_edges = [(u, un) for u in range(plan.num_vertices) for un in plan.non_tree[u]]
     changed = True
     while changed:
         changed = False
-        for a, b in tree_edges + [(b, a) for a, b in tree_edges]:
+        for a, b in tree_edges + [(b, a) for a, b in tree_edges] + non_tree_edges:
             keep = {v for v in cand[a] if any(w in cand[b] for w in data.adj[v])}
             if keep != cand[a]:
                 cand[a] = keep
@@ -122,7 +124,6 @@ def reference_candidate_tree(data, query, plan):
             out[(a, b)] = {v: row for v, row in rows.items() if row}
         return out
 
-    non_tree_edges = [(u, un) for u in range(plan.num_vertices) for un in plan.non_tree[u]]
     return CandidateTree.assemble([sorted(c) for c in cand], groups(tree_edges), groups(non_tree_edges))
 
 
@@ -178,16 +179,53 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
     )
 
 
+def reference_refine_tree(tree):
+    """From-scratch arc-consistency fixpoint of a tree over its stored groups.
+
+    The test reference for submatch.partition.refine_tree, which starts
+    from the vertices a projection shrank and restricts only the groups
+    it must. Drop every candidate v of a with no partner in C(b) across
+    some query edge (a, b): through v's stored row when the group is
+    keyed by a, else (a a tree child of b) through the rows of the
+    retained candidates of b. Repeat until nothing changes, then cut
+    every group to the final sets.
+    """
+    cand = [set(c) for c in tree.candidates]
+    groups = {**tree.tree_adj, **tree.non_tree_adj}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(groups) + [(c, p) for p, c in tree.tree_adj]:
+            if (a, b) in groups:
+                keep = {v for v in cand[a] if any(w in cand[b] for w in groups[(a, b)].get(v, ()))}
+            else:
+                keep = {v for v in cand[a] if any(v in groups[(b, a)].get(x, ()) for x in cand[b])}
+            if keep != cand[a]:
+                cand[a] = keep
+                changed = True
+
+    def restrict(source):
+        out = {}
+        for (a, b), lists in source.items():
+            rows = {v: [x for x in row if x in cand[b]] for v, row in lists.items() if v in cand[a]}
+            out[(a, b)] = {v: row for v, row in rows.items() if row}
+        return out
+
+    return CandidateTree.assemble([sorted(c) for c in cand], restrict(tree.tree_adj), restrict(tree.non_tree_adj))
+
+
 def reference_partitions(tree, plan, index, config, skipped=None):
     """The trees partition_tree emits, in order, split by reference_project_tree.
 
-    Each query vertex left unsplit by the skip rule is appended to
-    `skipped` when a list is given.
+    A tree with an empty candidate set is dropped before its budget
+    check. When the query has non-tree edges, each chunk is refined by
+    reference_refine_tree. Each query vertex left unsplit by the skip
+    rule is appended to `skipped` when a list is given.
     """
-    if within_budgets(tree, config):
-        return [tree]
     if any(not c for c in tree.candidates):
         return []
+    if within_budgets(tree, config):
+        return [tree]
     if index >= plan.num_vertices:
         raise UnsplittableTreeError("budgets still violated after exhausting the matching order", -1)
     u = plan.order[index]
@@ -219,10 +257,9 @@ def reference_partitions(tree, plan, index, config, skipped=None):
         size = base + (1 if i < extra else 0)
         sub = reference_project_tree(tree, plan, u, cand[start : start + size])
         start += size
-        if within_budgets(sub, config):
-            out.append(sub)
-        else:
-            out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config, skipped)
+        if any(plan.non_tree):
+            sub = reference_refine_tree(sub)
+        out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config, skipped)
     return out
 
 

@@ -50,6 +50,17 @@ def test_run_empty_result_exits_zero(capsys, worked_paths, tmp_path):
     assert json.loads(out)["embeddings"] == 0
 
 
+def test_run_absent_label_query_reports_no_partitions(capsys, worked_paths, tmp_path):
+    # a tree with an empty candidate set holds no embedding and is dropped before its budget check
+    data, _ = worked_paths
+    query = tmp_path / "impossible.graph"
+    query.write_text("t 2 1\nv 0 9 1\nv 1 8 1\ne 0 1\n")
+    code, out = run_cli(capsys, "run", "--data", data, "--query", str(query))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["partitions"], report["embeddings"]) == (0, 0)
+
+
 def test_run_variants_agree(capsys, worked_paths):
     data, query = worked_paths
     counts = set()

@@ -18,7 +18,7 @@ from submatch import (
 from submatch import Graph
 from submatch import fixtures
 import submatch.partition
-from submatch.partition import SplitContext
+from submatch.partition import SplitContext, refine_tree
 
 import helpers
 
@@ -255,9 +255,10 @@ def test_partitions_match_reference_on_benchmark_queries(name):
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     skipped = []
-    # more than one tree means real splits; a skipped vertex means the skip rule ran
+    # more than one tree means real splits; a skipped vertex means the skip rule ran.
+    # Refined, every chunk of q8 fits before any vertex needs skipping.
     assert assert_partitions_match_reference(tree, plan, PartitionConfig(), skipped) > 1
-    assert skipped
+    assert bool(skipped) == (name != "q8")
 
 
 def test_partitions_match_reference_on_random_budgets():
@@ -275,6 +276,52 @@ def test_partitions_match_reference_on_random_budgets():
             split += assert_partitions_match_reference(tree, plan, config, skipped) > 1
     assert split >= 30
     assert len(skipped) >= 100
+
+
+def assert_refined_partitions_sound(tree, plan, config, expected):
+    """Emitted trees have no empty set, sit at their fixpoint, fit both budgets and hold `expected` once each."""
+    parts = collect_partitions(tree, plan, config)
+    pieces = []
+    for part in parts:
+        assert all(part.candidates)
+        assert refine_tree(part, range(plan.num_vertices)) is part
+        assert helpers.reference_refine_tree(part) == part
+        size, degree = tree_metrics(part)
+        assert size <= config.size_budget and degree <= config.degree_budget
+        pieces.extend(host_match(part, plan))
+    assert len(pieces) == len(set(pieces)), "partitions overlap"
+    assert sorted(pieces) == expected
+    return len(parts)
+
+
+@pytest.mark.parametrize("name", ["q1", "q4", "q5", "q6", "q7", "q8"])
+def test_refined_partitions_on_benchmark_queries(name):
+    data = fixtures.benchmark_graph()
+    query = fixtures.benchmark_queries()[name]
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    assert any(plan.non_tree)
+    assert_refined_partitions_sound(tree, plan, PartitionConfig(), host_match(tree, plan))
+
+
+def test_refined_partitions_on_random_budgets():
+    rng = random.Random(59)
+    checked = 0
+    for data, query, plan, expected in helpers.solvable_instances(80, 26_000, max_data=45):
+        if not any(plan.non_tree):
+            continue
+        tree = build_candidate_tree(data, query, plan)
+        config = PartitionConfig(
+            size_budget=rng.randint(max(17, tree.size_bytes // 8), max(18, tree.size_bytes)),
+            degree_budget=rng.randint(1, 8),
+            fixed_k=rng.choice([None, None, 2, 3]),
+        )
+        try:
+            assert_refined_partitions_sound(tree, plan, config, expected)
+        except UnsplittableTreeError:
+            continue
+        checked += 1
+    assert checked >= 40
 
 
 def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):

@@ -170,7 +170,7 @@ def test_run_job_rejects_unknown_variant():
 def test_reused_state_reports_like_a_fresh_one():
     # a state carried over from an earlier job must not shift routing or totals
     data = fixtures.benchmark_graph()
-    query = fixtures.benchmark_queries()["q1"]
+    query = fixtures.benchmark_queries()["q8"]
     reused = SchedulerState(delta=0.1)
     runs = [
         run_job(data, query, PartitionConfig(), state, "share")[1]
