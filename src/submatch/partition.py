@@ -22,8 +22,9 @@ candidate is kept only if its row toward every query neighbour still
 holds a partner. Cutting C(u) leaves candidates of other vertices, before
 u in the order as well as after it, with no partner across a non-tree
 edge; most chunks of a cyclic query lose a whole set that way and hold
-no embedding. A tree with an empty candidate set is dropped before its
-budget check, wherever it appears. The skip rule still tests the
+no embedding. Such a chunk is dropped as soon as a set empties, and
+any other tree with an empty candidate set (an absent-label root) is
+dropped before its budget check. The skip rule still tests the
 unrefined floor. A refined chunk need not contain that floor, so a skip
 may pass over a split whose refined chunks would fit: that can cost
 pieces, never an embedding. Tree queries are not refined: on the
@@ -127,14 +128,14 @@ def _reverse_index(lists: dict[int, list[int]]) -> dict[int, list[int]]:
 def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None) -> dict[int, list[int]]:
     """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged).
 
-    A row is shared whole when the targets are unchanged and filtered
-    otherwise (stored rows are sorted, so filtered ones are too); empty
-    rows are dropped.
+    A row is shared whole when it loses no target and filtered otherwise
+    (stored rows are sorted, so filtered ones are too); empty rows are
+    dropped.
     """
     new: dict[int, list[int]] = {}
     for v in lists if cand_a is None else cand_a:
         row = lists.get(v)
-        if row and keep_b is not None:
+        if row and keep_b is not None and not keep_b.issuperset(row):
             row = [x for x in row if x in keep_b]
         if row:
             new[v] = row
@@ -284,26 +285,7 @@ def project_tree(
     return split.project(part)
 
 
-def _drop(lists: dict[int, list[int]], removed: set[int], from_sources: bool) -> dict[int, list[int]]:
-    """One adjacency group without the candidates in `removed`, as sources or as targets.
-
-    Rows that lose no target are shared; empty rows are dropped.
-    """
-    if from_sources:
-        new = dict(lists)
-        for v in removed:
-            new.pop(v, None)
-        return new
-    new = {}
-    for v, row in lists.items():
-        if not removed.isdisjoint(row):
-            row = [w for w in row if w not in removed]
-        if row:
-            new[v] = row
-    return new
-
-
-def refine_tree(tree: CandidateTree, changed: Iterable[int]) -> CandidateTree:
+def refine_tree(tree: CandidateTree, changed: Iterable[int]) -> CandidateTree | None:
     """The tree at its arc-consistency fixpoint over its stored groups.
 
     A candidate v of a is kept only if its row toward each query
@@ -314,9 +296,8 @@ def refine_tree(tree: CandidateTree, changed: Iterable[int]) -> CandidateTree:
     shrunk set can lose their support. Every stored list is within its
     target's set, so a row meets C(b) exactly when it is stored. Only
     the groups with a shrunk endpoint are restricted; the others are
-    shared by reference. A shrink that empties a set stops the pass:
-    the tree then holds no embedding. Returns `tree` itself when
-    nothing shrinks.
+    shared by reference. Returns `tree` itself when nothing shrinks,
+    and None as soon as a set empties: the tree then holds no embedding.
     """
     candidates = list(tree.candidates)
     adj = {**tree.tree_adj, **tree.non_tree_adj}
@@ -345,13 +326,14 @@ def refine_tree(tree: CandidateTree, changed: Iterable[int]) -> CandidateTree:
                 keep = set().union(*lists.values())
                 if len(keep) == len(candidates[x]):
                     continue
-            removed = set(candidates[x]).difference(keep)
-            candidates[x] = sorted(keep)
             if not keep:
-                queue.clear()
-                break
+                return None
+            candidates[x] = sorted(keep)
             for key_x, x_is_source in ends[x]:
-                adj[key_x] = _drop(adj[key_x], removed, x_is_source)
+                if x_is_source:
+                    adj[key_x] = _restrict(adj[key_x], candidates[x], None)
+                else:
+                    adj[key_x] = _restrict(adj[key_x], None, keep)
             if x not in queued:
                 queued.add(x)
                 queue.append(x)
@@ -410,9 +392,9 @@ def partition_tree(
     set hold no embeddings and are dropped before the budget check, so
     none is emitted. When the query has non-tree edges, every chunk is
     refined to its arc-consistency fixpoint right after its projection
-    (refine_tree); with `tree` at its own fixpoint (as
-    build_candidate_tree leaves it), every emitted tree is at its
-    fixpoint. The order vertex u = plan.order[index] is skipped, not
+    (refine_tree), and dropped when that empties a set; with `tree` at
+    its own fixpoint (as build_candidate_tree leaves it), every emitted
+    tree is at its fixpoint. The order vertex u = plan.order[index] is skipped, not
     split, when no chunk of C(u) could come within the degree budget
     before refinement: the tree fits the size budget, every stored list
     into u or an earlier order vertex fits the degree budget, and the
@@ -462,5 +444,7 @@ def partition_tree(
         sub = project_tree(tree, plan, u, part, split)
         if refine:
             sub = refine_tree(sub, [w for w, c in enumerate(sub.candidates) if len(c) < len(tree.candidates[w])])
+            if sub is None:
+                continue
         emitted += partition_tree(sub, plan, index + (len(sub.candidates[u]) == 1), config, sink)
     return emitted

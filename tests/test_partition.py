@@ -256,9 +256,12 @@ def test_partitions_match_reference_on_benchmark_queries(name):
     tree = build_candidate_tree(data, query, plan)
     skipped = []
     # more than one tree means real splits; a skipped vertex means the skip rule ran.
-    # Refined, every chunk of q8 fits before any vertex needs skipping.
-    assert assert_partitions_match_reference(tree, plan, PartitionConfig(), skipped) > 1
-    assert bool(skipped) == (name != "q8")
+    # Refined, every chunk of q8 fits the default budgets before any vertex needs
+    # skipping, so q8 is also split under a tighter degree budget, which reaches the rule.
+    configs = [PartitionConfig()] + ([PartitionConfig(degree_budget=8)] if name == "q8" else [])
+    for config in configs:
+        assert assert_partitions_match_reference(tree, plan, config, skipped) > 1
+    assert skipped
 
 
 def test_partitions_match_reference_on_random_budgets():
