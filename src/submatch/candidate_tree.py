@@ -46,12 +46,12 @@ class CandidateTree:
     candidates of its target vertex.
 
     Trees are immutable once built: nothing changes a candidate list, an
-    adjacency group or a stored list afterwards, so a projection
-    (partition.project_tree) shares the unchanged ones with its parent
+    adjacency group or a stored list afterwards, so a partition chunk
+    (partition.SplitContext) shares the unchanged ones with its parent
     instead of copying them. size_bytes and max_degree are cached:
-    assemble and partition.refine_tree compute them with tree_metrics,
-    projections sum them while restricting, and tree_metrics recomputes
-    them from scratch as the check.
+    assemble computes them with tree_metrics, partition chunks sum them
+    while restricting, and tree_metrics recomputes them from scratch as
+    the check.
     """
 
     candidates: list[list[int]]

@@ -16,39 +16,41 @@ could shorten those), u is left unsplit and recursion advances to the
 next order position with the same tree. Cutting C(u) there would only
 multiply the pieces by |C(u)| without bringing any under budget.
 
-When the query has non-tree edges, each chunk is then refined to its
-arc-consistency fixpoint over its stored groups (refine_tree): a
+When the query has non-tree edges, a chunk is not projected: it is the
+parent with C(u) cut to the chunk, taken to its arc-consistency
+fixpoint over the parent's stored groups (SplitContext.refined). A
 candidate is kept only if its row toward every query neighbour still
-holds a partner. Cutting C(u) leaves candidates of other vertices, before
-u in the order as well as after it, with no partner across a non-tree
-edge; most chunks of a cyclic query lose a whole set that way and hold
-no embedding. Such a chunk is dropped as soon as a set empties, and
-any other tree with an empty candidate set (an absent-label root) is
-dropped before its budget check. The skip rule still tests the
-unrefined floor. A refined chunk need not contain that floor, so a skip
-may pass over a split whose refined chunks would fit: that can cost
-pieces, never an embedding. Tree queries are not refined: on the
-bundled tree queries over the 3k benchmark graph it changed no
-partition and no modelled cycle.
+holds a partner. Cutting C(u) leaves candidates of other vertices,
+before u in the order as well as after it, with no partner across a
+non-tree edge; most chunks of a cyclic query lose a whole set that way
+and hold no embedding. The parent is at its fixpoint and projection
+drops only candidates with no partner, so this is the projection taken
+to its fixpoint. Such a chunk is dropped as soon as a set empties,
+before any group is cut, and any other tree with an empty candidate set
+(an absent-label root) is dropped before its budget check. The skip
+rule still tests the unrefined floor. A refined chunk need not contain
+that floor, so a skip may pass over a split whose refined chunks would
+fit: that can cost pieces, never an embedding. Tree queries are not
+refined: on the bundled tree queries over the 3k benchmark graph it
+changed no partition and no modelled cycle.
 
-The k sibling chunks of one split share a SplitContext, so a projection
-costs in proportion to what its chunk reaches, not to the parent tree.
-Only u and the vertices after it get new candidate sets; a vertex whose
-set is unchanged keeps the parent's list object, and an adjacency group
-whose endpoints are both unchanged is shared by reference (trees are
-immutable once built, see CandidateTree). Every other group is cut
-down to the retained sets by one rule: a row whose target is unchanged
-is kept whole, any other row is filtered. size_bytes and max_degree
-are summed during the restriction; tree_metrics is the from-scratch
-check.
+The k sibling chunks of one split share a SplitContext, so a chunk
+costs in proportion to what it restricts, not to the parent tree. A
+vertex whose set is unchanged keeps the parent's list object, and an
+adjacency group whose endpoints are both unchanged is shared by
+reference (trees are immutable once built, see CandidateTree). Every
+other group is cut once, from the final sets, by one rule: a row that
+loses no target is kept whole, any other row is filtered. size_bytes
+and max_degree are summed during the cut; tree_metrics is the
+from-scratch check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree, tree_metrics
+from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree
 from .plan import QueryPlan
 
 
@@ -145,16 +147,15 @@ def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set
 class SplitContext:
     """What every chunk of one split of `tree` at query vertex u shares.
 
-    A chunk can restrict only u and the later vertices whose candidates
-    are not all reached from vertices no chunk restricts ("live"
-    vertices). The context holds the parent's candidate sets of u and
-    the live vertices; for each live vertex, the part of its
+    A projection can restrict only u and the later vertices whose
+    candidates are not all reached from vertices no chunk restricts
+    ("live" vertices). The context holds the parent's candidate sets of
+    u and the live vertices, and for each live vertex the part of its
     reachability set that comes from vertices no chunk restricts, which
-    is the same for every chunk; and the groups no chunk can touch, with
-    their summed size and degree. The reverse indexes that child-keyed
-    links need are built once here; the metrics of the other groups are
-    computed on first use and kept for the chunks that leave both
-    endpoints of a group unchanged.
+    is the same for every chunk. The reverse indexes that child-keyed
+    links need, and the arcs a refined chunk re-checks, are built once
+    here; the metrics of each group are computed on first use and kept
+    for the chunks that leave both endpoints of the group unchanged.
     """
 
     def __init__(self, tree: CandidateTree, plan: QueryPlan, u: int):
@@ -180,22 +181,13 @@ class SplitContext:
                 self.full[w] = set(tree.candidates[w])
                 self.live.append((w, base & self.full[w], links))
 
-        may_change = self.full.keys()
-        self.size = BASE_HEADER_BYTES + sum(
-            LIST_HEADER_BYTES + ENTRY_BYTES * len(cand) for w, cand in enumerate(tree.candidates) if w not in may_change
-        )
-        self.shared: tuple[AdjacencyMap, AdjacencyMap] = ({}, {})
-        self.groups: list[tuple[tuple[int, int], dict[int, list[int]], bool]] = []
-        for non_tree, groups in enumerate((tree.tree_adj, tree.non_tree_adj)):
-            for key, lists in groups.items():
-                if key[0] in may_change or key[1] in may_change:
-                    self.groups.append((key, lists, bool(non_tree)))
-                else:
-                    self.shared[non_tree][key] = lists
-        shared_size, self.degree = _lists_metrics(
-            [len(row) for shared in self.shared for lists in shared.values() for row in lists.values()]
-        )
-        self.size += shared_size
+        # Arcs into each vertex y, as (x, group, whether the group is keyed by x);
+        # a tree child's candidates are looked up through its parent's rows.
+        self.into: list[list[tuple[int, dict[int, list[int]], bool]]] = [[] for _ in tree.candidates]
+        for (a, b), lists in adj.items():
+            self.into[b].append((a, lists, True))
+            if (a, b) in tree.tree_adj:
+                self.into[a].append((b, lists, False))
 
     def _metrics_of(self, key: tuple[int, int], lists: dict[int, list[int]]) -> tuple[int, int]:
         metrics = self._metrics.get(key)
@@ -237,29 +229,65 @@ class SplitContext:
             if len(linked) < len(full_w):
                 retained[w] = linked
                 candidates[w] = sorted(linked)
+        return self._cut(candidates, retained)
 
-        size = self.size
-        for w in full:
-            size += LIST_HEADER_BYTES + ENTRY_BYTES * len(candidates[w])
-        max_degree = self.degree
-        tree_adj, non_tree_adj = dict(self.shared[0]), dict(self.shared[1])
+    def refined(self, part_set: set[int]) -> CandidateTree | None:
+        """The parent with C(u) cut to part_set, at its arc-consistency fixpoint.
+
+        A candidate v of x is kept while its parent row toward each
+        query neighbour y meets C(y); a tree child's candidates are the
+        reach of its parent's retained rows. The parent is at its
+        fixpoint, so the worklist starts from u and re-checks only the
+        arcs into a shrunk set. Projection drops only candidates with no
+        such support, so this equals the projection onto part_set taken
+        to its fixpoint. Returns None as soon as a set empties, before
+        any group is cut; otherwise each group is cut once, from the
+        final sets.
+        """
+        retained = {self.u: part_set} if len(part_set) < len(self.full[self.u]) else {}
+        queue = list(retained)
+        while queue:
+            y = queue.pop()
+            keep_y = retained[y]
+            for x, lists, keyed_by_x in self.into[y]:
+                cand_x = retained.get(x, self.tree.candidates[x])
+                if keyed_by_x:
+                    keep = {v for v in cand_x if not keep_y.isdisjoint(lists.get(v, ()))}
+                else:
+                    keep = _reach(lists, keep_y).intersection(cand_x)
+                if len(keep) < len(cand_x):
+                    if not keep:
+                        return None
+                    retained[x] = keep
+                    if x not in queue:
+                        queue.append(x)
+        candidates = list(self.tree.candidates)
+        for w, keep in retained.items():
+            candidates[w] = sorted(keep)
+        return self._cut(candidates, retained)
+
+    def _cut(self, candidates: list[list[int]], retained: dict[int, set[int]]) -> CandidateTree:
+        """The tree over these sets: each group with an end in `retained` is cut, every other one shared."""
+        size = BASE_HEADER_BYTES + sum(LIST_HEADER_BYTES + ENTRY_BYTES * len(cand) for cand in candidates)
+        max_degree = 0
+        adj: tuple[AdjacencyMap, AdjacencyMap] = ({}, {})
         restricted = []
-        for key, lists, non_tree in self.groups:
-            a, b = key
-            keep_a, keep_b = retained.get(a), retained.get(b)
-            if keep_a is None and keep_b is None:
-                new = lists
-                group_size, group_degree = self._metrics_of(key, lists)
-                size += group_size
-                if group_degree > max_degree:
-                    max_degree = group_degree
-            else:
-                new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
-                restricted.append(new)
-            (non_tree_adj if non_tree else tree_adj)[key] = new
+        for new_groups, groups in zip(adj, (self.tree.tree_adj, self.tree.non_tree_adj)):
+            for key, lists in groups.items():
+                a, b = key
+                keep_a, keep_b = retained.get(a), retained.get(b)
+                if keep_a is None and keep_b is None:
+                    new = lists
+                    group_size, group_degree = self._metrics_of(key, lists)
+                    size += group_size
+                    if group_degree > max_degree:
+                        max_degree = group_degree
+                else:
+                    new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
+                    restricted.append(new)
+                new_groups[key] = new
         restricted_size, restricted_degree = _lists_metrics([len(row) for new in restricted for row in new.values()])
-        size += restricted_size
-        return CandidateTree(candidates, tree_adj, non_tree_adj, size, max(max_degree, restricted_degree))
+        return CandidateTree(candidates, *adj, size + restricted_size, max(max_degree, restricted_degree))
 
 
 def project_tree(
@@ -283,67 +311,6 @@ def project_tree(
     if split is None:
         split = SplitContext(tree, plan, u)
     return split.project(part)
-
-
-def refine_tree(tree: CandidateTree, changed: Iterable[int]) -> CandidateTree | None:
-    """The tree at its arc-consistency fixpoint over its stored groups.
-
-    A candidate v of a is kept only if its row toward each query
-    neighbour b meets C(b); a tree child's candidates are looked up
-    through the union of its retained parents' rows. `changed` lists
-    the vertices whose sets shrank since the tree was last at its
-    fixpoint (every vertex, to refine from scratch): only arcs into a
-    shrunk set can lose their support. Every stored list is within its
-    target's set, so a row meets C(b) exactly when it is stored. Only
-    the groups with a shrunk endpoint are restricted; the others are
-    shared by reference. Returns `tree` itself when nothing shrinks,
-    and None as soon as a set empties: the tree then holds no embedding.
-    """
-    candidates = list(tree.candidates)
-    adj = {**tree.tree_adj, **tree.non_tree_adj}
-    # Per query vertex y: the arcs into y, as (x, key, keyed_by_x), and the
-    # groups with y as an endpoint, as (key, y_is_source).
-    into: list[list[tuple[int, tuple[int, int], bool]]] = [[] for _ in candidates]
-    ends: list[list[tuple[tuple[int, int], bool]]] = [[] for _ in candidates]
-    for a, b in adj:
-        into[b].append((a, (a, b), True))
-        if (a, b) in tree.tree_adj:  # a tree child's candidates are looked up through the parent's rows
-            into[a].append((b, (a, b), False))
-        ends[a].append(((a, b), True))
-        ends[b].append(((a, b), False))
-    queue = list(changed)
-    queued = set(queue)
-    while queue:
-        y = queue.pop()
-        queued.discard(y)
-        for x, key, keyed_by_x in into[y]:
-            lists = adj[key]
-            if keyed_by_x:
-                if len(lists) == len(candidates[x]):
-                    continue
-                keep = set(lists)
-            else:
-                keep = set().union(*lists.values())
-                if len(keep) == len(candidates[x]):
-                    continue
-            if not keep:
-                return None
-            candidates[x] = sorted(keep)
-            for key_x, x_is_source in ends[x]:
-                if x_is_source:
-                    adj[key_x] = _restrict(adj[key_x], candidates[x], None)
-                else:
-                    adj[key_x] = _restrict(adj[key_x], None, keep)
-            if x not in queued:
-                queued.add(x)
-                queue.append(x)
-    if candidates == tree.candidates:
-        return tree
-    refined = CandidateTree(
-        candidates, {key: adj[key] for key in tree.tree_adj}, {key: adj[key] for key in tree.non_tree_adj}
-    )
-    refined.size_bytes, refined.max_degree = tree_metrics(refined)
-    return refined
 
 
 def _earlier_links(plan: QueryPlan, w: int):
@@ -390,16 +357,17 @@ def partition_tree(
 
     Returns the number of emitted trees. Trees with an empty candidate
     set hold no embeddings and are dropped before the budget check, so
-    none is emitted. When the query has non-tree edges, every chunk is
-    refined to its arc-consistency fixpoint right after its projection
-    (refine_tree), and dropped when that empties a set; with `tree` at
-    its own fixpoint (as build_candidate_tree leaves it), every emitted
-    tree is at its fixpoint. The order vertex u = plan.order[index] is skipped, not
-    split, when no chunk of C(u) could come within the degree budget
-    before refinement: the tree fits the size budget, every stored list
-    into u or an earlier order vertex fits the degree budget, and the
-    split's floor (the projection onto the empty part, contained in
-    every unrefined chunk's projection) is still over it. Raises
+    none is emitted. When the query has non-tree edges, `tree` must be
+    at its arc-consistency fixpoint (as build_candidate_tree leaves
+    it); every chunk is then taken to its fixpoint in place of a
+    projection (SplitContext.refined), and dropped when that empties a
+    set, so every emitted tree is at its fixpoint. The order vertex
+    u = plan.order[index] is skipped, not split, when no chunk of C(u)
+    could come within the degree budget before refinement: the tree
+    fits the size budget, every stored list into u or an earlier order
+    vertex fits the degree budget, and the split's floor (the
+    projection onto the empty part, contained in every unrefined
+    chunk's projection) is still over it. Raises
     UnsplittableTreeError if the order is exhausted while budgets are
     still violated.
     """
@@ -433,7 +401,7 @@ def partition_tree(
     else:
         k = partition_factor(tree, config, u)
 
-    refine = any(plan.non_tree)
+    cyclic = any(plan.non_tree)
     base, extra = divmod(len(cand), k)
     emitted = 0
     start = 0
@@ -441,10 +409,8 @@ def partition_tree(
         size = base + (1 if i < extra else 0)
         part = cand[start : start + size]
         start += size
-        sub = project_tree(tree, plan, u, part, split)
-        if refine:
-            sub = refine_tree(sub, [w for w, c in enumerate(sub.candidates) if len(c) < len(tree.candidates[w])])
-            if sub is None:
-                continue
+        sub = split.refined(set(part)) if cyclic else project_tree(tree, plan, u, part, split)
+        if sub is None:
+            continue
         emitted += partition_tree(sub, plan, index + (len(sub.candidates[u]) == 1), config, sink)
     return emitted

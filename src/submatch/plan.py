@@ -72,6 +72,8 @@ def build_query_plan(query: Graph, data: Graph) -> QueryPlan:
     ordered by (candidate-count product, path ids).
     """
     n = query.num_vertices
+    if n == 0:
+        raise ValueError("query graph has no vertices")
     if n > 1 and 0 in query.degrees:
         # checked before the root ratio below divides by each degree
         raise DisconnectedQueryError(f"query graph is disconnected (vertex {query.degrees.index(0)} has no edges)")

@@ -182,9 +182,10 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
 def reference_refine_tree(tree):
     """From-scratch arc-consistency fixpoint of a tree over its stored groups.
 
-    The test reference for submatch.partition.refine_tree, which starts
-    from the vertices a projection shrank and restricts only the groups
-    it must. Drop every candidate v of a with no partner in C(b) across
+    Applied to a projection, the test reference for
+    submatch.partition.SplitContext.refined, which starts from the
+    parent's sets with C(u) cut and cuts each group once at the end.
+    Drop every candidate v of a with no partner in C(b) across
     some query edge (a, b): through v's stored row when the group is
     keyed by a, else (a a tree child of b) through the rows of the
     retained candidates of b. Repeat until nothing changes, then cut

@@ -89,6 +89,14 @@ def test_run_isolated_query_vertex_is_typed_error(capsys, worked_paths, tmp_path
     assert err["type"] == "run" and "disconnected" in err["message"]
 
 
+def test_run_empty_query_is_typed_error(capsys, worked_paths, tmp_path):
+    query = tmp_path / "empty.graph"
+    query.write_text("t 0 0\n")
+    code, out = run_cli(capsys, "run", "--data", worked_paths[0], "--query", str(query))
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "run", "message": "query graph has no vertices"}
+
+
 def test_run_and_compare_reject_seed(capsys, worked_paths):
     data, query = worked_paths
     for command in ("run", "compare"):

@@ -18,7 +18,7 @@ from submatch import (
 from submatch import Graph
 from submatch import fixtures
 import submatch.partition
-from submatch.partition import SplitContext, refine_tree
+from submatch.partition import SplitContext
 
 import helpers
 
@@ -287,7 +287,6 @@ def assert_refined_partitions_sound(tree, plan, config, expected):
     pieces = []
     for part in parts:
         assert all(part.candidates)
-        assert refine_tree(part, range(plan.num_vertices)) is part
         assert helpers.reference_refine_tree(part) == part
         size, degree = tree_metrics(part)
         assert size <= config.size_budget and degree <= config.degree_budget
@@ -374,19 +373,32 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
 
 
 def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
-    """Every projection made while partitioning reuses, by reference, what its chunk left unchanged.
+    """Every chunk made while partitioning reuses, by reference, what it left unchanged.
 
-    A vertex is unchanged when its candidate set keeps its size. Its list
-    is the parent's object; a group between two unchanged vertices is the
+    Chunks of a tree query come from project_tree, those of a cyclic
+    query from SplitContext.refined; both are checked. A vertex is
+    unchanged when its candidate set keeps its size. Its list is the
+    parent's object; a group between two unchanged vertices is the
     parent's object; a restricted group into an unchanged target keeps
     each surviving row as the parent's object. Returns how many groups
-    and rows were checked by identity.
+    and rows were checked by identity, and how many refined chunks.
     """
-    original = submatch.partition.project_tree
-    shared = {"groups": 0, "rows": 0}
+    original_project = submatch.partition.project_tree
+    original_refined = SplitContext.refined
+    shared = {"groups": 0, "rows": 0, "refined": 0}
 
-    def checking(parent, plan, u, part, split=None):
-        sub = original(parent, plan, u, part, split)
+    def projecting(parent, plan, u, part, split=None):
+        return check(parent, original_project(parent, plan, u, part, split))
+
+    def refining(split, part_set):
+        sub = original_refined(split, part_set)
+        if sub is not None:
+            shared["refined"] += 1
+            check(split.tree, sub)
+        return sub
+
+    def check(parent, sub):
+        assert sub is not parent  # only a skip passes its tree on unchanged
         same = [len(new) == len(old) for new, old in zip(sub.candidates, parent.candidates)]
         for w, unchanged in enumerate(same):
             if unchanged:
@@ -404,14 +416,15 @@ def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
         return sub
 
     with monkeypatch.context() as patch:
-        patch.setattr(submatch.partition, "project_tree", checking)
+        patch.setattr(submatch.partition, "project_tree", projecting)
+        patch.setattr(SplitContext, "refined", refining)
         partition_tree(tree, plan, 0, config, lambda part: None)
     return shared
 
 
 def test_projections_share_unchanged_groups_and_rows_on_fixture(monkeypatch):
     tree, plan = fixtures.partition_example()
-    total = {"groups": 0, "rows": 0}
+    total = {"groups": 0, "rows": 0, "refined": 0}
     for config in (
         PartitionConfig(size_budget=tree.size_bytes - 1),
         PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2),
@@ -420,7 +433,9 @@ def test_projections_share_unchanged_groups_and_rows_on_fixture(monkeypatch):
     ):
         for key, count in assert_projections_share_unchanged(monkeypatch, tree, plan, config).items():
             total[key] += count
-    assert total["groups"] and total["rows"]
+    # The fixture is cyclic and every refined chunk of it shrinks all four sets, so no
+    # group stays whole; q7 and q8 below cover whole groups on refined chunks.
+    assert total["rows"] and total["refined"]
 
 
 @pytest.mark.parametrize("name", ["q3", "q7", "q8"])
@@ -429,6 +444,13 @@ def test_projections_share_unchanged_groups_and_rows_on_benchmark_queries(monkey
     query = fixtures.benchmark_queries()[name]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    shared = assert_projections_share_unchanged(monkeypatch, tree, plan, PartitionConfig())
+    # Refined chunks of q7 and q8 under the default budgets leave no target whole (q7)
+    # or no set whole (q8); a tighter budget splits deeper, where chunks leave some whole.
+    tighter = {"q7": PartitionConfig(size_budget=500), "q8": PartitionConfig(degree_budget=8)}
+    shared = {"groups": 0, "rows": 0, "refined": 0}
+    for config in [PartitionConfig()] + ([tighter[name]] if name in tighter else []):
+        for key, count in assert_projections_share_unchanged(monkeypatch, tree, plan, config).items():
+            shared[key] += count
     # on the tree query q3 no chunk cuts a group whose target it leaves unchanged
     assert shared["groups"] and (shared["rows"] or name == "q3")
+    assert bool(shared["refined"]) == any(plan.non_tree)

@@ -1,0 +1,51 @@
+"""Property tests of the refined chunk on random small instances.
+
+Skipped where hypothesis is not installed.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from submatch import build_candidate_tree, build_query_plan
+from submatch.oracle import brute_force_embeddings
+from submatch.partition import SplitContext
+
+import helpers
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(1, 2), draw=st.data())
+def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
+    """SplitContext.refined equals the from-scratch projection taken to its fixpoint.
+
+    Each level cuts a random vertex u to a random non-empty part of C(u),
+    starting from the index and, at depth 2, from the first chunk. A
+    chunk is None exactly when the reference has an empty set, is never
+    its parent object, and keeps every brute-force embedding whose
+    image of each cut vertex lies in its part, with every edge of it
+    stored.
+    """
+    data, query = helpers.make_instance(seed, max_data=30, max_query=6)
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    assume(all(tree.candidates))
+    embeddings = [dict(zip(plan.order, e)) for e in brute_force_embeddings(query, data, plan.order)]
+    for _ in range(depth):
+        u = draw.draw(st.sampled_from(plan.order))
+        part = draw.draw(st.lists(st.sampled_from(tree.candidates[u]), min_size=1, unique=True))
+        chunk = SplitContext(tree, plan, u).refined(set(part))
+        reference = helpers.reference_refine_tree(helpers.reference_project_tree(tree, plan, u, part))
+        embeddings = [e for e in embeddings if e[u] in part]
+        if not all(reference.candidates):
+            assert chunk is None
+            assert not embeddings
+            return
+        assert chunk == reference
+        assert chunk is not tree
+        for e in embeddings:
+            assert all(e[w] in chunk.candidates[w] for w in range(plan.num_vertices))
+            for groups in (chunk.tree_adj, chunk.non_tree_adj):
+                assert all(e[b] in groups[(a, b)].get(e[a], ()) for a, b in groups)
+        tree = chunk

@@ -98,6 +98,11 @@ def test_isolated_query_vertex_rejected_as_disconnected():
         build_query_plan(query, fixtures.worked_data())
 
 
+def test_empty_query_rejected():
+    with pytest.raises(ValueError, match="query graph has no vertices"):
+        build_query_plan(Graph.from_edges([], []), fixtures.worked_data())
+
+
 def test_single_vertex_query_matches_each_label_class(tmp_path, capsys):
     data, _ = helpers.make_instance(4242)
     data_file = tmp_path / "data.graph"
