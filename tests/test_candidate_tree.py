@@ -3,12 +3,13 @@ from submatch import (
     brute_force_tree_walks,
     build_candidate_tree,
     build_query_plan,
+    candidates_by_local_features,
     dump_tree,
     estimate_workload,
     host_match,
     tree_metrics,
 )
-from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, CandidateTree
+from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, CandidateTree, start_candidates
 from submatch import fixtures
 
 import helpers
@@ -219,3 +220,21 @@ def test_index_equals_naive_fixpoint_reference():
         for groups in (tree.tree_adj, tree.non_tree_adj):
             for lists in groups.values():
                 assert list(lists) == sorted(lists)
+
+
+def test_neighbour_label_prefilter_shrinks_start_sets_and_keeps_the_index():
+    # equality with the reference alone would also hold with a no-op
+    # filter: the pre-filter must remove local candidates on some bundled
+    # query, and never one that the refined index keeps
+    data = fixtures.benchmark_graph()
+    shrunk = []
+    for name, query in sorted(fixtures.benchmark_queries().items()):
+        plan = build_query_plan(query, data)
+        tree = build_candidate_tree(data, query, plan)
+        start = start_candidates(data, query)
+        for u in range(query.num_vertices):
+            local = set(candidates_by_local_features(data, query, u))
+            assert set(tree.candidates[u]) <= start[u] <= local
+            if start[u] < local:
+                shrunk.append((name, u))
+    assert shrunk

@@ -144,3 +144,35 @@ def test_label_index_filter_equals_full_scan_for_every_label_and_degree():
                 assert candidates_by_local_features(data, query, 0) == expected, (label, degree)
         assert "vertices_by_label" in data.__dict__
         assert data == Graph(data.labels, data.adj, data.degrees)  # the index is not compared
+
+
+def brute_neighbour_labels(graph):
+    """Per vertex, the set of its neighbours' labels, from the definition."""
+    return [{graph.labels[w] for w in graph.adj[v]} for v in range(graph.num_vertices)]
+
+
+def mask_labels(mask):
+    return {bit for bit in range(mask.bit_length()) if mask >> bit & 1}
+
+
+def test_neighbour_labels_match_brute_force_sets():
+    rng = random.Random(41)
+    graphs = [fixtures.worked_data()]
+    graphs += [random_graph(rng.randint(1, 40), rng.uniform(0, 0.5), rng.randint(1, 6), rng) for _ in range(20)]
+    # labels 64 and above, and an isolated vertex (6) whose mask is 0
+    graphs.append(Graph.from_edges([0, 63, 64, 65, 200, 64, 7], [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)]))
+    for graph in graphs:
+        masks = graph.neighbour_labels
+        assert len(masks) == graph.num_vertices
+        assert [mask_labels(m) for m in masks] == brute_neighbour_labels(graph)
+    assert graphs[-1].neighbour_labels[4] == 1 << 64 | 1 << 65
+    assert graphs[-1].neighbour_labels[6] == 0
+
+
+def test_neighbour_labels_built_once_on_first_use():
+    data = Graph.from_edges([1, 2, 1], [(0, 1), (1, 2)])
+    assert "neighbour_labels" not in data.__dict__
+    first = data.neighbour_labels
+    assert first == (1 << 2, 1 << 1, 1 << 2)
+    assert data.neighbour_labels is first
+    assert data == Graph(data.labels, data.adj, data.degrees)  # the masks are not compared
