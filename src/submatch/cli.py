@@ -189,6 +189,9 @@ def _compare_grid(args) -> tuple[list[str], list[float], list[tuple[str, Partiti
         ks = [(text, _check_k(None if text == "auto" else int(text))) for text in _split_list(args.fixed_k)]
     except ValueError as exc:
         raise CliError("config", f"bad --delta or --k value: {exc}")
+    for flag, values in (("--variant", variants), ("--delta", deltas), ("--k", ks)):
+        if not values:
+            raise CliError("config", f"{flag} lists no value")
     return variants, deltas, [(text, _config_from(args, fixed_k)) for text, fixed_k in ks]
 
 

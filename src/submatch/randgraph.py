@@ -7,6 +7,10 @@ import random
 
 from .graph import Graph
 
+# Most endpoint pairs powerlaw_graph draws per call: enough to amortise the
+# call, few enough that the drawn list stays small (under 400 KiB).
+_DRAW_BATCH = 4096
+
 
 def _unrank_pair(index: int, n: int) -> tuple[int, int]:
     """Map a linear index into the upper-triangle pair (u, v), u < v."""
@@ -47,7 +51,12 @@ def powerlaw_graph(
 
     Targets avg_degree by drawing weighted endpoint pairs and dropping
     self-loops and duplicates, so the realized edge count can fall short
-    on dense targets.
+    on dense targets. Pairs are drawn in batches no larger than the
+    edges still missing, the attempts still allowed and _DRAW_BATCH.
+    `choices` takes one random() per endpoint in order and an attempt
+    adds at most one edge, so a batch never draws past where drawing one
+    pair per call would stop: a seed gives the same graph, and leaves a
+    passed-in Random in the same state, as drawing one pair per call.
     """
     if n < 1 or num_labels < 1 or exponent <= 1.0:
         raise ValueError("need n >= 1, num_labels >= 1, exponent > 1")
@@ -58,15 +67,15 @@ def powerlaw_graph(
     for i in range(1, n):
         cum[i] += cum[i - 1]
     target = min(int(n * avg_degree) // 2, n * (n - 1) // 2)
+    limit = 50 * (target + 1)
     edges: set[tuple[int, int]] = set()
     attempts = 0
     population = range(n)
-    while len(edges) < target and attempts < 50 * (target + 1):
-        attempts += 1
-        a, b = rng.choices(population, cum_weights=cum, k=2)
-        if a == b:
-            continue
-        edges.add((a, b) if a < b else (b, a))
+    while len(edges) < target and attempts < limit:
+        batch = min(target - len(edges), limit - attempts, _DRAW_BATCH)
+        attempts += batch
+        ends = rng.choices(population, cum_weights=cum, k=2 * batch)
+        edges.update((a, b) if a < b else (b, a) for a, b in zip(ends[::2], ends[1::2]) if a != b)
     return Graph.from_edges(labels, sorted(edges))
 
 

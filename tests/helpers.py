@@ -320,3 +320,29 @@ def reference_pipeline_enumerate(
         buffer_stats.append((buffer.max_occupancy, capacity))
     matches.sort()
     return matches, model
+
+
+def reference_powerlaw_graph(n, exponent, num_labels, seed, avg_degree=8.0):
+    """powerlaw_graph drawing one endpoint pair per `choices` call.
+
+    The test reference for the batched draws of
+    submatch.randgraph.powerlaw_graph: both must give == graphs and
+    leave a passed-in Random in the same state.
+    """
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    labels = [rng.randrange(num_labels) for _ in range(n)]
+    weights = [(i + 1) ** (-1.0 / (exponent - 1.0)) for i in range(n)]
+    cum = list(weights)
+    for i in range(1, n):
+        cum[i] += cum[i - 1]
+    target = min(int(n * avg_degree) // 2, n * (n - 1) // 2)
+    edges = set()
+    attempts = 0
+    population = range(n)
+    while len(edges) < target and attempts < 50 * (target + 1):
+        attempts += 1
+        a, b = rng.choices(population, cum_weights=cum, k=2)
+        if a == b:
+            continue
+        edges.add((a, b) if a < b else (b, a))
+    return Graph.from_edges(labels, sorted(edges))

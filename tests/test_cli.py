@@ -123,6 +123,15 @@ def test_compare_rejects_bad_list_values(capsys, worked_paths, flags):
     assert json.loads(out)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("flag", ["--variant", "--delta", "--k"])
+def test_compare_empty_sweep_is_config_error_before_any_output(capsys, worked_paths, flag):
+    data, query = worked_paths
+    code, out = run_cli(capsys, "compare", "--data", data, "--query", query, "--json", flag, "")
+    assert code == 1
+    err = json.loads(out)["error"]  # the whole output: no CSV header
+    assert err["type"] == "config" and flag in err["message"]
+
+
 def test_run_writes_trace_csv(capsys, worked_paths, tmp_path):
     data, query = worked_paths
     trace_path = tmp_path / "trace.csv"
