@@ -10,11 +10,11 @@ Construction first refines the candidate sets alone. It starts from the
 local-feature filter (same label, at least the query degree), pre-filtered
 by neighbour labels: v stays a candidate of u only if v has a data
 neighbour of every label among u's query neighbours, tested on the data
-graph's label masks (Graph.neighbour_labels, built once per data graph by
-its first job). Arc consistency implies that test, so the fixpoint and
-every stored list are those of the unfiltered start; only the work of
-reaching them shrinks (the start sets of q0..q8 on the 30,000-vertex
-bench graph are 2.4-5.5 times smaller).
+graph's label masks (Graph.neighbour_labels, one bit per distinct data
+label, built once per data graph by its first job). Arc consistency
+implies that test, so the fixpoint and every stored list are those of the
+unfiltered start; only the work of reaching them shrinks (the start sets
+of q0..q8 on the 30,000-vertex bench graph are 2.4-5.5 times smaller).
 
 From there, one rule "keep the v in C(u) with a data neighbour in C(x)"
 is swept top-down (x = parent), bottom-up (x = each child) and top-down
@@ -109,12 +109,17 @@ def start_candidates(data: Graph, query: Graph) -> list[set[int]]:
 
     A candidate v of u stays only if ``data.neighbour_labels[v]`` has the
     bit of every label among u's query neighbours. Arc consistency implies
-    this test, so it only shrinks the sets the refinement starts from.
+    this test, so it only shrinks the sets the refinement starts from. A
+    query label is mapped to its bit through ``data.label_rank``; a label
+    the data graph lacks gets a bit above every data rank, which no mask
+    has, so its query neighbours keep no candidates.
     """
     masks = data.neighbour_labels
+    rank = data.label_rank
+    absent = len(rank)
     cand = []
     for u in range(query.num_vertices):
-        need = reduce(or_, (1 << query.labels[x] for x in query.adj[u]), 0)
+        need = reduce(or_, (1 << rank.get(query.labels[x], absent) for x in query.adj[u]), 0)
         cand.append({v for v in candidates_by_local_features(data, query, u) if masks[v] & need == need})
     return cand
 

@@ -12,11 +12,13 @@ graphs and data graphs share the format.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import gc
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
-from typing import Iterable, Sequence
+from functools import cached_property, reduce, wraps
+from itertools import islice
+from operator import eq, or_
 
 
 class GraphFormatError(ValueError):
@@ -29,17 +31,43 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
+def paused_collector(fn):
+    """Decorator: run fn with CPython's cyclic collector paused.
+
+    The collector is turned back on only if it was on at the call, also
+    when fn raises, so pauses nest. The wrapper allocates nothing after
+    turning it back on, so the collection that fn's allocations make due
+    starts at the caller's next allocation, not inside the call.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable vertex-labeled undirected simple graph.
 
     Adjacency lists are sorted ascending, hold no duplicates and no
-    self-loops, and ``degrees[v] == len(adj[v])``. Labels are dense
-    non-negative ints; the alphabet is ``range(label_count)``.
+    self-loops, and ``degrees[v] == len(adj[v])``. Labels are
+    non-negative ints of any size. ``from_edges`` builds the rows from
+    plain per-vertex lists, each sorted once, with the cyclic collector
+    paused.
 
-    ``vertices_by_label`` and ``neighbour_labels`` are indexes built on
-    first use and cached: one pass over the graph each, paid once by the
-    first job on it.
+    ``vertices_by_label``, ``label_rank`` and ``neighbour_labels`` are
+    indexes built on first use and cached: one pass over the graph each,
+    paid once by the first job on it. A neighbour-label mask gives each
+    present label the bit of its rank among the present labels, so its
+    size follows the number of distinct labels, not their values.
     """
 
     labels: tuple[int, ...]
@@ -71,17 +99,23 @@ class Graph:
         return index
 
     @cached_property
+    def label_rank(self) -> dict[int, int]:
+        """Each present label's rank among the present labels, from 0."""
+        return {lab: i for i, lab in enumerate(sorted(set(self.labels)))}
+
+    @cached_property
     def neighbour_labels(self) -> tuple[int, ...]:
         """Per vertex, a bit mask of its neighbours' labels; built on first use.
 
-        Bit L of ``neighbour_labels[v]`` is set iff v has a neighbour of
-        label L, so an isolated vertex has mask 0. Masks are Python ints,
-        so any label count works, and their memory grows linearly with
-        ``label_count``: at most 32 + 4 * ceil(label_count / 30) bytes
-        per vertex (an int header, one 4-byte digit per 30 labels and a
-        tuple slot), about 1 MiB for 30,000 vertices and 11 labels.
+        Bit ``label_rank[L]`` of ``neighbour_labels[v]`` is set iff v has
+        a neighbour of label L, so an isolated vertex has mask 0. A mask
+        has at most as many bits as the graph has distinct labels,
+        whatever their values: at most 32 + 4 * ceil(distinct / 30)
+        bytes per vertex (an int header, one 4-byte digit per 30 labels
+        and a tuple slot), about 1 MiB for 30,000 vertices and 11 labels.
         """
-        bit = [1 << lab for lab in self.labels]
+        rank = self.label_rank
+        bit = [1 << rank[lab] for lab in self.labels]
         return tuple(reduce(or_, map(bit.__getitem__, row), 0) for row in self.adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -94,27 +128,70 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (src, dst) with src < dst, sorted."""
-        return [(a, b) for a in range(self.num_vertices) for b in self.adj[a] if a < b]
+        return [(a, b) for a, row in enumerate(self.adj) for b in row[bisect_right(row, a) :]]
 
     @classmethod
+    @paused_collector
     def from_edges(cls, labels: Sequence[int], edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a validated graph from per-vertex labels and an edge list."""
+        """Build a validated graph from per-vertex labels and an edge list.
+
+        Each edge, in either orientation and any order, is appended to
+        both endpoints' plain lists, and each list is sorted into its
+        row. Every defect then shows in bulk: an id of n or more, or
+        below -n, fails the indexing; any other negative id lands in a
+        row as a negative entry; and a self-loop or a repeated edge
+        repeats an entry of a sorted row. Only when one of these shows
+        are the edges scanned again, to name the first defective edge in
+        input order (a one-shot iterator is kept in a list for that).
+        The build runs with the cyclic collector paused.
+        """
+        if min(labels, default=0) < 0:
+            i = next(i for i, lab in enumerate(labels) if lab < 0)
+            raise GraphFormatError(f"vertex {i} has negative label {labels[i]}")
+        if isinstance(edges, Iterator):
+            edges = list(edges)
         n = len(labels)
-        for i, lab in enumerate(labels):
-            if lab < 0:
-                raise GraphFormatError(f"vertex {i} has negative label {lab}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for a, b in edges:
-            if a == b:
-                raise GraphFormatError(f"self-loop at vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise GraphFormatError(f"edge ({a}, {b}) references unknown vertex")
-            if b in adj[a]:
-                raise GraphFormatError(f"duplicate edge ({a}, {b})")
-            adj[a].add(b)
-            adj[b].add(a)
-        rows = tuple(tuple(sorted(s)) for s in adj)
-        return cls(tuple(labels), rows, tuple(len(r) for r in rows))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for a, b in edges:
+                adj[a].append(b)
+                adj[b].append(a)
+        except IndexError:
+            raise _first_defect(n, edges) from None
+        for row in adj:
+            row.sort()
+        rows = tuple(map(tuple, adj))
+        if not _rows_well_formed(rows):
+            raise _first_defect(n, edges)
+        return cls(tuple(labels), rows, tuple(map(len, rows)))
+
+
+def _rows_well_formed(rows: Iterable[tuple[int, ...]]) -> bool:
+    """Whether no sorted row holds a negative entry or one entry twice."""
+    # One flat list, each non-empty row followed by -1, so one C-level
+    # pass over adjacent pairs finds a repeat; -1 equals no entry >= 0.
+    flat = [-1]
+    for row in filter(None, rows):
+        if row[0] < 0:
+            return False
+        flat += row
+        flat.append(-1)
+    return not any(map(eq, flat, islice(flat, 1, None)))
+
+
+def _first_defect(n: int, edges: Iterable[tuple[int, int]]) -> GraphFormatError:
+    """The error naming the first defective edge in input order (one exists)."""
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        if a == b:
+            return GraphFormatError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            return GraphFormatError(f"edge ({a}, {b}) references unknown vertex")
+        if (a, b) in seen:
+            return GraphFormatError(f"duplicate edge ({a}, {b})")
+        seen.add((a, b))
+        seen.add((b, a))
+    raise AssertionError("no defective edge")
 
 
 def load_graph(path) -> Graph:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import Graph
+from .graph import Graph, paused_collector
 
 # Most endpoint pairs powerlaw_graph draws per call: enough to amortise the
 # call, few enough that the drawn list stays small (under 400 KiB).
@@ -36,10 +36,10 @@ def random_graph(n: int, p: float, num_labels: int, seed: int | random.Random) -
     labels = [rng.randrange(num_labels) for _ in range(n)]
     total = n * (n - 1) // 2
     m = round(p * total)
-    edges = sorted(_unrank_pair(i, n) for i in rng.sample(range(total), m))
-    return Graph.from_edges(labels, edges)
+    return Graph.from_edges(labels, [_unrank_pair(i, n) for i in rng.sample(range(total), m)])
 
 
+@paused_collector
 def powerlaw_graph(
     n: int,
     exponent: float,
@@ -57,6 +57,8 @@ def powerlaw_graph(
     adds at most one edge, so a batch never draws past where drawing one
     pair per call would stop: a seed gives the same graph, and leaves a
     passed-in Random in the same state, as drawing one pair per call.
+    The edge set goes to Graph.from_edges unsorted (it sorts the rows),
+    and the whole call runs with the cyclic collector paused.
     """
     if n < 1 or num_labels < 1 or exponent <= 1.0:
         raise ValueError("need n >= 1, num_labels >= 1, exponent > 1")
@@ -76,7 +78,7 @@ def powerlaw_graph(
         attempts += batch
         ends = rng.choices(population, cum_weights=cum, k=2 * batch)
         edges.update((a, b) if a < b else (b, a) for a, b in zip(ends[::2], ends[1::2]) if a != b)
-    return Graph.from_edges(labels, sorted(edges))
+    return Graph.from_edges(labels, edges)
 
 
 def random_connected_query(
@@ -95,4 +97,4 @@ def random_connected_query(
     rng.shuffle(missing)
     edges.update(missing[: min(extra_edges, len(missing))])
     vlabels = [rng.choice(labels) for _ in range(n)]
-    return Graph.from_edges(vlabels, sorted(edges))
+    return Graph.from_edges(vlabels, edges)

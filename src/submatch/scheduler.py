@@ -9,13 +9,12 @@ trees run through the pipeline immediately.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field
 from itertools import chain
 
 from .candidate_tree import CandidateTree, build_candidate_tree, estimate_workload
-from .graph import Graph
+from .graph import Graph, paused_collector
 from .kernel import (
     DEFAULT_CAPACITY,
     CycleModel,
@@ -135,6 +134,7 @@ class JobStats:
         }
 
 
+@paused_collector
 def run_job(
     data: Graph,
     query: Graph,
@@ -158,27 +158,17 @@ def run_job(
     supplies the share threshold; the job is routed and reported from
     zero totals and leaves `state` as it was.
 
-    The cyclic garbage collector is paused for the whole job and turned
-    back on afterwards only if the caller had it on. A job allocates
-    millions of int-only tuples, which the collector would otherwise
-    scan as they are made, and makes only small cycles (host_match's
-    recursive closure), which a later collection frees. The returned
-    tuples are still tracked: a caller that keeps them while it
-    allocates has them scanned once by its next collection. Results
-    never depend on the pause.
+    The cyclic garbage collector is paused for the whole job by the
+    shared graph.paused_collector, which turns it back on afterwards
+    only if the caller had it on. A job allocates millions of int-only
+    tuples, which the collector would otherwise scan as they are made,
+    and makes only small cycles (host_match's recursive closure), which
+    a later collection frees. The returned tuples are still tracked: a
+    caller that keeps them while it allocates has them scanned once by
+    its next collection. Results never depend on the pause.
     """
     if variant not in JOB_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run_job(data, query, config, state, variant, capacity, model, collect_trace)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run_job(data, query, config, state, variant, capacity, model, collect_trace):
     start = time.perf_counter()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)

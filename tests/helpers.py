@@ -10,6 +10,7 @@ import random
 from submatch import (
     CandidateTree,
     Graph,
+    GraphFormatError,
     UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
@@ -77,6 +78,30 @@ def built_instances(count: int, master_seed: int, **kwargs):
     for data, query, plan, expected in solvable_instances(count, master_seed, **kwargs):
         out.append((data, query, plan, build_candidate_tree(data, query, plan), expected))
     return out
+
+
+def reference_from_edges(labels, edges):
+    """Set-based Graph.from_edges: the test reference for the list-based build.
+
+    Checks each edge in input order against one set per vertex, so the
+    first defective edge raises, then sorts every set into its row.
+    """
+    n = len(labels)
+    for i, lab in enumerate(labels):
+        if lab < 0:
+            raise GraphFormatError(f"vertex {i} has negative label {lab}")
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        if a == b:
+            raise GraphFormatError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise GraphFormatError(f"edge ({a}, {b}) references unknown vertex")
+        if b in adj[a]:
+            raise GraphFormatError(f"duplicate edge ({a}, {b})")
+        adj[a].add(b)
+        adj[b].add(a)
+    rows = tuple(tuple(sorted(s)) for s in adj)
+    return Graph(tuple(labels), rows, tuple(len(r) for r in rows))
 
 
 def add_random_edges(graph: Graph, count: int, rng: random.Random) -> Graph:

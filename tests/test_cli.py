@@ -240,6 +240,16 @@ def test_entry_point_runs_as_module(worked_paths):
     assert json.loads(proc.stdout)["embeddings"] == 2
 
 
+def test_package_runs_as_module(worked_paths):
+    data, query = worked_paths
+    proc = subprocess.run(
+        [sys.executable, "-m", "submatch", "run", "--data", data, "--query", query],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["embeddings"] == 2
+
+
 def test_dram_ratio_scales_basic_cycles(capsys, worked_paths):
     data, query = worked_paths
     _, out1 = run_cli(capsys, "run", "--data", data, "--query", query, "--no", "4")

@@ -1,3 +1,4 @@
+import gc
 import random
 from types import SimpleNamespace
 
@@ -6,13 +7,19 @@ import pytest
 from submatch import (
     Graph,
     GraphFormatError,
+    PartitionConfig,
+    SchedulerState,
     candidates_by_local_features,
     graph_to_text,
     load_graph,
+    powerlaw_graph,
     random_graph,
+    run_job,
     save_graph,
 )
 from submatch import fixtures
+from submatch.candidate_tree import start_candidates
+from submatch.graph import paused_collector
 
 import helpers
 
@@ -151,8 +158,10 @@ def brute_neighbour_labels(graph):
     return [{graph.labels[w] for w in graph.adj[v]} for v in range(graph.num_vertices)]
 
 
-def mask_labels(mask):
-    return {bit for bit in range(mask.bit_length()) if mask >> bit & 1}
+def mask_labels(graph, mask):
+    """The labels whose rank bits are set in one of graph's masks."""
+    by_rank = sorted(set(graph.labels))
+    return {by_rank[bit] for bit in range(mask.bit_length()) if mask >> bit & 1}
 
 
 def test_neighbour_labels_match_brute_force_sets():
@@ -164,8 +173,10 @@ def test_neighbour_labels_match_brute_force_sets():
     for graph in graphs:
         masks = graph.neighbour_labels
         assert len(masks) == graph.num_vertices
-        assert [mask_labels(m) for m in masks] == brute_neighbour_labels(graph)
-    assert graphs[-1].neighbour_labels[4] == 1 << 64 | 1 << 65
+        assert [mask_labels(graph, m) for m in masks] == brute_neighbour_labels(graph)
+    rank = graphs[-1].label_rank
+    assert rank == {0: 0, 7: 1, 63: 2, 64: 3, 65: 4, 200: 5}
+    assert graphs[-1].neighbour_labels[4] == 1 << rank[64] | 1 << rank[65]
     assert graphs[-1].neighbour_labels[6] == 0
 
 
@@ -173,6 +184,195 @@ def test_neighbour_labels_built_once_on_first_use():
     data = Graph.from_edges([1, 2, 1], [(0, 1), (1, 2)])
     assert "neighbour_labels" not in data.__dict__
     first = data.neighbour_labels
-    assert first == (1 << 2, 1 << 1, 1 << 2)
+    rank = data.label_rank
+    assert first == (1 << rank[2], 1 << rank[1], 1 << rank[2]) == (1 << 1, 1 << 0, 1 << 1)
     assert data.neighbour_labels is first
     assert data == Graph(data.labels, data.adj, data.degrees)  # the masks are not compared
+
+
+def spread(graph, factor):
+    """graph with each label L replaced by (L + 1) * factor + L."""
+    return Graph(tuple((lab + 1) * factor + lab for lab in graph.labels), graph.adj, graph.degrees)
+
+
+def test_label_masks_follow_the_number_of_labels_not_their_values():
+    instances = [(data, query) for data, query, _, _ in helpers.solvable_instances(12, 1300)]
+    # a 3-vertex data graph with one huge label against a 2-vertex query: two answers
+    instances.append((Graph.from_edges([0, 300_000_000, 0], [(0, 1), (1, 2)]), Graph.from_edges([0, 300_000_000], [(0, 1)])))
+    answers = []
+    for data, query in instances:
+        expected, _ = run_job(data, query, PartitionConfig(), SchedulerState(), "share")
+        answers.append(len(expected))
+        for factor in (1, 10**12, 10**15):
+            big_data, big_query = spread(data, factor), spread(query, factor)
+            assert len(big_data.label_rank) == len(set(data.labels))
+            assert max(big_data.neighbour_labels).bit_length() <= len(big_data.label_rank)
+            embeddings, _ = run_job(big_data, big_query, PartitionConfig(), SchedulerState(), "share")
+            assert embeddings == expected
+    assert answers[-1] == 2 and sum(answers) > 0
+
+
+def test_query_label_absent_from_data_leaves_no_candidates():
+    data = Graph.from_edges([0, 1, 0], [(0, 1), (1, 2)])
+    # data vertex 1 (label 1) has label-0 neighbours; the query's label 5e12 is absent from the data
+    query = Graph.from_edges([1, 5 * 10**12], [(0, 1)])
+    assert [sorted(c) for c in start_candidates(data, query)] == [[], []]
+    assert run_job(data, query, PartitionConfig(), SchedulerState(), "share")[0] == []
+
+
+def random_edge_list(rng, n, p):
+    """The edges of a random simple graph on n vertices, each in random orientation, shuffled."""
+    edges = [(a, b) if rng.random() < 0.5 else (b, a) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_from_edges_equals_set_based_reference():
+    rng = random.Random(17)
+    cases = [([], []), ([3], []), ([0, 1, 2], []), ([0, 1, 2, 0], [(3, 0)])]  # n=0, no edges, isolated vertices
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        cases.append(([rng.randrange(4) for _ in range(n)], random_edge_list(rng, n, rng.uniform(0, 0.6))))
+    for labels, edges in cases:
+        expected = helpers.reference_from_edges(labels, edges)
+        assert Graph.from_edges(labels, edges) == expected
+        assert Graph.from_edges(labels, iter(edges)) == expected  # one-shot iterator
+        assert Graph.from_edges(labels, (e for e in edges)) == expected  # one-shot generator
+
+
+def error_message(build, labels, edges):
+    with pytest.raises(GraphFormatError) as info:
+        build(labels, list(edges))
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "labels, edges",
+    [
+        ([0, -2, 1, -1], [(0, 1)]),  # negative label
+        ([0, 1, 2, 3], [(0, 1), (2, 2)]),  # self-loop
+        ([0, 1, 2, 3], [(0, 1), (0, 4)]),  # endpoint out of range, either side
+        ([0, 1, 2, 3], [(0, 1), (9, 2)]),
+        ([0, 1, 2, 3], [(0, 1), (2, -1)]),  # negative endpoints
+        ([0, 1, 2, 3], [(0, 1), (-1, 2)]),
+        ([0, 1, 2, 3], [(-4, 1)]),
+        ([0, 1, 2, 3], [(1, -5)]),
+        ([0, 1, 2, 3], [(-1, -2)]),
+        ([0, 1, 2, 3], [(-3, -3)]),
+        ([], [(0, 1)]),
+        ([0, 1, 2, 3], [(0, 1), (1, 2), (0, 1)]),  # duplicate, same orientation
+        ([0, 1, 2, 3], [(0, 1), (1, 2), (1, 0)]),  # duplicate, reversed
+        # two defects: the first in input order is named
+        ([0, 1, 2, 3], [(0, 1), (0, 1), (2, 2)]),
+        ([0, 1, 2, 3], [(2, 2), (0, 1), (0, 1)]),
+        ([0, 1, 2, 3], [(0, 1), (1, 0), (0, 9)]),
+        ([0, 1, 2, 3], [(0, 9), (0, 1), (1, 0)]),
+        ([0, 1, 2, 3], [(1, 2), (2, 1), (0, -1)]),
+        ([0, 1, 2, 3], [(0, -1), (1, 2), (2, 1)]),
+        ([0, 1, 2, 3], [(3, -1), (3, 3)]),
+        ([0, 1, 2, 3], [(3, 3), (3, -1)]),
+        ([0, 1, 2, 3], [(2, 3), (1, 2), (0, 4), (3, 2)]),
+    ],
+)
+def test_from_edges_defects_raise_the_reference_message(labels, edges):
+    expected = error_message(helpers.reference_from_edges, labels, edges)
+    assert error_message(Graph.from_edges, labels, edges) == expected
+    assert error_message(lambda lab, e: Graph.from_edges(lab, iter(e)), labels, edges) == expected
+
+
+def test_from_edges_names_the_first_of_random_defects():
+    rng = random.Random(23)
+    defects = [lambda n: (0, 0), lambda n: (n - 1, n - 1), lambda n: (0, n), lambda n: (n + 3, 1),
+               lambda n: (-1, 0), lambda n: (1, -n), lambda n: (-n - 1, 0)]
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        labels = [rng.randrange(3) for _ in range(n)]
+        edges = random_edge_list(rng, n, 0.5)
+        for _ in range(2):
+            if edges and rng.random() < 0.4:
+                a, b = rng.choice(edges)
+                bad = (a, b) if rng.random() < 0.5 else (b, a)  # a repeat, either orientation
+            else:
+                bad = rng.choice(defects)(n)
+            edges.insert(rng.randint(0, len(edges)), bad)
+        assert error_message(Graph.from_edges, labels, edges) == error_message(helpers.reference_from_edges, labels, edges)
+
+
+def test_edges_equals_the_filtered_rows():
+    rng = random.Random(29)
+    graphs = [Graph.from_edges([], []), Graph.from_edges([0, 0, 0], [(2, 0)]), fixtures.worked_data()]
+    graphs += [random_graph(rng.randint(1, 40), rng.uniform(0, 0.5), 3, rng) for _ in range(30)]
+    for g in graphs:
+        assert g.edges() == [(a, b) for a in range(g.num_vertices) for b in g.adj[a] if a < b]
+
+
+class RecordingRandom(random.Random):
+    """A Random that records, at each `choices` call, whether the collector was on."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.collector_on = []
+
+    def choices(self, *args, **kwargs):
+        self.collector_on.append(gc.isenabled())
+        return super().choices(*args, **kwargs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_builders_pause_the_collector_and_leave_it_as_found(enabled):
+    collector_on = []
+
+    def recorded(edges):
+        for edge in edges:
+            collector_on.append(gc.isenabled())
+            yield edge
+
+    rng = RecordingRandom(5)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        Graph.from_edges([0, 1, 2], recorded([(0, 1), (1, 2)]))
+        assert gc.isenabled() == enabled
+        with pytest.raises(GraphFormatError):
+            Graph.from_edges([0, 1, 2], recorded([(0, 1), (1, 1)]))
+        assert gc.isenabled() == enabled
+        with pytest.raises(GraphFormatError):
+            Graph.from_edges([0, -1], [])
+        assert gc.isenabled() == enabled
+        assert powerlaw_graph(200, 2.5, 3, rng).num_edges > 0
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError):
+            powerlaw_graph(0, 2.5, 3, 1)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert collector_on == [False] * 4
+    assert rng.collector_on and not any(rng.collector_on)
+
+
+def test_paused_collector_leaves_the_due_collection_to_the_caller():
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    @paused_collector
+    def allocate():
+        assert not gc.isenabled()
+        return [[] for _ in range(5000)]  # tracked objects, far above the young threshold
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        kept = allocate()
+        during = len(starts)  # allocates nothing tracked, so collects nothing
+        assert gc.isenabled()
+        after = [kept]  # the caller's next allocation starts the collection
+        assert (during, len(starts) > 0) == (0, True)
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was_enabled else gc.disable)()
+    assert after[0] is kept
