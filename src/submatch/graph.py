@@ -157,12 +157,12 @@ class Graph:
                 adj[a].append(b)
                 adj[b].append(a)
         except IndexError:
-            raise _first_defect(n, edges) from None
+            raise GraphFormatError(_first_defect(n, edges)[1]) from None  # type: ignore[index]
         for row in adj:
             row.sort()
         rows = tuple(map(tuple, adj))
         if not _rows_well_formed(rows):
-            raise _first_defect(n, edges)
+            raise GraphFormatError(_first_defect(n, edges)[1])  # type: ignore[index]
         return cls(tuple(labels), rows, tuple(map(len, rows)))
 
 
@@ -179,19 +179,19 @@ def _rows_well_formed(rows: Iterable[tuple[int, ...]]) -> bool:
     return not any(map(eq, flat, islice(flat, 1, None)))
 
 
-def _first_defect(n: int, edges: Iterable[tuple[int, int]]) -> GraphFormatError:
-    """The error naming the first defective edge in input order (one exists)."""
+def _first_defect(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str] | None:
+    """Index and description of the first defective edge in input order, if any."""
     seen: set[tuple[int, int]] = set()
-    for a, b in edges:
+    for i, (a, b) in enumerate(edges):
         if a == b:
-            return GraphFormatError(f"self-loop at vertex {a}")
+            return i, f"self-loop at vertex {a}"
         if not (0 <= a < n and 0 <= b < n):
-            return GraphFormatError(f"edge ({a}, {b}) references unknown vertex")
+            return i, f"edge ({a}, {b}) references unknown vertex"
         if (a, b) in seen:
-            return GraphFormatError(f"duplicate edge ({a}, {b})")
+            return i, f"duplicate edge ({a}, {b})"
         seen.add((a, b))
         seen.add((b, a))
-    raise AssertionError("no defective edge")
+    return None
 
 
 def load_graph(path) -> Graph:
@@ -206,80 +206,87 @@ def load_graph(path) -> Graph:
     vertex_line: list[int] = []
     declared_degree: list[int] = []
     edges: list[tuple[int, int]] = []
-    edge_seen: set[tuple[int, int]] = set()
+    edge_lines: list[int] = []  # file line of each edge
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            kind = parts[0]
-            if kind == "t":
-                if header is not None:
-                    raise GraphFormatError("duplicate header", lineno)
-                if len(parts) != 3:
-                    raise GraphFormatError("malformed header, expected 't <|V|> <|E|>'", lineno)
-                try:
-                    nv, ne = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise GraphFormatError("malformed header, counts must be integers", lineno)
-                if nv < 0 or ne < 0:
-                    raise GraphFormatError("negative count in header", lineno)
-                header = (nv, ne)
-                labels = [None] * nv
-                vertex_line = [0] * nv
-                declared_degree = [0] * nv
-            elif kind == "v":
-                if header is None:
-                    raise GraphFormatError("vertex line before header", lineno)
-                if len(parts) != 4:
-                    raise GraphFormatError("malformed vertex line, expected 'v <id> <label> <degree>'", lineno)
-                try:
-                    vid, lab, deg = int(parts[1]), int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise GraphFormatError("malformed vertex line, fields must be integers", lineno)
-                if not 0 <= vid < header[0]:
-                    raise GraphFormatError(f"vertex id {vid} outside 0..{header[0] - 1}", lineno)
-                if labels[vid] is not None:
-                    raise GraphFormatError(f"duplicate vertex {vid}", lineno)
-                if lab < 0:
-                    raise GraphFormatError(f"negative label {lab}", lineno)
-                labels[vid] = lab
-                vertex_line[vid] = lineno
-                declared_degree[vid] = deg
-            elif kind == "e":
-                if header is None:
-                    raise GraphFormatError("edge line before header", lineno)
-                if len(parts) != 3:
-                    raise GraphFormatError("malformed edge line, expected 'e <src> <dst>'", lineno)
-                try:
-                    a, b = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise GraphFormatError("malformed edge line, endpoints must be integers", lineno)
-                if a == b:
-                    raise GraphFormatError(f"self-loop at vertex {a}", lineno)
-                if a > b:
-                    raise GraphFormatError(f"edge ({a}, {b}) must be written src < dst", lineno)
-                for end in (a, b):
-                    if not 0 <= end < header[0] or labels[end] is None:
-                        raise GraphFormatError(f"edge references unknown vertex {end}", lineno)
-                if (a, b) in edge_seen:
-                    raise GraphFormatError(f"duplicate edge ({a}, {b})", lineno)
-                edge_seen.add((a, b))
-                edges.append((a, b))
-            else:
-                raise GraphFormatError(f"unknown record type {kind!r}", lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                kind = parts[0]
+                if kind == "t":
+                    if header is not None:
+                        raise GraphFormatError("duplicate header", lineno)
+                    if len(parts) != 3:
+                        raise GraphFormatError("malformed header, expected 't <|V|> <|E|>'", lineno)
+                    try:
+                        nv, ne = int(parts[1]), int(parts[2])
+                    except ValueError:
+                        raise GraphFormatError("malformed header, counts must be integers", lineno)
+                    if nv < 0 or ne < 0:
+                        raise GraphFormatError("negative count in header", lineno)
+                    header = (nv, ne)
+                    labels = [None] * nv
+                    vertex_line = [0] * nv
+                    declared_degree = [0] * nv
+                elif kind == "v":
+                    if header is None:
+                        raise GraphFormatError("vertex line before header", lineno)
+                    if len(parts) != 4:
+                        raise GraphFormatError("malformed vertex line, expected 'v <id> <label> <degree>'", lineno)
+                    try:
+                        vid, lab, deg = int(parts[1]), int(parts[2]), int(parts[3])
+                    except ValueError:
+                        raise GraphFormatError("malformed vertex line, fields must be integers", lineno)
+                    if not 0 <= vid < header[0]:
+                        raise GraphFormatError(f"vertex id {vid} outside 0..{header[0] - 1}", lineno)
+                    if labels[vid] is not None:
+                        raise GraphFormatError(f"duplicate vertex {vid}", lineno)
+                    if lab < 0:
+                        raise GraphFormatError(f"negative label {lab}", lineno)
+                    labels[vid] = lab
+                    vertex_line[vid] = lineno
+                    declared_degree[vid] = deg
+                elif kind == "e":
+                    if header is None:
+                        raise GraphFormatError("edge line before header", lineno)
+                    if len(parts) != 3:
+                        raise GraphFormatError("malformed edge line, expected 'e <src> <dst>'", lineno)
+                    try:
+                        a, b = int(parts[1]), int(parts[2])
+                    except ValueError:
+                        raise GraphFormatError("malformed edge line, endpoints must be integers", lineno)
+                    if a == b:
+                        raise GraphFormatError(f"self-loop at vertex {a}", lineno)
+                    if a > b:
+                        raise GraphFormatError(f"edge ({a}, {b}) must be written src < dst", lineno)
+                    for end in (a, b):
+                        if not 0 <= end < header[0] or labels[end] is None:
+                            raise GraphFormatError(f"edge references unknown vertex {end}", lineno)
+                    edges.append((a, b))
+                    edge_lines.append(lineno)
+                else:
+                    raise GraphFormatError(f"unknown record type {kind!r}", lineno)
 
-    if header is None:
-        raise GraphFormatError("missing 't <|V|> <|E|>' header")
-    for vid, lab in enumerate(labels):
-        if lab is None:
-            raise GraphFormatError(f"vertex {vid} never declared (ids must be dense 0..{header[0] - 1})")
-    if len(edges) != header[1]:
-        raise GraphFormatError(f"header declares {header[1]} edges, file has {len(edges)}")
+        if header is None:
+            raise GraphFormatError("missing 't <|V|> <|E|>' header")
+        for vid, lab in enumerate(labels):
+            if lab is None:
+                raise GraphFormatError(f"vertex {vid} never declared (ids must be dense 0..{header[0] - 1})")
+        if len(edges) != header[1]:
+            raise GraphFormatError(f"header declares {header[1]} edges, file has {len(edges)}")
 
-    graph = Graph.from_edges([int(x) for x in labels], edges)  # type: ignore[arg-type]
+        graph = Graph.from_edges([int(x) for x in labels], edges)  # type: ignore[arg-type]
+    except GraphFormatError:
+        # Graph.from_edges finds repeated edges in bulk once the file is
+        # read, so a repeat among the edges read so far precedes the error.
+        defect = _first_defect(header[0] if header else 0, edges)
+        if defect is None:
+            raise
+        raise GraphFormatError(defect[1], edge_lines[defect[0]]) from None
+
     for vid in range(header[0]):
         if declared_degree[vid] != graph.degrees[vid]:
             raise GraphFormatError(

@@ -25,6 +25,19 @@ stored list holds candidates of its target vertex alone, so with
 pairwise disjoint candidate sets (every query label distinct) no
 candidate can repeat a vertex of its partial.
 
+A free tail (QueryPlan.tail_start) is expanded in one step. In it,
+every vertex's parent is matched before the tail and no vertex has a
+non-tree check; with disjoint candidate sets no visited check runs
+either. So every extension survives, and a partial p filed at the
+tail's first level has exactly the answers p x row_1 x ... x row_m,
+row_j being p's stored list toward the tail's j-th vertex. They are
+appended as one itertools.product, built in C, when p would be filed.
+The product walks the sorted rows lexicographically and p's answers
+all precede a later partial's, so the list stays increasing. The rounds
+that would have built them are replayed from the rows' lengths alone
+(_tail_rounds), so the trace, counters and buffer peak are those of the
+round-by-round run, and the modelled cycles cannot move.
+
 An input's surviving extensions are built as partial + (v,) per
 candidate when there are few of them, and by zipping one repeat() per
 prefix slot with the candidate list when there are more than
@@ -47,7 +60,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .candidate_tree import CandidateTree
@@ -314,7 +327,10 @@ def pipeline_enumerate(
     _ZIP_CUTOVER of them has its tuples built by zip rather than one
     concatenation each (see the module docstring). The round's task
     counts are closed forms: one visited task per output and one edge
-    task per output and earlier non-tree neighbor. Counters on `model`
+    task per output and earlier non-tree neighbor. With disjoint
+    candidate sets, partials that reach the plan's free tail get their
+    answers as one product each, and the tail's rounds are replayed from
+    row lengths (see the module docstring). Counters on `model`
     accumulate across calls, which lets one model aggregate a whole
     partitioned job. When given, `buffer_stats` receives one (peak
     level occupancy, capacity) pair.
@@ -332,8 +348,8 @@ def pipeline_enumerate(
     buffer = ResultBuffer(order_length - 1, capacity)
     levels, front_offset = buffer._levels, buffer._front_offset
     roots = tree.candidates[plan.root]
-    matches: list[tuple[int, ...]] = [(v,) for v in roots] if order_length == 1 else []
-    cursor = len(matches)
+    matches: list[tuple[int, ...]] = []
+    cursor = 0
 
     # Per depth: parent position, tree-edge lists, earlier non-tree groups.
     stages: list = [None]
@@ -342,55 +358,72 @@ def pipeline_enumerate(
         checks = [(plan.position[un], tree.non_tree_adj.get((un, u), {})) for un in plan.earlier_non_tree[u]]
         stages.append((plan.position[parent], tree.tree_adj.get((parent, u), {}), checks))
     may_repeat = len(set().union(*tree.candidates)) < sum(map(len, tree.candidates))
+    tail = order_length if may_repeat else plan.tail_start
+    tail_stages = [stage[:2] for stage in stages[tail:]]
 
     round_no = 0
     depth = 0  # every level deeper than this one is empty
     while True:
         while depth and not levels[depth]:
             depth -= 1
-        if not depth:
-            if cursor >= len(roots):
-                break
-            buffer.extend([(v,) for v in roots[cursor : cursor + capacity]], 1)
-            cursor += capacity
-            depth = 1
-        parent_pos, lists, checks = stages[depth]
-        level = levels[depth]
-        offset = front_offset[depth]
-        outputs = 0
-        survivors: list[tuple[int, ...]] = []
-        while level and outputs < capacity:
-            partial = level[0]
-            cands = lists.get(partial[parent_pos], ())
-            if outputs + len(cands) - offset > capacity:
-                if outputs:
-                    break  # unconsumed input stays at the front of its level
-                chunk = cands[offset : offset + capacity]  # the rest stays queued as a continuation
-                offset += capacity
-            else:
-                level.popleft()
-                chunk = cands[offset:] if offset else cands
-                offset = 0
-            outputs += len(chunk)
-            for pos, rows in checks:
-                row = rows.get(partial[pos], ())
-                chunk = [v for v in chunk if v in row]
-            if may_repeat:
-                chunk = [v for v in chunk if v not in partial]
-            if len(chunk) > _ZIP_CUTOVER:
-                survivors += zip(*map(repeat, partial), chunk)
-            else:
-                survivors += [partial + (v,) for v in chunk]
-        front_offset[depth] = offset
+        if depth:
+            parent_pos, lists, checks = stages[depth]
+            level = levels[depth]
+            offset = front_offset[depth]
+            outputs = 0
+            survivors: list[tuple[int, ...]] = []
+            while level and outputs < capacity:
+                partial = level[0]
+                cands = lists.get(partial[parent_pos], ())
+                if outputs + len(cands) - offset > capacity:
+                    if outputs:
+                        break  # unconsumed input stays at the front of its level
+                    chunk = cands[offset : offset + capacity]  # the rest stays queued as a continuation
+                    offset += capacity
+                else:
+                    level.popleft()
+                    chunk = cands[offset:] if offset else cands
+                    offset = 0
+                outputs += len(chunk)
+                for pos, rows in checks:
+                    row = rows.get(partial[pos], ())
+                    chunk = [v for v in chunk if v in row]
+                if may_repeat:
+                    chunk = [v for v in chunk if v not in partial]
+                if len(chunk) > _ZIP_CUTOVER:
+                    survivors += zip(*map(repeat, partial), chunk)
+                else:
+                    survivors += [partial + (v,) for v in chunk]
+            front_offset[depth] = offset
 
-        edge_tasks = outputs * len(checks)
-        model.results_generated += outputs
-        model.edge_tasks_generated += edge_tasks
-        if trace is not None:
-            trace.append(RoundTrace(round_no, depth, outputs, outputs, edge_tasks, len(survivors)))
-        round_no += 1
+            edge_tasks = outputs * len(checks)
+            model.results_generated += outputs
+            model.edge_tasks_generated += edge_tasks
+            if trace is not None:
+                trace.append(RoundTrace(round_no, depth, outputs, outputs, edge_tasks, len(survivors)))
+            round_no += 1
+        elif cursor < len(roots):
+            survivors = [(v,) for v in roots[cursor : cursor + capacity]]
+            cursor += capacity
+        else:
+            break
+
         if depth + 1 == order_length:
             matches += survivors
+        elif depth + 1 == tail:
+            # Each input's answers are the product of its tail rows; the
+            # rounds that would build them are replayed from row lengths.
+            lengths = []
+            for partial in survivors:
+                rows = [lists.get(partial[pos], ()) for pos, lists in tail_stages]
+                matches += product(*[(v,) for v in partial], *rows)
+                lengths.append(list(map(len, rows)))
+            rounds, peak = _tail_rounds(lengths, capacity)
+            model.results_generated += sum(out for _, out in rounds)
+            if trace is not None:
+                trace += [RoundTrace(round_no + i, tail + r, out, out, 0, out) for i, (r, out) in enumerate(rounds)]
+            round_no += len(rounds)
+            buffer.max_occupancy = max(buffer.max_occupancy, peak)
         elif survivors:
             buffer.extend(survivors, depth + 1)
             depth += 1
@@ -398,6 +431,66 @@ def pipeline_enumerate(
     if buffer_stats is not None:
         buffer_stats.append((buffer.max_occupancy, capacity))
     return matches, model
+
+
+def _tail_rounds(lengths: Sequence[Sequence[int]], capacity: int) -> tuple[list[tuple[int, int]], int]:
+    """Replay the rounds that drain inputs filed at a free tail's first level.
+
+    lengths[i][r] is the length of input i's row toward the tail's r-th
+    vertex. Every extension in a free tail survives, and all partials
+    descending from input i have the same rows, so tail level r holds
+    run-length entries [count, i]: count partials from input i, each with
+    lengths[i][r] candidates. Rounds admit them as pipeline_enumerate
+    does (deepest level first, FIFO, at most `capacity` outputs, a list
+    longer than `capacity` split into continuations, empty rows popped),
+    a whole run of equal lists per step. Returns each round's (tail
+    level, outputs) in round order and the largest fill of any level.
+    """
+    if not lengths:
+        return [], 0
+    width = len(lengths[0])
+    queues: list[deque[list[int]]] = [deque() for _ in range(width)]
+    queues[0].extend([1, i] for i in range(len(lengths)))
+    offsets = [0] * width
+    rounds: list[tuple[int, int]] = []
+    peak = len(lengths)
+    r = 0
+    while True:
+        while not queues[r]:
+            if not r:
+                return rounds, peak
+            r -= 1
+        queue = queues[r]
+        offset = offsets[r]
+        outputs = 0
+        filed = []
+        while queue and outputs < capacity:
+            run = queue[0]
+            count, i = run
+            size = lengths[i][r]
+            if size - offset > capacity - outputs:
+                if outputs:
+                    break  # unconsumed input stays at the front of its level
+                taken = capacity  # the rest stays queued as a continuation
+                offset += capacity
+            else:
+                # the rest of a continuation, every empty row, or the equal lists that fit
+                admitted = 1 if offset else count if not size else min(count, (capacity - outputs) // size)
+                taken = admitted * size - offset
+                offset = 0
+                if admitted < count:
+                    run[0] -= admitted
+                else:
+                    queue.popleft()
+            outputs += taken
+            if taken:
+                filed.append([taken, i])
+        offsets[r] = offset
+        rounds.append((r, outputs))
+        if filed and r + 1 < width:
+            queues[r + 1].extend(filed)
+            peak = max(peak, outputs)
+            r += 1
 
 
 def _issue_cycles(flavor: str, n: int, m: int) -> int:

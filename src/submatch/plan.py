@@ -27,7 +27,10 @@ class QueryPlan:
     parent[root] is None. Every query edge is either a tree edge
     (parent/children) or appears in both endpoints' non_tree lists.
     bfs_order lists vertices parents-first; position is the inverse
-    permutation of order.
+    permutation of order. tail_start is where the order's free tail
+    begins: the longest suffix, of two or more vertices, whose every
+    vertex has its tree parent before the suffix and no earlier
+    non-tree neighbour; num_vertices when there is none.
     """
 
     root: int
@@ -38,6 +41,7 @@ class QueryPlan:
     bfs_order: tuple[int, ...]
     position: tuple[int, ...]
     earlier_non_tree: tuple[tuple[int, ...], ...]
+    tail_start: int
 
     @property
     def num_vertices(self) -> int:
@@ -45,13 +49,21 @@ class QueryPlan:
 
     @staticmethod
     def assemble(root, parent, children, non_tree, order, bfs_order) -> "QueryPlan":
-        """Fill in the derived position and earlier-neighbor tables."""
-        position = [0] * len(order)
+        """Fill in the derived position and earlier-neighbor tables and the tail start."""
+        n = len(order)
+        position = [0] * n
         for i, u in enumerate(order):
             position[u] = i
-        earlier = tuple(
-            tuple(un for un in non_tree[u] if position[un] < position[u]) for u in range(len(order))
-        )
+        earlier = tuple(tuple(un for un in non_tree[u] if position[un] < position[u]) for u in range(n))
+        tail_start = n
+        latest_parent = 0  # latest parent position over order[t:]
+        for t in range(n - 1, 0, -1):
+            u = order[t]
+            if earlier[u]:
+                break
+            latest_parent = max(latest_parent, position[parent[u]])
+            if latest_parent < t and t <= n - 2:
+                tail_start = t
         return QueryPlan(
             root=root,
             parent=tuple(parent),
@@ -61,6 +73,7 @@ class QueryPlan:
             bfs_order=tuple(bfs_order),
             position=tuple(position),
             earlier_non_tree=earlier,
+            tail_start=tail_start,
         )
 
 

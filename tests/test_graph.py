@@ -86,6 +86,21 @@ def test_parse_errors_reject_whole_file_with_line(tmp_path, body, fragment, line
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "header, later",
+    [("t 2 3", "e 0\n"), ("t 2 3", "e 0 1\n"), ("t 2 3", "x\n"), ("t 2 3", ""), ("t 3 2", "")],
+    ids=["malformed", "third_copy", "unknown_record", "edge_count", "undeclared_vertex"],
+)
+def test_repeated_edge_is_reported_before_a_later_defect(tmp_path, header, later):
+    # repeats are found once the whole file is read, yet the first defect in file order wins
+    path = tmp_path / "bad.graph"
+    path.write_text(header + "\nv 0 0 1\nv 1 0 1\ne 0 1\ne 0 1\n# line 6\n" + later)
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert "duplicate edge (0, 1)" in str(err.value)
+    assert err.value.line == 5
+
+
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     path = tmp_path / "c.graph"
     path.write_text("# header\n\nt 2 1\n# vertices\nv 0 0 1\nv 1 0 1\ne 0 1\n")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from submatch import (
     generate_batch,
     host_match,
     pipeline_enumerate,
+    project_tree,
     synchronize,
     validate_edges,
     validate_visited,
@@ -299,6 +301,55 @@ def test_default_cutover_sends_benchmark_chunks_down_both_paths(monkeypatch):
             filed += sum(r.accepted for r in trace)
     assert zipped and min(zipped) > kernel._ZIP_CUTOVER
     assert 0 < sum(zipped) < filed  # the rest were built by the comprehension
+
+
+def test_only_free_tails_are_built_by_product(monkeypatch):
+    pools = []
+
+    def recording_product(*rows):
+        pools.append(len(rows))
+        return itertools.product(*rows)
+
+    monkeypatch.setattr(kernel, "product", recording_product)
+    for name, tree, plan in _kernel_trees():
+        if name in fixtures.QUERY_NAMES:
+            pools.clear()
+            pipeline_enumerate(tree, plan)
+            if name in ("q0", "q3"):  # stars: every vertex after the root is a free leaf
+                assert pools == [plan.num_vertices] * len(tree.candidates[plan.root]), name
+            else:
+                assert not pools, name
+
+
+def _assert_equal_to_staged_reference(tree, plan, capacities):
+    for capacity in capacities:
+        fused = _run_kernel(pipeline_enumerate, tree, plan, capacity)
+        assert fused == _run_kernel(helpers.reference_pipeline_enumerate, tree, plan, capacity), capacity
+        assert fused[0] == host_match(tree, plan), capacity
+
+
+def test_free_tail_with_empty_rows_equals_staged_reference():
+    # a projected tree-query chunk: root candidates keep no row toward the cut tail vertex
+    data, query = fixtures.benchmark_graph(), fixtures.benchmark_queries()["q3"]
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    u = plan.order[-1]
+    chunk = project_tree(tree, plan, u, tree.candidates[u][:1])
+    assert plan.tail_start == 1
+    assert set(chunk.tree_adj[(plan.root, u)]) < set(chunk.candidates[plan.root])
+    _assert_equal_to_staged_reference(chunk, plan, (1, 2, 5, 1024))
+
+
+def test_free_tail_lists_longer_than_capacity_equal_staged_reference():
+    # a 3-leaf star whose one root has 7, 1 and 5 neighbours of the leaf labels
+    leaves = [1] * 7 + [2] + [3] * 5
+    data = Graph.from_edges([0] + leaves, [(0, v) for v in range(1, 14)])
+    query = Graph.from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    assert plan.tail_start == 1 and tree.max_degree == 7
+    _assert_equal_to_staged_reference(tree, plan, (1, 2, 3, 6, 8))
+    assert len(pipeline_enumerate(tree, plan, "sep", 3)[0]) == 35
 
 
 def test_matches_come_out_strictly_increasing_without_a_sort():

@@ -13,6 +13,7 @@ from submatch import (
     build_query_plan,
     host_match,
     pipeline_enumerate,
+    powerlaw_graph,
     run_job,
     save_graph,
 )
@@ -139,3 +140,35 @@ def test_single_vertex_query_matches_each_label_class(tmp_path, capsys):
 def test_plan_is_deterministic():
     data, query = helpers.make_instance(3131)
     assert build_query_plan(query, data) == build_query_plan(query, data)
+
+
+def reference_tail_start(plan):
+    """The definition: the smallest t <= n - 2 whose suffix order[t:] has
+    every parent before t and no earlier non-tree neighbour, else n."""
+    n = plan.num_vertices
+    for t in range(1, n - 1):
+        suffix = plan.order[t:]
+        if all(plan.position[plan.parent[u]] < t and not plan.earlier_non_tree[u] for u in suffix):
+            return t
+    return n
+
+
+def test_tail_start_matches_its_definition():
+    starts = []
+    for seed in range(300):
+        data, query = helpers.make_instance(40_000 + seed, max_data=30, max_query=8)
+        plan = build_query_plan(query, data)
+        assert plan.tail_start == reference_tail_start(plan), seed
+        starts.append(plan.tail_start < plan.num_vertices)
+    assert any(starts) and not all(starts)
+    _, plan = fixtures.partition_example()
+    assert plan.tail_start == 4  # vertex 2 checks a non-tree edge; vertex 3 hangs below vertex 1
+
+
+def test_only_the_star_bench_queries_have_a_free_tail():
+    graphs = {"3k": fixtures.benchmark_graph(), "30k": powerlaw_graph(30000, 2.5, 11, 1357, avg_degree=10.0)}
+    for graph_name, data in graphs.items():
+        for name, query in fixtures.benchmark_queries().items():
+            plan = build_query_plan(query, data)
+            expected = 1 if name in ("q0", "q3") else plan.num_vertices
+            assert plan.tail_start == expected, (graph_name, name)
