@@ -7,14 +7,16 @@ stores the analogous lists in both directions. Any embedding can be
 enumerated by walking these lists alone, never touching the data graph.
 
 Construction first refines the candidate sets alone. It starts from the
-local-feature filter (same label, at least the query degree), pre-filtered
-by neighbour labels: v stays a candidate of u only if v has a data
-neighbour of every label among u's query neighbours, tested on the data
-graph's label masks (Graph.neighbour_labels, one bit per distinct data
-label, built once per data graph by its first job). Arc consistency
-implies that test, so the fixpoint and every stored list are those of the
-unfiltered start; only the work of reaching them shrinks (the start sets
-of q0..q8 on the 30,000-vertex bench graph are 2.4-5.5 times smaller).
+local-feature filter (same label, at least the query degree; the plan's
+own lists when the plan was built for this query and data graph),
+pre-filtered by neighbour labels: v stays a candidate of u only if v has
+a data neighbour of every label among u's query neighbours, tested on
+the data graph's label masks (Graph.neighbour_labels, one bit per
+distinct data label, built once per data graph by its first job). Arc
+consistency implies that test, so the fixpoint and every stored list are
+those of the unfiltered start; only the work of reaching them shrinks
+(the start sets of q0..q8 on the 30,000-vertex bench graph are 2.4-5.5
+times smaller).
 
 From there, one rule "keep the v in C(u) with a data neighbour in C(x)"
 is swept top-down (x = parent), bottom-up (x = each child) and top-down
@@ -23,11 +25,20 @@ of them removes nothing. A query with non-tree edges then applies the
 same rule across every query edge, tree and non-tree, from a worklist
 that starts with the non-tree arcs and re-checks only the arcs into a
 set that shrank, until no set shrinks (arc consistency). Every stored
-list is then built once from the final sets, as the sorted
-intersection of the target set with the source candidate's data
-adjacency, so each is non-empty, sorted and holds only candidates of
-its target vertex by construction, and every candidate has a stored
-partner toward each of its query neighbours.
+list is then built once from the final sets, as the members of the
+target set among the source candidate's data neighbours, so each is
+non-empty, sorted and holds only candidates of its target vertex by
+construction, and every candidate has a stored partner toward each of
+its query neighbours.
+
+Both the rule and the lists read the data graph only through its
+neighbour-label index (Graph.neighbours_by_label): C(x) holds only
+vertices of x's label, so v's partners in C(x) are among v's ascending
+row of that label, and the rest of v's adjacency is never scanned. The
+first job on a data graph pays to fill the rows it reads, at most one
+per (vertex, neighbour label) pair and so never more entries than the
+adjacency; later jobs reuse them. The sets and lists are those the full
+adjacency gives.
 """
 
 from __future__ import annotations
@@ -104,34 +115,44 @@ def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
     return size, max_degree
 
 
-def start_candidates(data: Graph, query: Graph) -> list[set[int]]:
+def start_candidates(data: Graph, query: Graph, plan: QueryPlan | None = None) -> list[set[int]]:
     """The local filter's candidates of each u whose neighbour labels cover u's.
 
-    A candidate v of u stays only if ``data.neighbour_labels[v]`` has the
-    bit of every label among u's query neighbours. Arc consistency implies
-    this test, so it only shrinks the sets the refinement starts from. A
-    query label is mapped to its bit through ``data.label_rank``; a label
-    the data graph lacks gets a bit above every data rank, which no mask
-    has, so its query neighbours keep no candidates.
+    The local filter's lists are the plan's own when build_query_plan made
+    it for this same (query, data) pair, so a job filters once; otherwise
+    they are computed here. A candidate v of u then stays only if
+    ``data.neighbour_labels[v]`` has the bit of every label among u's
+    query neighbours. Arc consistency implies this test, so it only
+    shrinks the sets the refinement starts from. A query label is mapped
+    to its bit through ``data.label_rank``; a label the data graph lacks
+    gets a bit above every data rank, which no mask has, so its query
+    neighbours keep no candidates.
     """
+    cached = plan.local_filter if plan is not None else None
+    if cached is not None and cached[0] is query and cached[1] is data:
+        local = cached[2]
+    else:
+        local = [candidates_by_local_features(data, query, u) for u in range(query.num_vertices)]
     masks = data.neighbour_labels
     rank = data.label_rank
     absent = len(rank)
     cand = []
-    for u in range(query.num_vertices):
+    for u, lst in enumerate(local):
         need = reduce(or_, (1 << rank.get(query.labels[x], absent) for x in query.adj[u]), 0)
-        cand.append({v for v in candidates_by_local_features(data, query, u) if masks[v] & need == need})
+        cand.append({v for v in lst if masks[v] & need == need})
     return cand
 
 
 def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> CandidateTree:
     """Construct and refine the candidate tree for (query, data)."""
-    cand = start_candidates(data, query)
+    cand = start_candidates(data, query, plan)
+    by_label = data.neighbours_by_label
+    labels = query.labels
 
     def keep_linked(u: int, x: int) -> bool:
         """Drop from C(u) every candidate with no data neighbour in C(x); True if C(u) shrank."""
-        other, before = cand[x], cand[u]
-        cand[u] = {v for v in before if not other.isdisjoint(data.adj[v])}
+        other, before, rows = cand[x], cand[u], by_label[labels[x]]
+        cand[u] = {v for v in before if not other.isdisjoint(rows[v])}
         return len(cand[u]) < len(before)
 
     for u in plan.bfs_order[1:]:
@@ -156,8 +177,10 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
                     arcs.append((y, u))
 
     def group(a: int, b: int) -> dict[int, list[int]]:
-        target = cand[b]
-        return {v: row for v in sorted(cand[a]) if (row := sorted(target.intersection(data.adj[v])))}
+        # C(b) holds only vertices of b's label, so its partners of v are
+        # the ones among v's ascending label-b row, already in order.
+        has, rows = cand[b].__contains__, by_label[labels[b]]
+        return {v: row for v in sorted(cand[a]) if (row := list(filter(has, rows[v])))}
 
     tree_adj = {(plan.parent[u], u): group(plan.parent[u], u) for u in plan.bfs_order[1:]}
     non_tree_adj = {(u, un): group(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]}
@@ -181,11 +204,12 @@ def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> WorkloadTable:
     """Bottom-up dynamic program counting tree-only candidate walks."""
     counts: list[dict[int, int]] = [{} for _ in range(plan.num_vertices)]
     for u in reversed(plan.bfs_order):
-        kids = plan.children[u]
+        # every stored list holds only candidates of its child, all counted already
+        kids = [(counts[c].__getitem__, tree.tree_adj.get((u, c), {})) for c in plan.children[u]]
         for v in tree.candidates[u]:
             value = 1
-            for c in kids:
-                value *= sum(counts[c].get(w, 0) for w in tree.tree_adj.get((u, c), {}).get(v, ()))
+            for count, lists in kids:
+                value *= sum(map(count, lists.get(v, ())))
                 if value == 0:
                     break
             counts[u][v] = value

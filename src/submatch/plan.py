@@ -10,7 +10,7 @@ particular by its tree parent).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph, candidates_by_local_features
@@ -31,6 +31,12 @@ class QueryPlan:
     begins: the longest suffix, of two or more vertices, whose every
     vertex has its tree parent before the suffix and no earlier
     non-tree neighbour; num_vertices when there is none.
+
+    local_filter is ``(query, data, lists)`` when the plan was built by
+    build_query_plan: lists[u] is candidates_by_local_features(data,
+    query, u), which chose the root and the order, kept so that the index
+    build reuses it for that same (query, data) pair instead of filtering
+    again. It takes no part in equality.
     """
 
     root: int
@@ -42,13 +48,14 @@ class QueryPlan:
     position: tuple[int, ...]
     earlier_non_tree: tuple[tuple[int, ...], ...]
     tail_start: int
+    local_filter: tuple[Graph, Graph, list[list[int]]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_vertices(self) -> int:
         return len(self.order)
 
     @staticmethod
-    def assemble(root, parent, children, non_tree, order, bfs_order) -> "QueryPlan":
+    def assemble(root, parent, children, non_tree, order, bfs_order, local_filter=None) -> "QueryPlan":
         """Fill in the derived position and earlier-neighbor tables and the tail start."""
         n = len(order)
         position = [0] * n
@@ -74,6 +81,7 @@ class QueryPlan:
             position=tuple(position),
             earlier_non_tree=earlier,
             tail_start=tail_start,
+            local_filter=local_filter,
         )
 
 
@@ -142,4 +150,4 @@ def build_query_plan(query: Graph, data: Graph) -> QueryPlan:
                 placed[u] = True
                 order.append(u)
 
-    return QueryPlan.assemble(root, parent, children, non_tree, order, bfs_order)
+    return QueryPlan.assemble(root, parent, children, non_tree, order, bfs_order, (query, data, local))

@@ -1,5 +1,11 @@
+import random
+
+import submatch.candidate_tree
+import submatch.plan
 from submatch import (
     Graph,
+    PartitionConfig,
+    SchedulerState,
     brute_force_tree_walks,
     build_candidate_tree,
     build_query_plan,
@@ -7,6 +13,7 @@ from submatch import (
     dump_tree,
     estimate_workload,
     host_match,
+    run_job,
     tree_metrics,
 )
 from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, CandidateTree, start_candidates
@@ -238,3 +245,49 @@ def test_neighbour_label_prefilter_shrinks_start_sets_and_keeps_the_index():
             if start[u] < local:
                 shrunk.append((name, u))
     assert shrunk
+
+
+def test_index_on_a_shared_graph_equals_the_index_on_a_fresh_one():
+    # no state leaks between jobs: each bundled query's tree, built after
+    # the other eight have filled the graph's neighbour-label rows,
+    # equals its tree on an unused copy of the graph
+    bench = fixtures.benchmark_graph()
+    queries = sorted(fixtures.benchmark_queries().items())
+    for name, query in queries:
+        shared, fresh = (Graph(bench.labels, bench.adj, bench.degrees) for _ in range(2))
+        for other_name, other in queries:
+            if other_name != name:
+                build_candidate_tree(shared, other, build_query_plan(other, shared))
+        assert "neighbours_by_label" not in fresh.__dict__
+        warm = build_candidate_tree(shared, query, build_query_plan(query, shared))
+        cold = build_candidate_tree(fresh, query, build_query_plan(query, fresh))
+        assert dump_tree(warm) == dump_tree(cold), name
+
+
+def test_index_build_reuses_the_plans_local_filter(monkeypatch):
+    calls = []
+
+    def counted(data, query, u):
+        calls.append(u)
+        return candidates_by_local_features(data, query, u)
+
+    monkeypatch.setattr(submatch.plan, "candidates_by_local_features", counted)
+    monkeypatch.setattr(submatch.candidate_tree, "candidates_by_local_features", counted)
+    data = fixtures.benchmark_graph()
+    for name, query in sorted(fixtures.benchmark_queries().items()):
+        calls.clear()
+        run_job(data, query, PartitionConfig(), SchedulerState(), "share")
+        assert sorted(calls) == list(range(query.num_vertices)), name
+
+
+def test_plan_for_another_graph_or_query_does_not_lend_its_local_filter():
+    # a plan is a valid order for any data graph and for any relabelling
+    # of its query; its local-filter lists are not, so they are reused
+    # only for the (query, data) pair the plan was built for
+    rng = random.Random(71)
+    for data, query, plan, _ in helpers.solvable_instances(20, 26_000, max_data=40):
+        denser = helpers.add_random_edges(data, rng.randint(5, 20), rng)
+        relabelled = Graph.from_edges([rng.choice(data.labels) for _ in query.labels], query.edges())
+        for other_data, other_query in ((denser, query), (data, relabelled)):
+            tree = build_candidate_tree(other_data, other_query, plan)
+            assert tree == helpers.reference_candidate_tree(other_data, other_query, plan)

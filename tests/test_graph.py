@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -203,6 +204,56 @@ def test_neighbour_labels_built_once_on_first_use():
     assert first == (1 << rank[2], 1 << rank[1], 1 << rank[2]) == (1 << 1, 1 << 0, 1 << 1)
     assert data.neighbour_labels is first
     assert data == Graph(data.labels, data.adj, data.degrees)  # the masks are not compared
+
+
+def assert_label_rows_match_brute_force(graph, labels):
+    """Every (vertex, label) row of neighbours_by_label equals a label filter of adj[v]."""
+    index = graph.neighbours_by_label
+    for label in labels:
+        for v in range(graph.num_vertices):
+            expected = tuple(w for w in graph.adj[v] if graph.labels[w] == label)
+            assert index[label][v] == expected, (label, v)
+            assert index[label][v] == expected  # the stored row, on the second lookup
+    # rows are stored only where non-empty: at most one per (vertex, neighbour label)
+    stored = sum(len(rows) for rows in index.values())
+    assert stored == sum(map(len, brute_neighbour_labels(graph)))
+    assert sum(len(row) for rows in index.values() for row in rows.values()) == 2 * graph.num_edges
+
+
+def test_neighbours_by_label_rows_match_brute_force():
+    rng = random.Random(43)
+    graphs = [Graph(g.labels, g.adj, g.degrees) for g in (fixtures.worked_data(), fixtures.benchmark_graph())]  # unshared copies
+    graphs += [random_graph(rng.randint(1, 40), rng.uniform(0, 0.5), rng.randint(1, 6), rng) for _ in range(20)]
+    # labels 64 and above, and an isolated vertex (6) with no row
+    graphs.append(Graph.from_edges([0, 63, 64, 65, 200, 64, 7], [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)]))
+    graphs.append(Graph.from_edges([], []))
+    for graph in graphs:
+        absent = max(graph.labels, default=0) + 1
+        assert_label_rows_match_brute_force(graph, sorted(set(graph.labels)) + [absent, 10**15])
+    assert graphs[-2].neighbours_by_label[64][4] == (2, 5)
+    assert graphs[-2].neighbours_by_label[64][6] == ()
+    assert 6 not in graphs[-2].neighbours_by_label[64]
+
+
+def test_neighbours_by_label_is_built_on_first_use_and_leaves_equality_alone():
+    worked = fixtures.worked_data()  # shared by other tests, so take unused copies
+    data, fresh = (Graph(worked.labels, worked.adj, worked.degrees) for _ in range(2))
+    before = hash(data)
+    assert "neighbours_by_label" not in data.__dict__
+    expected, _ = run_job(data, fixtures.worked_query(), PartitionConfig(), SchedulerState(), "share")
+    assert "neighbours_by_label" in data.__dict__ and data.neighbours_by_label
+    assert data == fresh and hash(data) == before == hash(fresh)
+    assert run_job(fresh, fixtures.worked_query(), PartitionConfig(), SchedulerState(), "share")[0] == expected
+    # the index refers to no graph, so a used graph is freed by reference counting alone
+    gone = weakref.ref(data)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del data
+        assert gone() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def spread(graph, factor):
