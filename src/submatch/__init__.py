@@ -2,9 +2,10 @@
 
 The package builds a complete candidate index for a labeled query over a
 labeled data graph, splits it under memory and list-length budgets,
-schedules the pieces between a host backtracking matcher and a batched
-dataflow pipeline, enumerates all embeddings exactly, and reports
-closed-form plus event-driven cycle-cost estimates for the pipeline.
+routes the pieces between a host side and a batched dataflow pipeline
+(both run the pipeline's loop; only the kernel side is costed),
+enumerates all embeddings exactly, and reports closed-form plus
+event-driven cycle-cost estimates for the pipeline.
 """
 
 from .candidate_tree import (

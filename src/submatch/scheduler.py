@@ -1,10 +1,10 @@
-"""Split matching work between the host matcher and the pipeline kernel.
+"""Split matching work between the host side and the pipeline kernel.
 
 Each partitioned tree is routed by its estimated workload: the host side
 takes it only while the host's cumulative share would stay below the
-configured fraction of all routed work. Host-routed trees are cached and
-matched by plain backtracking after partitioning finishes; kernel-routed
-trees run through the pipeline immediately.
+configured fraction of all routed work. Every tree is matched by the
+kernel's loop as soon as it is routed; only kernel-routed trees count
+towards the job's cycle model, so routing is accounting alone.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain
 
+from . import kernel
 from .candidate_tree import CandidateTree, build_candidate_tree, estimate_workload
 from .graph import Graph, paused_collector
 from .kernel import (
@@ -35,70 +36,34 @@ class SchedulerState:
     delta: float = 0.1
     w_c: int = 0
     w_f: int = 0
-    host_queue: list[CandidateTree] = field(default_factory=list)
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
 
 
-def route_tree(state: SchedulerState, tree: CandidateTree, workload: int) -> str:
+def route_tree(state: SchedulerState, workload: int) -> str:
     """Route one tree; returns "host" or "kernel" and updates the state.
 
     Host wins only under the strict share test
     w_c + w < delta * (w_c + w_f + w), so delta=0 sends everything to
-    the kernel. Host trees are cached for deferred matching.
+    the kernel.
     """
     if state.w_c + workload < state.delta * (state.w_c + state.w_f + workload):
         state.w_c += workload
-        state.host_queue.append(tree)
         return "host"
     state.w_f += workload
     return "kernel"
 
 
 def host_match(tree: CandidateTree, plan: QueryPlan) -> list[tuple[int, ...]]:
-    """Backtracking matcher over the candidate tree alone.
+    """Match one host-routed tree: the kernel's loop under a throwaway CycleModel.
 
-    Depth-first along the matching order, extending through the stored
-    parent lists and checking injectivity plus every earlier non-tree
-    neighbor through the stored non-tree lists. Never reads the data
-    graph. Results are order-aligned tuples, sorted.
+    Calls kernel.pipeline_enumerate rather than this module's attribute,
+    so whatever wraps the latter sees kernel-routed trees only. Results
+    are order-aligned tuples, sorted.
     """
-    order = plan.order
-    results: list[tuple[int, ...]] = []
-    mapping: list[int] = []
-    used: set[int] = set()
-
-    def extend(depth: int) -> None:
-        if depth == len(order):
-            results.append(tuple(mapping))
-            return
-        u = order[depth]
-        p = plan.parent[u]
-        if depth == 0:
-            pool = tree.candidates[u]
-        else:
-            pool = tree.tree_adj.get((p, u), {}).get(mapping[plan.position[p]], ())
-        for v in pool:
-            if v in used:
-                continue
-            ok = True
-            for un in plan.earlier_non_tree[u]:
-                row = tree.non_tree_adj.get((un, u), {}).get(mapping[plan.position[un]], ())
-                if v not in row:
-                    ok = False
-                    break
-            if ok:
-                mapping.append(v)
-                used.add(v)
-                extend(depth + 1)
-                mapping.pop()
-                used.remove(v)
-
-    extend(0)
-    results.sort()
-    return results
+    return kernel.pipeline_enumerate(tree, plan)[0]
 
 
 @dataclass
@@ -162,10 +127,10 @@ def run_job(
     shared graph.paused_collector, which turns it back on afterwards
     only if the caller had it on. A job allocates millions of int-only
     tuples, which the collector would otherwise scan as they are made,
-    and makes only small cycles (host_match's recursive closure), which
-    a later collection frees. The returned tuples are still tracked: a
-    caller that keeps them while it allocates has them scanned once by
-    its next collection. Results never depend on the pause.
+    and leaves no cyclic garbage on the bundled q0..q8. The returned
+    tuples are still tracked: a caller that keeps them while it
+    allocates has them scanned once by its next collection. Results
+    never depend on the pause.
     """
     if variant not in JOB_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -179,28 +144,22 @@ def run_job(
     runs: list[list[tuple[int, ...]]] = []  # non-empty sorted embedding lists
     routing_log: list[tuple[int, str]] = []
     traces: list[RoundTrace] = [] if collect_trace else None  # type: ignore[assignment]
-    kernel_trees = 0
 
     def dispatch(part: CandidateTree) -> None:
-        nonlocal kernel_trees
         workload = estimate_workload(part, plan).total
-        side = route_tree(state, part, workload)
+        side = route_tree(state, workload)
         routing_log.append((workload, side))
         if side == "kernel":
-            kernel_trees += 1
             found, _ = pipeline_enumerate(
                 part, plan, variant, capacity, model, port_limit=config.port_limit, trace=traces
             )
-            if found:
-                runs.append(found)
-
-    partitions = partition_tree(tree, plan, 0, config, dispatch)
-
-    host_trees = len(state.host_queue)
-    for cached in state.host_queue:
-        found = host_match(cached, plan)
+        else:
+            found = host_match(part, plan)
         if found:
             runs.append(found)
+
+    partitions = partition_tree(tree, plan, 0, config, dispatch)
+    kernel_trees = sum(side == "kernel" for _, side in routing_log)
 
     embeddings = runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -213,7 +172,7 @@ def run_job(
         cycles_task=cycle_estimate(model, "task", capacity),
         cycles_sep=cycle_estimate(model, "sep", capacity),
         wall_ms=wall_ms,
-        host_trees=host_trees,
+        host_trees=len(routing_log) - kernel_trees,
         kernel_trees=kernel_trees,
         results_generated=model.results_generated,
         edge_tasks_generated=model.edge_tasks_generated,

@@ -289,6 +289,51 @@ def reference_partitions(tree, plan, index, config, skipped=None):
     return out
 
 
+def reference_tree_matches(tree, plan):
+    """Backtracking matcher over the candidate tree alone.
+
+    The test reference for the kernel's loop, which both sides of a job
+    run. Depth-first along the matching order, extending through the
+    stored parent lists and checking injectivity plus every earlier
+    non-tree neighbor through the stored non-tree lists. Never reads
+    the data graph. Results are order-aligned tuples, sorted.
+    """
+    order = plan.order
+    results = []
+    mapping = []
+    used = set()
+
+    def extend(depth):
+        if depth == len(order):
+            results.append(tuple(mapping))
+            return
+        u = order[depth]
+        p = plan.parent[u]
+        if depth == 0:
+            pool = tree.candidates[u]
+        else:
+            pool = tree.tree_adj.get((p, u), {}).get(mapping[plan.position[p]], ())
+        for v in pool:
+            if v in used:
+                continue
+            ok = True
+            for un in plan.earlier_non_tree[u]:
+                row = tree.non_tree_adj.get((un, u), {}).get(mapping[plan.position[un]], ())
+                if v not in row:
+                    ok = False
+                    break
+            if ok:
+                mapping.append(v)
+                used.add(v)
+                extend(depth + 1)
+                mapping.pop()
+                used.remove(v)
+
+    extend(0)
+    results.sort()
+    return results
+
+
 def reference_pipeline_enumerate(
     tree,
     plan,

@@ -127,13 +127,13 @@ def test_criterion_3_partition_soundness():
             continue
         if count < 4:
             continue
-        whole = host_match(tree, plan)
+        whole = helpers.reference_tree_matches(tree, plan)
         pieces = []
         for part in parts:
             size, degree = tree_metrics(part)
             assert size <= config.size_budget
             assert degree <= config.degree_budget
-            pieces.extend(host_match(part, plan))
+            pieces.extend(helpers.reference_tree_matches(part, plan))
         assert len(pieces) == len(set(pieces)), "partition embeddings overlap"
         assert sorted(pieces) == whole
         checked += 1

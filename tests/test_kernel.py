@@ -12,7 +12,6 @@ from submatch import (
     build_query_plan,
     cycle_estimate,
     generate_batch,
-    host_match,
     pipeline_enumerate,
     project_tree,
     synchronize,
@@ -325,7 +324,7 @@ def _assert_equal_to_staged_reference(tree, plan, capacities):
     for capacity in capacities:
         fused = _run_kernel(pipeline_enumerate, tree, plan, capacity)
         assert fused == _run_kernel(helpers.reference_pipeline_enumerate, tree, plan, capacity), capacity
-        assert fused[0] == host_match(tree, plan), capacity
+        assert fused[0] == helpers.reference_tree_matches(tree, plan), capacity
 
 
 def test_free_tail_with_empty_rows_equals_staged_reference():
@@ -354,7 +353,7 @@ def test_free_tail_lists_longer_than_capacity_equal_staged_reference():
 
 def test_matches_come_out_strictly_increasing_without_a_sort():
     for name, tree, plan in _kernel_trees():
-        expected = host_match(tree, plan)
+        expected = helpers.reference_tree_matches(tree, plan)
         for capacity in (1, 2, 8, 1024):
             matches, _ = pipeline_enumerate(tree, plan, "sep", capacity)
             assert all(a < b for a, b in zip(matches, matches[1:])), (name, capacity)

@@ -8,7 +8,6 @@ from submatch import (
     build_candidate_tree,
     build_query_plan,
     dump_tree,
-    host_match,
     partition_factor,
     partition_tree,
     project_tree,
@@ -150,13 +149,13 @@ def test_partitions_are_disjoint_complete_and_within_budgets():
             parts = collect_partitions(tree, plan, config)
         except UnsplittableTreeError:
             continue
-        whole = host_match(tree, plan)
+        whole = helpers.reference_tree_matches(tree, plan)
         pieces = []
         for part in parts:
             size, degree = tree_metrics(part)
             assert size <= config.size_budget
             assert degree <= config.degree_budget
-            pieces.extend(host_match(part, plan))
+            pieces.extend(helpers.reference_tree_matches(part, plan))
         assert len(pieces) == len(set(pieces)), "partitions overlap"
         assert sorted(pieces) == whole
         checked += 1
@@ -290,7 +289,7 @@ def assert_refined_partitions_sound(tree, plan, config, expected):
         assert helpers.reference_refine_tree(part) == part
         size, degree = tree_metrics(part)
         assert size <= config.size_budget and degree <= config.degree_budget
-        pieces.extend(host_match(part, plan))
+        pieces.extend(helpers.reference_tree_matches(part, plan))
     assert len(pieces) == len(set(pieces)), "partitions overlap"
     assert sorted(pieces) == expected
     return len(parts)
@@ -303,7 +302,7 @@ def test_refined_partitions_on_benchmark_queries(name):
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     assert any(plan.non_tree)
-    assert_refined_partitions_sound(tree, plan, PartitionConfig(), host_match(tree, plan))
+    assert_refined_partitions_sound(tree, plan, PartitionConfig(), helpers.reference_tree_matches(tree, plan))
 
 
 def test_refined_partitions_on_random_budgets():

@@ -4,12 +4,15 @@ import random
 import pytest
 
 from submatch import (
+    CycleModel,
     Graph,
     UnsplittableTreeError,
     PartitionConfig,
     SchedulerState,
     build_candidate_tree,
     build_query_plan,
+    cycle_estimate,
+    estimate_workload,
     host_match,
     route_tree,
     run_job,
@@ -21,29 +24,26 @@ import helpers
 
 def test_delta_zero_routes_everything_to_kernel():
     state = SchedulerState(delta=0.0)
-    tree, _ = fixtures.partition_example()
     for w in (0, 1, 7, 100):
-        assert route_tree(state, tree, w) == "kernel"
-    assert state.w_c == 0 and state.host_queue == []
+        assert route_tree(state, w) == "kernel"
+    assert state.w_c == 0 and state.w_f == 108
 
 
 def test_first_tree_at_half_share_goes_to_kernel():
     # 7 < 0.5 * 7 is false, so the kernel takes the first tree
     state = SchedulerState(delta=0.5)
-    tree, _ = fixtures.partition_example()
-    assert route_tree(state, tree, 7) == "kernel"
+    assert route_tree(state, 7) == "kernel"
     assert state.w_f == 7
 
 
 def test_share_stays_bounded_and_replays():
     rng = random.Random(101)
-    tree, _ = fixtures.partition_example()
     for delta in (0.1, 0.3, 0.7):
         state = SchedulerState(delta=delta)
         log = []
         for _ in range(100):
             w = rng.randint(1, 50)
-            log.append((w, route_tree(state, tree, w)))
+            log.append((w, route_tree(state, w)))
         # replay the decision sequence independently
         w_c = w_f = 0
         for w, side in log:
@@ -85,6 +85,7 @@ def test_host_match_agrees_with_oracle():
     for data, query, plan, expected in helpers.solvable_instances(15, 50_000, max_data=40):
         tree = build_candidate_tree(data, query, plan)
         assert host_match(tree, plan) == expected
+        assert helpers.reference_tree_matches(tree, plan) == expected
 
 
 def test_run_job_worked_all_kernel():
@@ -182,7 +183,7 @@ def test_reused_state_reports_like_a_fresh_one():
     ]
     assert views[0] == views[1] == views[2]
     assert runs[0].host_trees > 0 and runs[0].kernel_trees > 0
-    assert (reused.w_c, reused.w_f, reused.host_queue) == (0, 0, [])
+    assert (reused.w_c, reused.w_f) == (0, 0) and reused == SchedulerState(delta=0.1)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -227,3 +228,42 @@ def test_run_job_returns_a_single_run_without_copying(monkeypatch):
     monkeypatch.setattr(scheduler, "pipeline_enumerate", enumerate_and_keep)
     embeddings, stats = run_job(data, query, PartitionConfig(), SchedulerState(0.0), "share")
     assert stats.kernel_trees == 1 and embeddings is runs[0]
+
+
+def test_each_side_matches_exactly_the_trees_routed_to_it(monkeypatch):
+    # q2 on the bundled graph at delta 0.1 sends 19 of its 55 trees to the host
+    data = fixtures.benchmark_graph()
+    query = fixtures.benchmark_queries()["q2"]
+    plan = build_query_plan(query, data)
+    expected, _ = run_job(data, query, PartitionConfig(), SchedulerState(0.0), "share")
+    kernel_parts, host_parts = [], []
+    real_enumerate, real_host = scheduler.pipeline_enumerate, scheduler.host_match
+
+    def enumerate_and_keep(part, *args, **kwargs):
+        kernel_parts.append(part)
+        return real_enumerate(part, *args, **kwargs)
+
+    def host_and_keep(part, *args):
+        host_parts.append(part)
+        return real_host(part, *args)
+
+    monkeypatch.setattr(scheduler, "pipeline_enumerate", enumerate_and_keep)
+    monkeypatch.setattr(scheduler, "host_match", host_and_keep)
+    embeddings, stats = run_job(data, query, PartitionConfig(), SchedulerState(0.1), "share")
+    assert (stats.host_trees, stats.kernel_trees) == (19, 36)
+    assert (len(kernel_parts), len(host_parts)) == (stats.kernel_trees, stats.host_trees)
+    assert [estimate_workload(part, plan).total for part in host_parts] == [
+        w for w, side in stats.routing_log if side == "host"
+    ]
+    assert embeddings == expected
+
+    # host trees add nothing to any counter or cycle
+    model = CycleModel()
+    for part in kernel_parts:
+        real_enumerate(part, plan, "sep", model=model)
+    assert (stats.results_generated, stats.edge_tasks_generated) == (
+        model.results_generated,
+        model.edge_tasks_generated,
+    )
+    for variant in ("basic", "task", "sep"):
+        assert getattr(stats, f"cycles_{variant}") == cycle_estimate(model, variant), variant
