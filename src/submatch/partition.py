@@ -1,38 +1,35 @@
 """Recursive splitting of a candidate tree under size and degree budgets.
 
 A tree over budget at the current matching-order vertex u has C(u) cut
-into k even contiguous chunks; each chunk is projected into a complete
-sub-tree whose downstream candidates are exactly those reachable from
-the chunk, so the chunks' embedding sets partition the original's.
-Recursion advances to the next order position once C(u) is a singleton.
+into k even contiguous chunks. Each chunk is the parent with C(u) cut
+to the chunk, taken to its arc-consistency fixpoint over the parent's
+stored groups (SplitContext.refined): a candidate is kept only if its
+row toward every query neighbour still holds a partner. The chunks'
+embedding sets partition the original's. Recursion advances to the
+next order position once C(u) is a singleton.
+
+Cutting C(u) leaves candidates of other vertices, before u in the order
+as well as after it, with no partner; most chunks of a cyclic query
+lose a whole set that way and hold no embedding. The projection
+(SplitContext.project: each later vertex keeps what the retained sets
+of its earlier neighbours reach) drops only candidates with no partner,
+and the parent is at its fixpoint, so a chunk is its projection taken
+to its fixpoint. A chunk is dropped as soon as a set empties, before
+any group is cut, and any other tree with an empty candidate set (an
+absent-label root) is dropped before its budget check.
 
 A split at u is made only where a chunk could fit. Projection is
 monotone in the part, so the projection onto the empty part (the
-floor) is contained in every chunk's, and its max_degree bounds every
-chunk's from below. When the floor is over the degree budget, the tree
-is within the size budget, and no stored list into u or an earlier
+floor) is contained in every chunk's projection, and its max_degree
+bounds theirs from below. When the floor is over the degree budget, the
+tree is within the size budget, and no stored list into u or an earlier
 order vertex is over the degree budget (only splits at or before u
 could shorten those), u is left unsplit and recursion advances to the
 next order position with the same tree. Cutting C(u) there would only
-multiply the pieces by |C(u)| without bringing any under budget.
-
-When the query has non-tree edges, a chunk is not projected: it is the
-parent with C(u) cut to the chunk, taken to its arc-consistency
-fixpoint over the parent's stored groups (SplitContext.refined). A
-candidate is kept only if its row toward every query neighbour still
-holds a partner. Cutting C(u) leaves candidates of other vertices,
-before u in the order as well as after it, with no partner across a
-non-tree edge; most chunks of a cyclic query lose a whole set that way
-and hold no embedding. The parent is at its fixpoint and projection
-drops only candidates with no partner, so this is the projection taken
-to its fixpoint. Such a chunk is dropped as soon as a set empties,
-before any group is cut, and any other tree with an empty candidate set
-(an absent-label root) is dropped before its budget check. The skip
-rule still tests the unrefined floor. A refined chunk need not contain
-that floor, so a skip may pass over a split whose refined chunks would
-fit: that can cost pieces, never an embedding. Tree queries are not
-refined: on the bundled tree queries over the 3k benchmark graph it
-changed no partition and no modelled cycle.
+multiply the pieces by |C(u)| without bringing any under budget. The
+rule tests the unrefined floor; a refined chunk need not contain it, so
+a skip may pass over a split whose refined chunks would fit: that can
+cost pieces, never an embedding.
 
 The k sibling chunks of one split share a SplitContext, so a chunk
 costs in proportion to what it restricts, not to the parent tree. A
@@ -115,18 +112,6 @@ def _reach(index: dict[int, list[int]], keep) -> set[int]:
     return out
 
 
-def _reverse_index(lists: dict[int, list[int]]) -> dict[int, list[int]]:
-    """One adjacency group inverted: each target candidate -> the sources listing it."""
-    rev: dict[int, list[int]] = {}
-    for v, row in lists.items():
-        for x in row:
-            if x in rev:
-                rev[x].append(v)
-            else:
-                rev[x] = [v]
-    return rev
-
-
 def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None) -> dict[int, list[int]]:
     """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged).
 
@@ -147,44 +132,21 @@ def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set
 class SplitContext:
     """What every chunk of one split of `tree` at query vertex u shares.
 
-    A projection can restrict only u and the later vertices whose
-    candidates are not all reached from vertices no chunk restricts
-    ("live" vertices). The context holds the parent's candidate sets of
-    u and the live vertices, and for each live vertex the part of its
-    reachability set that comes from vertices no chunk restricts, which
-    is the same for every chunk. The reverse indexes that child-keyed
-    links need, and the arcs a refined chunk re-checks, are built once
-    here; the metrics of each group are computed on first use and kept
-    for the chunks that leave both endpoints of the group unchanged.
+    The arcs a refined chunk re-checks are listed once here; the metrics
+    of each group are computed on first use and kept for the chunks that
+    leave both endpoints of the group unchanged.
     """
 
     def __init__(self, tree: CandidateTree, plan: QueryPlan, u: int):
         self.tree = tree
+        self.plan = plan
         self.u = u
         self._metrics: dict[tuple[int, int], tuple[int, int]] = {}
-        adj = {**tree.tree_adj, **tree.non_tree_adj}
-        pos_u = plan.position[u]
-        self.full = {u: set(tree.candidates[u])}
-        # (w, reach from vertices no chunk restricts, links from u and live vertices as (vertex, index))
-        self.live: list[tuple[int, set[int], list[tuple[int, dict[int, list[int]]]]]] = []
-        for w in plan.order[pos_u + 1 :]:
-            base: set[int] = set()
-            links = []
-            for w_from, key, keyed_by_w in _earlier_links(plan, w):
-                lists = adj.get(key, {})
-                index = _reverse_index(lists) if keyed_by_w else lists
-                if w_from in self.full:
-                    links.append((w_from, index))
-                else:
-                    base |= _reach(index, tree.candidates[w_from])
-            if not base.issuperset(tree.candidates[w]):
-                self.full[w] = set(tree.candidates[w])
-                self.live.append((w, base & self.full[w], links))
-
+        self._adj = {**tree.tree_adj, **tree.non_tree_adj}
         # Arcs into each vertex y, as (x, group, whether the group is keyed by x);
         # a tree child's candidates are looked up through its parent's rows.
         self.into: list[list[tuple[int, dict[int, list[int]], bool]]] = [[] for _ in tree.candidates]
-        for (a, b), lists in adj.items():
+        for (a, b), lists in self._adj.items():
             self.into[b].append((a, lists, True))
             if (a, b) in tree.tree_adj:
                 self.into[a].append((b, lists, False))
@@ -195,13 +157,39 @@ class SplitContext:
             metrics = self._metrics[key] = _lists_metrics(list(map(len, lists.values())))
         return metrics
 
-    def project(self, part: Sequence[int]) -> CandidateTree:
-        part_set = set(part)
-        if not part_set:
-            raise ValueError("part must be non-empty")
-        if not part_set <= self.full[self.u]:
-            raise ValueError("part must be a subset of the candidates of u")
-        return self._project(part_set)
+    def project(self, part_set: set[int]) -> CandidateTree:
+        """The projection onto part_set, a subset of C(u), not refined.
+
+        Vertices before u in the order keep their sets and u keeps
+        part_set. Each later vertex w, in order, keeps the candidates
+        linked to the retained set of at least one earlier query
+        neighbour: reached through that neighbour's rows or, when the
+        group is keyed by w (a tree child earlier in the order), whose
+        own row meets the child's set.
+        """
+        tree, plan, u = self.tree, self.plan, self.u
+        candidates = list(tree.candidates)
+        retained: dict[int, set[int]] = {}
+        if len(part_set) < len(candidates[u]):
+            retained[u] = part_set
+            candidates[u] = sorted(part_set)
+        for w in plan.order[plan.position[u] + 1 :]:
+            linked: set[int] = set()
+            for w_from, key, keyed_by_w in _earlier_links(plan, w):
+                lists = self._adj.get(key, {})
+                if not keyed_by_w:
+                    linked |= _reach(lists, candidates[w_from])
+                elif w_from in retained:
+                    keep = retained[w_from]
+                    linked.update(v for v, row in lists.items() if not keep.isdisjoint(row))
+                else:
+                    # every stored row is non-empty and holds only candidates of w_from
+                    linked.update(lists)
+            linked.intersection_update(tree.candidates[w])
+            if len(linked) < len(tree.candidates[w]):
+                retained[w] = linked
+                candidates[w] = sorted(linked)
+        return self._cut(candidates, retained)
 
     def floor(self) -> CandidateTree:
         """The projection onto the empty part of C(u).
@@ -210,26 +198,7 @@ class SplitContext:
         contains this tree, and its max_degree is a lower bound on every
         chunk's max_degree.
         """
-        return self._project(set())
-
-    def _project(self, part_set: set[int]) -> CandidateTree:
-        full, u = self.full, self.u
-        # Retained sets of the vertices this chunk restricts; all others keep their full set.
-        candidates = list(self.tree.candidates)
-        retained: dict[int, set[int]] = {}
-        if len(part_set) < len(full[u]):
-            retained[u] = part_set
-            candidates[u] = sorted(part_set)
-        for w, base, links in self.live:
-            full_w = full[w]
-            linked = set(base)
-            for w_from, index in links:
-                linked |= _reach(index, candidates[w_from])
-            linked &= full_w
-            if len(linked) < len(full_w):
-                retained[w] = linked
-                candidates[w] = sorted(linked)
-        return self._cut(candidates, retained)
+        return self.project(set())
 
     def refined(self, part_set: set[int]) -> CandidateTree | None:
         """The parent with C(u) cut to part_set, at its arc-consistency fixpoint.
@@ -244,7 +213,7 @@ class SplitContext:
         any group is cut; otherwise each group is cut once, from the
         final sets.
         """
-        retained = {self.u: part_set} if len(part_set) < len(self.full[self.u]) else {}
+        retained = {self.u: part_set} if len(part_set) < len(self.tree.candidates[self.u]) else {}
         queue = list(retained)
         while queue:
             y = queue.pop()
@@ -290,27 +259,23 @@ class SplitContext:
         return CandidateTree(candidates, *adj, size + restricted_size, max(max_degree, restricted_degree))
 
 
-def project_tree(
-    tree: CandidateTree,
-    plan: QueryPlan,
-    u: int,
-    part: Sequence[int],
-    split: SplitContext | None = None,
-) -> CandidateTree:
-    """Restrict the tree to the candidates of u in `part`.
+def project_tree(tree: CandidateTree, plan: QueryPlan, u: int, part: Sequence[int]) -> CandidateTree:
+    """Restrict the tree to the candidates of u in `part` (SplitContext.project).
 
     Vertices before u in the matching order keep their full candidate
     sets; u keeps exactly `part`; each later vertex keeps the candidates
-    reachable from the retained set of at least one earlier query
-    neighbor, evaluated level by level in order (so reachability from
-    `part` is transitive). All adjacency lists are restricted to the
-    retained candidates. `split` is the context shared by the sibling
-    chunks of one split of (tree, u); without it a one-off context is
-    built.
+    linked to the retained set of at least one earlier query neighbor,
+    evaluated level by level in order (so reachability from `part` is
+    transitive). All adjacency lists are restricted to the retained
+    candidates. The result is not refined: partition_tree takes each
+    chunk to its fixpoint instead (SplitContext.refined).
     """
-    if split is None:
-        split = SplitContext(tree, plan, u)
-    return split.project(part)
+    part_set = set(part)
+    if not part_set:
+        raise ValueError("part must be non-empty")
+    if not part_set.issubset(tree.candidates[u]):
+        raise ValueError("part must be a subset of the candidates of u")
+    return SplitContext(tree, plan, u).project(part_set)
 
 
 def _earlier_links(plan: QueryPlan, w: int):
@@ -357,19 +322,17 @@ def partition_tree(
 
     Returns the number of emitted trees. Trees with an empty candidate
     set hold no embeddings and are dropped before the budget check, so
-    none is emitted. When the query has non-tree edges, `tree` must be
-    at its arc-consistency fixpoint (as build_candidate_tree leaves
-    it); every chunk is then taken to its fixpoint in place of a
-    projection (SplitContext.refined), and dropped when that empties a
-    set, so every emitted tree is at its fixpoint. The order vertex
+    none is emitted. `tree` must be at its arc-consistency fixpoint (as
+    build_candidate_tree leaves it); every chunk is taken to its
+    fixpoint (SplitContext.refined) and dropped when that empties a set,
+    so every emitted tree is at its fixpoint. The order vertex
     u = plan.order[index] is skipped, not split, when no chunk of C(u)
     could come within the degree budget before refinement: the tree
     fits the size budget, every stored list into u or an earlier order
     vertex fits the degree budget, and the split's floor (the
-    projection onto the empty part, contained in every unrefined
-    chunk's projection) is still over it. Raises
-    UnsplittableTreeError if the order is exhausted while budgets are
-    still violated.
+    projection onto the empty part, contained in every chunk's
+    projection) is still over it. Raises UnsplittableTreeError if the
+    order is exhausted while budgets are still violated.
     """
     if any(not c for c in tree.candidates):
         return 0
@@ -401,15 +364,13 @@ def partition_tree(
     else:
         k = partition_factor(tree, config, u)
 
-    cyclic = any(plan.non_tree)
     base, extra = divmod(len(cand), k)
     emitted = 0
     start = 0
     for i in range(k):
         size = base + (1 if i < extra else 0)
-        part = cand[start : start + size]
+        sub = split.refined(set(cand[start : start + size]))
         start += size
-        sub = split.refined(set(part)) if cyclic else project_tree(tree, plan, u, part, split)
         if sub is None:
             continue
         emitted += partition_tree(sub, plan, index + (len(sub.candidates[u]) == 1), config, sink)

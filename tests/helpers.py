@@ -244,9 +244,9 @@ def reference_partitions(tree, plan, index, config, skipped=None):
     """The trees partition_tree emits, in order, split by reference_project_tree.
 
     A tree with an empty candidate set is dropped before its budget
-    check. When the query has non-tree edges, each chunk is refined by
-    reference_refine_tree. Each query vertex left unsplit by the skip
-    rule is appended to `skipped` when a list is given.
+    check. Each chunk is refined by reference_refine_tree. Each query
+    vertex left unsplit by the skip rule is appended to `skipped` when a
+    list is given.
     """
     if any(not c for c in tree.candidates):
         return []
@@ -281,10 +281,8 @@ def reference_partitions(tree, plan, index, config, skipped=None):
     start = 0
     for i in range(k):
         size = base + (1 if i < extra else 0)
-        sub = reference_project_tree(tree, plan, u, cand[start : start + size])
+        sub = reference_refine_tree(reference_project_tree(tree, plan, u, cand[start : start + size]))
         start += size
-        if any(plan.non_tree):
-            sub = reference_refine_tree(sub)
         out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config, skipped)
     return out
 

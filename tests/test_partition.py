@@ -16,6 +16,7 @@ from submatch import (
 )
 from submatch import Graph
 from submatch import fixtures
+from submatch.oracle import brute_force_embeddings
 import submatch.partition
 from submatch.partition import SplitContext
 
@@ -92,6 +93,14 @@ def test_project_singletons_cover_and_restrict():
                 # every refined candidate survives in at least one part:
                 # its parent-link chain reaches some root candidate
                 assert union[w] == set(tree.candidates[w])
+
+
+def test_project_rejects_empty_and_foreign_parts():
+    tree, plan = fixtures.partition_example()
+    with pytest.raises(ValueError, match="non-empty"):
+        project_tree(tree, plan, 0, [])
+    with pytest.raises(ValueError, match="subset of the candidates"):
+        project_tree(tree, plan, 0, [tree.candidates[0][0], max(tree.candidates[0]) + 1])
 
 
 def test_project_handles_child_before_parent_order():
@@ -295,13 +304,12 @@ def assert_refined_partitions_sound(tree, plan, config, expected):
     return len(parts)
 
 
-@pytest.mark.parametrize("name", ["q1", "q4", "q5", "q6", "q7", "q8"])
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8"])
 def test_refined_partitions_on_benchmark_queries(name):
     data = fixtures.benchmark_graph()
     query = fixtures.benchmark_queries()[name]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    assert any(plan.non_tree)
     assert_refined_partitions_sound(tree, plan, PartitionConfig(), helpers.reference_tree_matches(tree, plan))
 
 
@@ -309,8 +317,6 @@ def test_refined_partitions_on_random_budgets():
     rng = random.Random(59)
     checked = 0
     for data, query, plan, expected in helpers.solvable_instances(80, 26_000, max_data=45):
-        if not any(plan.non_tree):
-            continue
         tree = build_candidate_tree(data, query, plan)
         config = PartitionConfig(
             size_budget=rng.randint(max(17, tree.size_bytes // 8), max(18, tree.size_bytes)),
@@ -322,7 +328,25 @@ def test_refined_partitions_on_random_budgets():
         except UnsplittableTreeError:
             continue
         checked += 1
-    assert checked >= 40
+    assert checked >= 70
+
+
+def test_tree_query_chunks_are_refined():
+    """A tree query's chunks are taken to their fixpoint, as a cyclic query's are.
+
+    On this 5-vertex tree query (the 97th of solvable_instances(200,
+    26_000, max_data=45)) the skip rule leaves order vertex 1 unsplit,
+    and a later cut leaves some of its candidates with no partner: 47
+    of the 144 trees were projected chunks that kept such candidates.
+    """
+    data, query = helpers.make_instance(26_097, max_data=45)
+    plan = build_query_plan(query, data)
+    assert plan.num_vertices == 5 and not any(plan.non_tree)
+    tree = build_candidate_tree(data, query, plan)
+    expected = brute_force_embeddings(query, data, plan.order)
+    assert len(expected) == 768
+    config = PartitionConfig(size_budget=1328, degree_budget=4, fixed_k=3)
+    assert assert_refined_partitions_sound(tree, plan, config, expected) == 144
 
 
 def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
@@ -374,20 +398,15 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
 def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
     """Every chunk made while partitioning reuses, by reference, what it left unchanged.
 
-    Chunks of a tree query come from project_tree, those of a cyclic
-    query from SplitContext.refined; both are checked. A vertex is
+    Every chunk comes from SplitContext.refined. A vertex is
     unchanged when its candidate set keeps its size. Its list is the
     parent's object; a group between two unchanged vertices is the
     parent's object; a restricted group into an unchanged target keeps
     each surviving row as the parent's object. Returns how many groups
     and rows were checked by identity, and how many refined chunks.
     """
-    original_project = submatch.partition.project_tree
     original_refined = SplitContext.refined
     shared = {"groups": 0, "rows": 0, "refined": 0}
-
-    def projecting(parent, plan, u, part, split=None):
-        return check(parent, original_project(parent, plan, u, part, split))
 
     def refining(split, part_set):
         sub = original_refined(split, part_set)
@@ -415,7 +434,6 @@ def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
         return sub
 
     with monkeypatch.context() as patch:
-        patch.setattr(submatch.partition, "project_tree", projecting)
         patch.setattr(SplitContext, "refined", refining)
         partition_tree(tree, plan, 0, config, lambda part: None)
     return shared
@@ -452,4 +470,4 @@ def test_projections_share_unchanged_groups_and_rows_on_benchmark_queries(monkey
             shared[key] += count
     # on the tree query q3 no chunk cuts a group whose target it leaves unchanged
     assert shared["groups"] and (shared["rows"] or name == "q3")
-    assert bool(shared["refined"]) == any(plan.non_tree)
+    assert shared["refined"] > 0
