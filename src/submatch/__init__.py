@@ -5,7 +5,9 @@ labeled data graph, splits it under memory and list-length budgets,
 routes the pieces between a host side and a batched dataflow pipeline
 (both run the pipeline's loop; only the kernel side is costed),
 enumerates all embeddings exactly, and reports closed-form plus
-event-driven cycle-cost estimates for the pipeline.
+event-driven cycle-cost estimates for the pipeline. The pipeline
+variants (basic, task, sep) only price a run: one run's counters give
+all three estimates.
 """
 
 from .candidate_tree import (
@@ -19,19 +21,11 @@ from .candidate_tree import (
 from .graph import Graph, GraphFormatError, candidates_by_local_features, graph_to_text, load_graph, save_graph
 from .kernel import (
     CycleModel,
-    EdgeTask,
-    ResultBuffer,
     RoundTrace,
-    TaskBatch,
-    VisitedTask,
     cycle_estimate,
-    generate_batch,
     pipeline_enumerate,
     pipeline_fill_slack,
     simulate_dataflow_schedule,
-    synchronize,
-    validate_edges,
-    validate_visited,
 )
 from .oracle import OracleGuardError, brute_force_embeddings, brute_force_tree_walks
 from .partition import (
@@ -50,19 +44,15 @@ __all__ = [
     "CandidateTree",
     "CycleModel",
     "DisconnectedQueryError",
-    "EdgeTask",
     "Graph",
     "GraphFormatError",
     "JobStats",
     "OracleGuardError",
     "PartitionConfig",
     "QueryPlan",
-    "ResultBuffer",
     "RoundTrace",
     "SchedulerState",
-    "TaskBatch",
     "UnsplittableTreeError",
-    "VisitedTask",
     "WorkloadTable",
     "brute_force_embeddings",
     "brute_force_tree_walks",
@@ -72,7 +62,6 @@ __all__ = [
     "cycle_estimate",
     "dump_tree",
     "estimate_workload",
-    "generate_batch",
     "graph_to_text",
     "host_match",
     "load_graph",
@@ -88,9 +77,6 @@ __all__ = [
     "run_job",
     "save_graph",
     "simulate_dataflow_schedule",
-    "synchronize",
     "tree_metrics",
-    "validate_edges",
-    "validate_visited",
     "within_budgets",
 ]

@@ -2,7 +2,8 @@
 
 Subcommands:
   run       match one query end to end, JSON report on stdout
-  compare   sweep variants / share thresholds / partition factors, CSV
+  compare   sweep variants / share thresholds / partition factors, CSV;
+            one job per distinct (share threshold, factor), priced per variant
   gen       write a seeded random graph file
   oracle    brute-force reference count (debugging; hidden from help)
 """
@@ -51,7 +52,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="six stage latencies, comma separated")
     p.add_argument("--dram-ratio", dest="dram_ratio", type=float, default=1.0,
                    help="latency multiplier modeling slow external memory (about 7 is typical)")
-    p.add_argument("--trace", help="write the per-round kernel trace CSV here")
     p.add_argument("--json", action="store_true", help="report errors as JSON on stdout")
 
 
@@ -61,9 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one query end to end")
     _add_config_flags(run_p)
-    run_p.add_argument("--variant", default="share", choices=["basic", "task", "sep", "share"])
+    run_p.add_argument("--variant", default="share", choices=JOB_VARIANTS)
     run_p.add_argument("--delta", type=float, default=0.1, help="host workload share in [0,1]")
     run_p.add_argument("--k", dest="fixed_k", type=int, default=None, help="fix the partition factor (>= 2)")
+    run_p.add_argument("--trace", help="write the per-round kernel trace CSV here")
 
     cmp_p = sub.add_parser("compare", help="sweep variants, share thresholds, or partition factors")
     _add_config_flags(cmp_p)
@@ -203,15 +204,24 @@ def _cmd_compare(args) -> int:
 
     writer = csv.writer(sys.stdout)
     writer.writerow(COMPARE_FIELDS)
+    # Variants differ only in pricing, so rows with the same effective delta
+    # and k share one job; jobs maps that pair to the job's stats and model.
+    jobs = {}
     for variant in variants:
         for delta in deltas:
             for k_text, config in configs:
-                model = _model_from(args)
-                state = SchedulerState(delta=delta if variant == "share" else 0.0)
-                try:
-                    _, stats = run_job(data, query, config, state, variant, capacity=args.capacity, model=model)
-                except (UnsplittableTreeError, ValueError) as exc:
-                    raise CliError("run", str(exc))
+                share = delta if variant == "share" else 0.0
+                key = (share, config.fixed_k)
+                if key not in jobs:
+                    model = _model_from(args)
+                    try:
+                        _, stats = run_job(
+                            data, query, config, SchedulerState(share), variant, capacity=args.capacity, model=model
+                        )
+                    except (UnsplittableTreeError, ValueError) as exc:
+                        raise CliError("run", str(exc))
+                    jobs[key] = stats, model
+                stats, model = jobs[key]
                 cycles = cycle_estimate(model, variant, args.capacity)
                 writer.writerow(
                     [variant, delta, k_text, stats.embeddings, stats.partitions, round(cycles), round(stats.wall_ms, 3)]

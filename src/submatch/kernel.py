@@ -9,11 +9,10 @@ produced, and expanding deepest-first keeps every buffer level within
 that same bound.
 
 pipeline_enumerate runs each round as one pass over the inputs it
-admits and takes the round's task counts from closed forms. The staged
-functions (generate_batch, validate_visited, validate_edges,
-synchronize) model the individual stages with per-task records and bit
-vectors; driven round by round they give the same matches, counters,
-trace and buffer peaks.
+admits and takes the round's task counts from closed forms. The test
+suite keeps a staged model of the same rounds, with per-task records
+and bit vectors, as its reference (tests/helpers.py): it gives the
+same matches, counters, trace and buffer peaks.
 
 Matches come out strictly increasing with no sort. Candidate lists are
 sorted and every level is FIFO, so each level holds its partials in
@@ -50,9 +49,11 @@ benchmark about 4% slower end to end (higher in 9 of 10 alternating
 runs on a 2-vCPU x86 VM). Both build equal tuples in candidate order,
 so which one runs changes neither the matches nor their order.
 
-The three pipeline variants (basic, task, sep) are functionally
-identical; they differ only in how the closed-form cycle estimates and
-the event-driven schedule account for stage overlap.
+The three pipeline variants (basic, task, sep) find the same matches
+in the same rounds, so the matcher takes no variant. They exist only in
+the accounting: cycle_estimate and simulate_dataflow_schedule price one
+run's counters and trace under each, and differ only in how they count
+stage overlap.
 """
 
 from __future__ import annotations
@@ -117,31 +118,6 @@ class CycleModel:
         return CycleModel(tuple(l * ratio for l in self.latencies))
 
 
-class VisitedTask(NamedTuple):
-    candidate: int
-    source: int  # index into the batch's consumed inputs
-
-
-class EdgeTask(NamedTuple):
-    neighbor_vertex: int  # mapping of the earlier non-tree neighbor
-    candidate: int  # the newly mapped vertex
-    output: int  # index of the expanded partial in the batch
-    pair: tuple[int, int]  # (earlier query vertex, expanded query vertex)
-
-
-@dataclass
-class TaskBatch:
-    """One round's expansions plus their validation tasks and bits."""
-
-    query_vertex: int
-    sources: list[tuple[int, ...]]
-    outputs: list[tuple[int, ...]]
-    visited_tasks: list[VisitedTask]
-    edge_tasks: list[EdgeTask]
-    visited_bits: list[int] | None = None
-    edge_bits: list[int] | None = None
-
-
 class RoundTrace(NamedTuple):
     round: int
     depth: int
@@ -155,158 +131,9 @@ class BufferOverflowError(RuntimeError):
     """A buffer level would exceed its capacity; internal invariant broken."""
 
 
-class _Pending(NamedTuple):
-    partial: tuple[int, ...]
-    offset: int  # resume position into the candidate list (continuations)
-
-
-class ResultBuffer:
-    """Bounded per-depth queues for in-flight partial results.
-
-    Levels 1..depth_levels each hold at most `capacity` entries,
-    continuation records included; the bound is checked on every push.
-    Only a level's front entry can be a continuation (a split input is
-    requeued at the front), so a level stores bare partials plus the
-    resume offset of its front entry.
-    """
-
-    def __init__(self, depth_levels: int, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._levels: dict[int, deque[tuple[int, ...]]] = {d: deque() for d in range(1, depth_levels + 1)}
-        self._front_offset = dict.fromkeys(self._levels, 0)
-        self.max_occupancy = 0
-
-    def push(self, item: _Pending, depth: int) -> None:
-        if item.offset:
-            raise ValueError("only the front entry of a level can resume mid-list")
-        self.extend([item.partial], depth)
-
-    def extend(self, partials: Sequence[tuple[int, ...]], depth: int) -> None:
-        """Append fresh partials to one level, checking the bound once."""
-        level = self._levels[depth]
-        if len(level) + len(partials) > self.capacity:
-            raise BufferOverflowError(
-                f"level {depth} holds {len(level)} of {self.capacity}; {len(partials)} more do not fit"
-            )
-        level.extend(partials)
-        self.max_occupancy = max(self.max_occupancy, len(level))
-
-    def requeue_front(self, item: _Pending, depth: int) -> None:
-        level = self._levels[depth]
-        if len(level) >= self.capacity:
-            raise BufferOverflowError(f"level {depth} already holds {len(level)} of {self.capacity}")
-        level.appendleft(item.partial)
-        self._front_offset[depth] = item.offset
-        self.max_occupancy = max(self.max_occupancy, len(level))
-
-    def peek(self, depth: int) -> _Pending | None:
-        level = self._levels[depth]
-        return _Pending(level[0], self._front_offset[depth]) if level else None
-
-    def pop(self, depth: int) -> _Pending:
-        item = _Pending(self._levels[depth].popleft(), self._front_offset[depth])
-        self._front_offset[depth] = 0
-        return item
-
-    def occupancy(self, depth: int) -> int:
-        return len(self._levels[depth])
-
-    def deepest_nonempty(self) -> int | None:
-        for d in sorted(self._levels, reverse=True):
-            if self._levels[d]:
-                return d
-        return None
-
-
-def generate_batch(
-    buffer: ResultBuffer, depth: int, tree: CandidateTree, plan: QueryPlan, capacity: int
-) -> TaskBatch:
-    """Expand partials from one buffer level into a bounded batch.
-
-    Pops inputs FIFO until admitting the next one could push the batch
-    past `capacity`; that input stays queued for the next round. An
-    input whose candidate list alone exceeds `capacity` is split: the
-    first `capacity` candidates expand now and a continuation record
-    is requeued at the same level. One visited task is emitted per
-    output; edge tasks are emitted per earlier non-tree neighbor of the
-    expanded query vertex, in neighbor-major order.
-    """
-    u = plan.order[depth]
-    parent = plan.parent[u]
-    assert parent is not None
-    parent_pos = plan.position[parent]
-    lists = tree.tree_adj.get((parent, u), {})
-
-    sources: list[tuple[int, ...]] = []
-    outputs: list[tuple[int, ...]] = []
-    visited: list[VisitedTask] = []
-
-    while len(outputs) < capacity:
-        head = buffer.peek(depth)
-        if head is None:
-            break
-        partial, offset = head
-        cands = lists.get(partial[parent_pos], ())
-        remaining = len(cands) - offset
-        if len(outputs) + remaining > capacity:
-            if outputs:
-                break  # unconsumed input stays at the front of its level
-            buffer.pop(depth)
-            chunk = cands[offset : offset + capacity]
-            buffer.requeue_front(_Pending(partial, offset + capacity), depth)
-        else:
-            buffer.pop(depth)
-            chunk = cands[offset:]
-        src = len(sources)
-        sources.append(partial)
-        for v in chunk:
-            visited.append(VisitedTask(v, src))
-            outputs.append(partial + (v,))
-
-    edge: list[EdgeTask] = []
-    for un in plan.earlier_non_tree[u]:
-        npos = plan.position[un]
-        for i, po in enumerate(outputs):
-            edge.append(EdgeTask(po[npos], po[-1], i, (un, u)))
-
-    return TaskBatch(u, sources, outputs, visited, edge)
-
-
-def validate_visited(tasks: Sequence[VisitedTask], sources: Sequence[tuple[int, ...]]) -> list[int]:
-    """Bit per task: 1 iff the candidate is absent from its source prefix."""
-    return [0 if t.candidate in sources[t.source] else 1 for t in tasks]
-
-
-def validate_edges(tree: CandidateTree, tasks: Sequence[EdgeTask], batch_size: int) -> list[int]:
-    """AND-accumulated edge bit per output; outputs with no tasks stay 1."""
-    bits = [1] * batch_size
-    for t in tasks:
-        row = tree.non_tree_adj.get(t.pair, {}).get(t.neighbor_vertex, ())
-        if t.candidate not in row:
-            bits[t.output] = 0
-    return bits
-
-
-def synchronize(batch: TaskBatch, buffer: ResultBuffer, matches: list, order_length: int) -> int:
-    """File each doubly-valid output into the buffer or the match set."""
-    assert batch.visited_bits is not None and batch.edge_bits is not None
-    accepted = 0
-    for i, po in enumerate(batch.outputs):
-        if batch.visited_bits[i] and batch.edge_bits[i]:
-            if len(po) == order_length:
-                matches.append(po)
-            else:
-                buffer.push(_Pending(po, 0), len(po))
-            accepted += 1
-    return accepted
-
-
 def pipeline_enumerate(
     tree: CandidateTree,
     plan: QueryPlan,
-    variant: str = "sep",
     capacity: int = DEFAULT_CAPACITY,
     model: CycleModel | None = None,
     *,
@@ -318,8 +145,12 @@ def pipeline_enumerate(
 
     Root candidates are streamed into level 1 at most `capacity` at a
     time, and only once everything deeper has drained, so no level ever
-    exceeds `capacity`. Each round admits inputs exactly as
-    generate_batch does and runs as one pass over them: an input's
+    exceeds `capacity`; filing past it raises BufferOverflowError. Each
+    round pops inputs FIFO from the deepest non-empty level until the
+    next one could take the round past `capacity` outputs; an input
+    whose list alone is longer expands its first `capacity` candidates
+    and stays at the front of its level with a resume offset. The
+    round runs as one pass over the admitted inputs: an input's
     outputs are checked against every earlier non-tree row (each looked
     up once per input) and, only if two candidate sets of the tree meet
     (tested once per call), against the input itself. Survivors are
@@ -338,15 +169,20 @@ def pipeline_enumerate(
     Matches are returned strictly increasing without a sort (see the
     module docstring).
     """
-    _flavor(variant)
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
     if model is None:
         model = CycleModel()
     if port_limit is not None and tree.max_degree > port_limit:
         raise ValueError(f"tree degree {tree.max_degree} exceeds port limit {port_limit}")
 
     order_length = plan.num_vertices
-    buffer = ResultBuffer(order_length - 1, capacity)
-    levels, front_offset = buffer._levels, buffer._front_offset
+    # Buffer levels 1..order_length-1 (0 is unused). Only a level's front
+    # entry can be a partly expanded input; front_offset is its resume
+    # position into its candidate list.
+    levels: list[deque[tuple[int, ...]]] = [deque() for _ in range(order_length)]
+    front_offset = [0] * order_length
+    peak = 0
     roots = tree.candidates[plan.root]
     matches: list[tuple[int, ...]] = []
     cursor = 0
@@ -418,18 +254,24 @@ def pipeline_enumerate(
                 rows = [lists.get(partial[pos], ()) for pos, lists in tail_stages]
                 matches += product(*[(v,) for v in partial], *rows)
                 lengths.append(list(map(len, rows)))
-            rounds, peak = _tail_rounds(lengths, capacity)
+            rounds, tail_peak = _tail_rounds(lengths, capacity)
             model.results_generated += sum(out for _, out in rounds)
             if trace is not None:
                 trace += [RoundTrace(round_no + i, tail + r, out, out, 0, out) for i, (r, out) in enumerate(rounds)]
             round_no += len(rounds)
-            buffer.max_occupancy = max(buffer.max_occupancy, peak)
+            peak = max(peak, tail_peak)
         elif survivors:
-            buffer.extend(survivors, depth + 1)
             depth += 1
+            level = levels[depth]
+            if len(level) + len(survivors) > capacity:
+                raise BufferOverflowError(
+                    f"level {depth} holds {len(level)} of {capacity}; {len(survivors)} more do not fit"
+                )
+            level.extend(survivors)
+            peak = max(peak, len(level))
 
     if buffer_stats is not None:
-        buffer_stats.append((buffer.max_occupancy, capacity))
+        buffer_stats.append((peak, capacity))
     return matches, model
 
 

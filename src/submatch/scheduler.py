@@ -114,14 +114,15 @@ def run_job(
     """Plan, build, partition, route, match on both sides, and merge.
 
     The merged embedding list is sorted lexicographically and is
-    independent of the share threshold, the kernel variant, and the
-    partition budgets. Each side returns a sorted list; the non-empty
-    ones are kept as runs, a single run is returned as it is (no copy),
-    and only several runs are merged and sorted. `variant` selects the
-    kernel pipeline flavor; "share" runs the sep pipeline and is the
-    mode under which a nonzero host share is meaningful. `state`
-    supplies the share threshold; the job is routed and reported from
-    zero totals and leaves `state` as it was.
+    independent of the share threshold and the partition budgets. Each
+    side returns a sorted list; the non-empty ones are kept as runs, a
+    single run is returned as it is (no copy), and only several runs
+    are merged and sorted. `state` supplies the share threshold; the
+    job is routed and reported from zero totals and leaves `state` as
+    it was. The stats price the job's one run under every pipeline
+    variant. `variant` is checked against JOB_VARIANTS and otherwise
+    unused; it stays positional only because the benchmark's job list
+    (perfbench/bench.py) passes it, until that list stops doing so.
 
     The cyclic garbage collector is paused for the whole job by the
     shared graph.paused_collector, which turns it back on afterwards
@@ -150,9 +151,7 @@ def run_job(
         side = route_tree(state, workload)
         routing_log.append((workload, side))
         if side == "kernel":
-            found, _ = pipeline_enumerate(
-                part, plan, variant, capacity, model, port_limit=config.port_limit, trace=traces
-            )
+            found, _ = pipeline_enumerate(part, plan, capacity, model, port_limit=config.port_limit, trace=traces)
         else:
             found = host_match(part, plan)
         if found:

@@ -1,16 +1,22 @@
-"""Shared instance generators for the test suite.
+"""Shared instance generators and reference models for the test suite.
 
-Everything is driven by explicit seeds so failures replay exactly.
+Everything is driven by explicit seeds so failures replay exactly. Each
+reference_* function (and the staged kernel model it drives) is the
+expected value of the package function it names.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from submatch import (
     CandidateTree,
     Graph,
     GraphFormatError,
+    QueryPlan,
     UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
@@ -19,18 +25,7 @@ from submatch import (
     random_graph,
     within_budgets,
 )
-from submatch.kernel import (
-    DEFAULT_CAPACITY,
-    CycleModel,
-    ResultBuffer,
-    RoundTrace,
-    _flavor,
-    _Pending,
-    generate_batch,
-    synchronize,
-    validate_edges,
-    validate_visited,
-)
+from submatch.kernel import DEFAULT_CAPACITY, BufferOverflowError, CycleModel, RoundTrace
 from submatch.partition import _earlier_links
 from submatch.oracle import brute_force_embeddings
 
@@ -332,10 +327,187 @@ def reference_tree_matches(tree, plan):
     return results
 
 
+# The staged kernel model: one function per pipeline stage, with per-task
+# records and bit vectors, driven round by round by
+# reference_pipeline_enumerate.
+
+
+class VisitedTask(NamedTuple):
+    candidate: int
+    source: int  # index into the batch's consumed inputs
+
+
+class EdgeTask(NamedTuple):
+    neighbor_vertex: int  # mapping of the earlier non-tree neighbor
+    candidate: int  # the newly mapped vertex
+    output: int  # index of the expanded partial in the batch
+    pair: tuple[int, int]  # (earlier query vertex, expanded query vertex)
+
+
+@dataclass
+class TaskBatch:
+    """One round's expansions plus their validation tasks and bits."""
+
+    query_vertex: int
+    sources: list[tuple[int, ...]]
+    outputs: list[tuple[int, ...]]
+    visited_tasks: list[VisitedTask]
+    edge_tasks: list[EdgeTask]
+    visited_bits: list[int] | None = None
+    edge_bits: list[int] | None = None
+
+
+class _Pending(NamedTuple):
+    partial: tuple[int, ...]
+    offset: int  # resume position into the candidate list (continuations)
+
+
+class ResultBuffer:
+    """Bounded per-depth queues for in-flight partial results.
+
+    Levels 1..depth_levels each hold at most `capacity` entries,
+    continuation records included; the bound is checked on every push.
+    Only a level's front entry can be a continuation (a split input is
+    requeued at the front), so a level stores bare partials plus the
+    resume offset of its front entry.
+    """
+
+    def __init__(self, depth_levels: int, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._levels: dict[int, deque[tuple[int, ...]]] = {d: deque() for d in range(1, depth_levels + 1)}
+        self._front_offset = dict.fromkeys(self._levels, 0)
+        self.max_occupancy = 0
+
+    def push(self, item: _Pending, depth: int) -> None:
+        if item.offset:
+            raise ValueError("only the front entry of a level can resume mid-list")
+        self.extend([item.partial], depth)
+
+    def extend(self, partials: Sequence[tuple[int, ...]], depth: int) -> None:
+        """Append fresh partials to one level, checking the bound once."""
+        level = self._levels[depth]
+        if len(level) + len(partials) > self.capacity:
+            raise BufferOverflowError(
+                f"level {depth} holds {len(level)} of {self.capacity}; {len(partials)} more do not fit"
+            )
+        level.extend(partials)
+        self.max_occupancy = max(self.max_occupancy, len(level))
+
+    def requeue_front(self, item: _Pending, depth: int) -> None:
+        level = self._levels[depth]
+        if len(level) >= self.capacity:
+            raise BufferOverflowError(f"level {depth} already holds {len(level)} of {self.capacity}")
+        level.appendleft(item.partial)
+        self._front_offset[depth] = item.offset
+        self.max_occupancy = max(self.max_occupancy, len(level))
+
+    def peek(self, depth: int) -> _Pending | None:
+        level = self._levels[depth]
+        return _Pending(level[0], self._front_offset[depth]) if level else None
+
+    def pop(self, depth: int) -> _Pending:
+        item = _Pending(self._levels[depth].popleft(), self._front_offset[depth])
+        self._front_offset[depth] = 0
+        return item
+
+    def occupancy(self, depth: int) -> int:
+        return len(self._levels[depth])
+
+    def deepest_nonempty(self) -> int | None:
+        for d in sorted(self._levels, reverse=True):
+            if self._levels[d]:
+                return d
+        return None
+
+
+def generate_batch(
+    buffer: ResultBuffer, depth: int, tree: CandidateTree, plan: QueryPlan, capacity: int
+) -> TaskBatch:
+    """Expand partials from one buffer level into a bounded batch.
+
+    Pops inputs FIFO until admitting the next one could push the batch
+    past `capacity`; that input stays queued for the next round. An
+    input whose candidate list alone exceeds `capacity` is split: the
+    first `capacity` candidates expand now and a continuation record
+    is requeued at the same level. One visited task is emitted per
+    output; edge tasks are emitted per earlier non-tree neighbor of the
+    expanded query vertex, in neighbor-major order.
+    """
+    u = plan.order[depth]
+    parent = plan.parent[u]
+    assert parent is not None
+    parent_pos = plan.position[parent]
+    lists = tree.tree_adj.get((parent, u), {})
+
+    sources: list[tuple[int, ...]] = []
+    outputs: list[tuple[int, ...]] = []
+    visited: list[VisitedTask] = []
+
+    while len(outputs) < capacity:
+        head = buffer.peek(depth)
+        if head is None:
+            break
+        partial, offset = head
+        cands = lists.get(partial[parent_pos], ())
+        remaining = len(cands) - offset
+        if len(outputs) + remaining > capacity:
+            if outputs:
+                break  # unconsumed input stays at the front of its level
+            buffer.pop(depth)
+            chunk = cands[offset : offset + capacity]
+            buffer.requeue_front(_Pending(partial, offset + capacity), depth)
+        else:
+            buffer.pop(depth)
+            chunk = cands[offset:]
+        src = len(sources)
+        sources.append(partial)
+        for v in chunk:
+            visited.append(VisitedTask(v, src))
+            outputs.append(partial + (v,))
+
+    edge: list[EdgeTask] = []
+    for un in plan.earlier_non_tree[u]:
+        npos = plan.position[un]
+        for i, po in enumerate(outputs):
+            edge.append(EdgeTask(po[npos], po[-1], i, (un, u)))
+
+    return TaskBatch(u, sources, outputs, visited, edge)
+
+
+def validate_visited(tasks: Sequence[VisitedTask], sources: Sequence[tuple[int, ...]]) -> list[int]:
+    """Bit per task: 1 iff the candidate is absent from its source prefix."""
+    return [0 if t.candidate in sources[t.source] else 1 for t in tasks]
+
+
+def validate_edges(tree: CandidateTree, tasks: Sequence[EdgeTask], batch_size: int) -> list[int]:
+    """AND-accumulated edge bit per output; outputs with no tasks stay 1."""
+    bits = [1] * batch_size
+    for t in tasks:
+        row = tree.non_tree_adj.get(t.pair, {}).get(t.neighbor_vertex, ())
+        if t.candidate not in row:
+            bits[t.output] = 0
+    return bits
+
+
+def synchronize(batch: TaskBatch, buffer: ResultBuffer, matches: list, order_length: int) -> int:
+    """File each doubly-valid output into the buffer or the match set."""
+    assert batch.visited_bits is not None and batch.edge_bits is not None
+    accepted = 0
+    for i, po in enumerate(batch.outputs):
+        if batch.visited_bits[i] and batch.edge_bits[i]:
+            if len(po) == order_length:
+                matches.append(po)
+            else:
+                buffer.push(_Pending(po, 0), len(po))
+            accepted += 1
+    return accepted
+
+
 def reference_pipeline_enumerate(
     tree,
     plan,
-    variant="sep",
     capacity=DEFAULT_CAPACITY,
     model=None,
     *,
@@ -349,7 +521,6 @@ def reference_pipeline_enumerate(
     round as one pass instead; both must give == matches, counters,
     traces and buffer peaks. Needs a query of at least two vertices.
     """
-    _flavor(variant)
     if model is None:
         model = CycleModel()
     if port_limit is not None and tree.max_degree > port_limit:

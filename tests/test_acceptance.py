@@ -19,7 +19,6 @@ from submatch import (
     build_query_plan,
     cycle_estimate,
     estimate_workload,
-    generate_batch,
     host_match,
     partition_tree,
     pipeline_enumerate,
@@ -28,13 +27,11 @@ from submatch import (
     run_job,
     simulate_dataflow_schedule,
     tree_metrics,
-    validate_edges,
-    validate_visited,
 )
 from submatch import fixtures
-from submatch.kernel import ResultBuffer, _Pending
 
 import helpers
+from helpers import ResultBuffer, _Pending, generate_batch, validate_edges, validate_visited
 
 VARIANTS = ("basic", "task", "sep")
 CAPACITIES = (1, 8, 1024)
@@ -57,12 +54,9 @@ def family():
         tree = build_candidate_tree(data, query, plan)
         stats: list[tuple[int, int]] = []
         outcomes = []
-        for variant in VARIANTS:
-            for capacity in CAPACITIES:
-                found, _ = pipeline_enumerate(
-                    tree, plan, variant, capacity, CycleModel(), buffer_stats=stats
-                )
-                outcomes.append(found)
+        for capacity in CAPACITIES:
+            found, _ = pipeline_enumerate(tree, plan, capacity, CycleModel(), buffer_stats=stats)
+            outcomes.append(found)
         hosted = host_match(tree, plan)
         runs.append((expected, outcomes, hosted, stats))
     return runs, time.perf_counter() - started
@@ -77,9 +71,8 @@ def test_criterion_1_worked_example_fidelity():
     assert tree.non_tree_adj[(1, 2)][5] == [4, 6]
     assert tree.tree_adj[(2, 3)][2] == [8]
 
-    for variant in VARIANTS:
-        found, _ = pipeline_enumerate(tree, plan, variant, 1024, CycleModel())
-        assert found == [(0, 3, 2, 8), (1, 5, 4, 9)]
+    found, _ = pipeline_enumerate(tree, plan, 1024, CycleModel())
+    assert found == [(0, 3, 2, 8), (1, 5, 4, 9)]
 
     # the projected-batch example: two partials expanding the third vertex
     example_tree, example_plan = fixtures.partition_example()
@@ -102,7 +95,7 @@ def test_criterion_2_oracle_equivalence(family):
         for found in outcomes:
             assert found == expected
         assert hosted == expected
-    report(2, f"oracle equivalence on {len(runs)} instances x {len(VARIANTS) * len(CAPACITIES) + 1} matchers", started, limit=60.0)
+    report(2, f"oracle equivalence on {len(runs)} instances x {len(CAPACITIES) + 1} matchers", started, limit=60.0)
 
 
 def test_criterion_3_partition_soundness():
@@ -161,7 +154,7 @@ def test_criterion_5_buffer_bound(family):
         for peak, capacity in stats:
             assert peak <= capacity
             observed += 1
-    assert observed == len(runs) * len(VARIANTS) * len(CAPACITIES)
+    assert observed == len(runs) * len(CAPACITIES)
     report(5, f"buffer bound held across {observed} runs (zero violations)", started)
 
 
@@ -205,7 +198,7 @@ def test_criterion_7_event_simulation_consistency():
         tree = build_candidate_tree(graph, query, plan)
         trace: list = []
         model = CycleModel()
-        pipeline_enumerate(tree, plan, "sep", 1024, model, trace=trace)
+        pipeline_enumerate(tree, plan, 1024, model, trace=trace)
         slack = pipeline_fill_slack(trace, model)
         makespans = {}
         for variant in VARIANTS:
@@ -265,7 +258,7 @@ def test_memory_latency_scaling_note():
     tree = build_candidate_tree(data, query, plan)
     trace: list = []
     model = CycleModel()
-    pipeline_enumerate(tree, plan, "basic", 8, model, trace=trace)
+    pipeline_enumerate(tree, plan, 8, model, trace=trace)
     previous = -1.0
     for ratio in (1.0, 2.0, 4.0, 7.0, 8.0):
         scaled = CycleModel(

@@ -1,12 +1,23 @@
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from submatch import fixtures, load_graph, save_graph
+from submatch import (
+    CycleModel,
+    PartitionConfig,
+    SchedulerState,
+    cycle_estimate,
+    fixtures,
+    load_graph,
+    run_job,
+    save_graph,
+)
+from submatch import cli
 from submatch.cli import main
 
 
@@ -105,6 +116,16 @@ def test_run_and_compare_reject_seed(capsys, worked_paths):
     capsys.readouterr()
 
 
+def test_compare_rejects_trace_as_a_usage_error(capsys, worked_paths, tmp_path):
+    data, query = worked_paths
+    trace_path = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--data", data, "--query", query, "--trace", str(trace_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -152,6 +173,40 @@ def test_compare_variant_sweep_orders_cycles(capsys, worked_paths):
     cycles = [float(r["cycles"]) for r in rows]
     assert cycles[0] >= cycles[1] >= cycles[2]
     assert len({r["embeddings"] for r in rows}) == 1
+
+
+def test_compare_runs_each_distinct_job_once_and_prices_it_per_variant(capsys, bench_path, monkeypatch):
+    calls = []
+
+    def counting_run_job(*args, **kwargs):
+        calls.append(args[3].delta)
+        return run_job(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_job", counting_run_job)
+    variants, deltas, ks = ("basic", "task", "sep", "share"), ("0", "0.1"), ("auto", "2")
+    code, out = run_cli(
+        capsys, "compare", "--data", bench_path, "--query", str(fixtures.data_path("q1")),
+        "--variant", ",".join(variants), "--delta", ",".join(deltas), "--k", ",".join(ks), "--delta-s", "3000",
+    )
+    assert code == 0
+    assert len(calls) == 4  # (effective delta, k): (0, auto), (0, 2), (0.1, auto), (0.1, 2)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["variant"], r["delta"], r["k"]) for r in rows] == [
+        (v, str(float(d)), k) for v, d, k in itertools.product(variants, deltas, ks)
+    ]
+
+    data, query = fixtures.benchmark_graph(), fixtures.benchmark_queries()["q1"]
+    wall_ms = {}
+    for row in rows:
+        delta = float(row["delta"]) if row["variant"] == "share" else 0.0
+        k = None if row["k"] == "auto" else int(row["k"])
+        assert wall_ms.setdefault((delta, k), row["wall_ms"]) == row["wall_ms"]  # rows sharing a job share wall_ms
+        model = CycleModel()
+        config = PartitionConfig(size_budget=3000, fixed_k=k)
+        _, stats = run_job(data, query, config, SchedulerState(delta), row["variant"], model=model)
+        expected = [stats.embeddings, stats.partitions, round(cycle_estimate(model, row["variant"], 1024))]
+        assert [int(row[f]) for f in ("embeddings", "partitions", "cycles")] == expected
+    assert len(wall_ms) == 4
 
 
 def test_compare_delta_sweep_keeps_embeddings_constant(capsys, bench_path):

@@ -11,18 +11,15 @@ from submatch import (
     build_candidate_tree,
     build_query_plan,
     cycle_estimate,
-    generate_batch,
     pipeline_enumerate,
     project_tree,
-    synchronize,
-    validate_edges,
-    validate_visited,
 )
 from submatch import kernel
-from submatch.kernel import BufferOverflowError, ResultBuffer, _Pending
+from submatch.kernel import BufferOverflowError
 from submatch import fixtures
 
 import helpers
+from helpers import ResultBuffer, VisitedTask, _Pending, generate_batch, synchronize, validate_edges, validate_visited
 
 
 def partition_a():
@@ -75,7 +72,7 @@ def test_task_counts_recount_on_random_batches():
     for data, query, plan, _ in helpers.solvable_instances(8, 30_000, max_data=35):
         tree = build_candidate_tree(data, query, plan)
         trace = []
-        pipeline_enumerate(tree, plan, "basic", 16, CycleModel(), trace=trace)
+        pipeline_enumerate(tree, plan, 16, CycleModel(), trace=trace)
         for row in trace:
             assert row.visited_tasks == row.outputs
             u = plan.order[row.depth]
@@ -108,15 +105,13 @@ def test_oversized_candidate_list_splits_with_continuation():
     batch = generate_batch(buf, 1, tree, plan, 2)
     assert batch.outputs == [(0, 5)]
     assert buf.deepest_nonempty() is None
-    matches, model = pipeline_enumerate(tree, plan, "sep", 2, CycleModel())
+    matches, model = pipeline_enumerate(tree, plan, 2, CycleModel())
     assert matches == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
     assert model.results_generated == 5
 
 
 def test_visited_validator_flags_revisits():
     tree, plan = partition_a()
-    from submatch.kernel import VisitedTask
-
     assert validate_visited([VisitedTask(1, 0)], [(1, 3)]) == [0]
     assert validate_visited([VisitedTask(9, 0)], [(1, 3)]) == [1]
 
@@ -125,7 +120,7 @@ def test_visited_validator_matches_scan_oracle():
     rng = random.Random(17)
     for data, query, plan, _ in helpers.solvable_instances(5, 31_000, max_data=30):
         tree = build_candidate_tree(data, query, plan)
-        matches, _ = pipeline_enumerate(tree, plan, "task", 8, CycleModel())
+        matches, _ = pipeline_enumerate(tree, plan, 8, CycleModel())
         # re-drive one level manually and compare against a membership scan
         buf = ResultBuffer(plan.num_vertices - 1, 64)
         roots = tree.candidates[plan.root][:8]
@@ -195,28 +190,29 @@ def test_chain_query_single_root_no_edge_tasks():
     query = Graph.from_edges([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    matches, model = pipeline_enumerate(tree, plan, "basic", 1024, CycleModel())
+    matches, model = pipeline_enumerate(tree, plan, 1024, CycleModel())
     assert len(matches) == 1
     assert model.edge_tasks_generated == 0
     assert model.results_generated == 3
 
 
-def test_variants_and_capacities_agree_with_oracle():
+def test_capacities_agree_with_oracle():
     for data, query, plan, expected in helpers.solvable_instances(12, 33_000, max_data=40):
         tree = build_candidate_tree(data, query, plan)
-        for variant in ("basic", "task", "sep"):
-            for capacity in (1, 8, 1024):
-                found, _ = pipeline_enumerate(tree, plan, variant, capacity, CycleModel())
-                assert found == expected
+        for capacity in (1, 8, 1024):
+            found, _ = pipeline_enumerate(tree, plan, capacity, CycleModel())
+            assert found == expected
 
 
 def test_buffer_bound_holds_even_at_capacity_one():
     for data, query, plan, expected in helpers.solvable_instances(6, 34_000, max_data=30):
         tree = build_candidate_tree(data, query, plan)
         for capacity in (1, 2, 7):
-            buf_probe = []
-            matches, _ = pipeline_enumerate(tree, plan, "sep", capacity, CycleModel())
+            buffer_stats = []
+            matches, _ = pipeline_enumerate(tree, plan, capacity, CycleModel(), buffer_stats=buffer_stats)
             assert matches == expected
+            [(peak, bound)] = buffer_stats
+            assert bound == capacity and peak <= capacity
 
 
 def test_buffer_push_overflow_raises():
@@ -252,7 +248,7 @@ def _kernel_cases():
 
 def _run_kernel(enumerate_fn, tree, plan, capacity):
     trace, buffer_stats = [], []
-    matches, model = enumerate_fn(tree, plan, "sep", capacity, CycleModel(), trace=trace, buffer_stats=buffer_stats)
+    matches, model = enumerate_fn(tree, plan, capacity, CycleModel(), trace=trace, buffer_stats=buffer_stats)
     return matches, model.results_generated, model.edge_tasks_generated, trace, buffer_stats
 
 
@@ -348,14 +344,14 @@ def test_free_tail_lists_longer_than_capacity_equal_staged_reference():
     tree = build_candidate_tree(data, query, plan)
     assert plan.tail_start == 1 and tree.max_degree == 7
     _assert_equal_to_staged_reference(tree, plan, (1, 2, 3, 6, 8))
-    assert len(pipeline_enumerate(tree, plan, "sep", 3)[0]) == 35
+    assert len(pipeline_enumerate(tree, plan, 3)[0]) == 35
 
 
 def test_matches_come_out_strictly_increasing_without_a_sort():
     for name, tree, plan in _kernel_trees():
         expected = helpers.reference_tree_matches(tree, plan)
         for capacity in (1, 2, 8, 1024):
-            matches, _ = pipeline_enumerate(tree, plan, "sep", capacity)
+            matches, _ = pipeline_enumerate(tree, plan, capacity)
             assert all(a < b for a, b in zip(matches, matches[1:])), (name, capacity)
             assert matches == expected, (name, capacity)
 
@@ -391,15 +387,15 @@ def test_only_queries_with_shared_candidates_check_repeats():
         walks = _walks(tree, plan)
         assert any(len(set(w)) < len(w) for w in walks)
         for capacity in (1, 2, 8, 1024):
-            matches, _ = pipeline_enumerate(tree, plan, "sep", capacity)
+            matches, _ = pipeline_enumerate(tree, plan, capacity)
             assert matches == [w for w in walks if len(set(w)) == len(w)], capacity
 
 
 def test_port_limit_precondition_enforced():
     tree, plan = fixtures.partition_example()
     with pytest.raises(ValueError):
-        pipeline_enumerate(tree, plan, "sep", 1024, CycleModel(), port_limit=tree.max_degree - 1)
-    matches, _ = pipeline_enumerate(tree, plan, "sep", 1024, CycleModel(), port_limit=tree.max_degree)
+        pipeline_enumerate(tree, plan, 1024, CycleModel(), port_limit=tree.max_degree - 1)
+    matches, _ = pipeline_enumerate(tree, plan, 1024, CycleModel(), port_limit=tree.max_degree)
     assert len(matches) == 3
 
 
@@ -407,7 +403,7 @@ def test_counters_match_trace_totals():
     for data, query, plan, _ in helpers.solvable_instances(6, 35_000, max_data=35):
         tree = build_candidate_tree(data, query, plan)
         trace = []
-        _, model = pipeline_enumerate(tree, plan, "sep", 16, CycleModel(), trace=trace)
+        _, model = pipeline_enumerate(tree, plan, 16, CycleModel(), trace=trace)
         assert model.results_generated == sum(r.outputs for r in trace)
         assert model.edge_tasks_generated == sum(r.edge_tasks for r in trace)
 

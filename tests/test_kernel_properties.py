@@ -54,7 +54,7 @@ def tail_instances(draw):
 
 def run(enumerate_fn, tree, plan, capacity):
     trace, buffer_stats = [], []
-    matches, model = enumerate_fn(tree, plan, "sep", capacity, CycleModel(), trace=trace, buffer_stats=buffer_stats)
+    matches, model = enumerate_fn(tree, plan, capacity, CycleModel(), trace=trace, buffer_stats=buffer_stats)
     return matches, model.results_generated, model.edge_tasks_generated, trace, buffer_stats
 
 

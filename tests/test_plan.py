@@ -120,7 +120,7 @@ def test_single_vertex_query_matches_each_label_class(tmp_path, capsys):
         tree = build_candidate_tree(data, query, plan)
         assert host_match(tree, plan) == expected
         trace, buffer_stats = [], []
-        found, model = pipeline_enumerate(tree, plan, "sep", 2, CycleModel(), trace=trace, buffer_stats=buffer_stats)
+        found, model = pipeline_enumerate(tree, plan, 2, CycleModel(), trace=trace, buffer_stats=buffer_stats)
         assert found == expected
         assert trace == [] and buffer_stats == [(0, 2)]
         assert model.results_generated == model.edge_tasks_generated == 0

@@ -20,7 +20,7 @@ def worked_trace():
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     trace = []
-    _, model = pipeline_enumerate(tree, plan, "sep", 1024, CycleModel(), trace=trace)
+    _, model = pipeline_enumerate(tree, plan, 1024, CycleModel(), trace=trace)
     return trace, model
 
 
@@ -64,7 +64,7 @@ def test_makespan_never_below_estimate_minus_slack():
         for capacity in (8, 1024):
             trace = []
             model = CycleModel()
-            pipeline_enumerate(tree, plan, "sep", capacity, model, trace=trace)
+            pipeline_enumerate(tree, plan, capacity, model, trace=trace)
             slack = pipeline_fill_slack(trace, model)
             for variant in ("basic", "task", "sep"):
                 makespan = simulate_dataflow_schedule(trace, variant, model)

@@ -260,7 +260,7 @@ def test_each_side_matches_exactly_the_trees_routed_to_it(monkeypatch):
     # host trees add nothing to any counter or cycle
     model = CycleModel()
     for part in kernel_parts:
-        real_enumerate(part, plan, "sep", model=model)
+        real_enumerate(part, plan, model=model)
     assert (stats.results_generated, stats.edge_tasks_generated) == (
         model.results_generated,
         model.edge_tasks_generated,
