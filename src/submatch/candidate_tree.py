@@ -18,18 +18,20 @@ those of the unfiltered start; only the work of reaching them shrinks
 (the start sets of q0..q8 on the 30,000-vertex bench graph are 2.4-5.5
 times smaller).
 
-From there, one rule "keep the v in C(u) with a data neighbour in C(x)"
-is swept top-down (x = parent), bottom-up (x = each child) and top-down
-again. On a tree those three sweeps reach the fixpoint: re-running any
-of them removes nothing. A query with non-tree edges then applies the
-same rule across every query edge, tree and non-tree, from a worklist
-that starts with the non-tree arcs and re-checks only the arcs into a
-set that shrank, until no set shrinks (arc consistency). Every stored
-list is then built once from the final sets, as the members of the
-target set among the source candidate's data neighbours, so each is
-non-empty, sorted and holds only candidates of its target vertex by
-construction, and every candidate has a stored partner toward each of
-its query neighbours.
+From there, arc_fixpoint applies one rule "keep the v in C(u) with a
+data neighbour in C(x)" along query arcs (u, x), first in, first out:
+the tree arcs bottom-up (x = each child), then top-down (x = parent),
+which on a tree is the fixpoint, then the non-tree arcs. An arc that
+shrinks C(u) queues again every arc into u but the one back from x,
+until no set shrinks (arc consistency). The partition chunks are
+refined by the same routine over a tree's stored lists
+(partition.SplitContext.refined). The query is connected, so when a set
+empties every set would, and the routine stops there. Every stored list
+is then built once from the final sets, as the members of the target
+set among the source candidate's data neighbours, so each is non-empty,
+sorted and holds only candidates of its target vertex by construction,
+and every candidate has a stored partner toward each of its query
+neighbours.
 
 Both the rule and the lists read the data graph only through its
 neighbour-label index (Graph.neighbours_by_label): C(x) holds only
@@ -46,6 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 from .graph import Graph, candidates_by_local_features
@@ -143,38 +146,60 @@ def start_candidates(data: Graph, query: Graph, plan: QueryPlan | None = None) -
     return cand
 
 
+def arc_fixpoint(sets: list, support: list[dict], arcs) -> bool:
+    """Take `sets` to their arc-consistency fixpoint, starting from `arcs`.
+
+    An arc (x, y) keeps each v in sets[x] whose row toward y meets
+    sets[y]. ``support[x][y]`` is ``(rows, keyed)`` for every query
+    neighbour y of x: when keyed, ``rows[v]`` is v's row toward y; when
+    not, x is a tree child of y, and v's partners are the w in sets[y]
+    with v in ``rows[w]``. Every candidate looked up must have a row
+    (label rows fill on lookup; a tree at its fixpoint stores one for
+    every candidate), and sets[y] of every queued arc must be a set.
+    Arcs are checked first in, first out. When sets[x] shrinks it is
+    replaced by the kept set, and every arc into x is queued again
+    except the one back to y: rows read one symmetric relation both
+    ways, so what left x had no partner in sets[y] (Mackworth's AC-3).
+    Returns False as soon as a set empties, True at the fixpoint.
+    """
+    queue = deque(arcs)
+    queued = set(queue)
+    while queue:
+        arc = queue.popleft()
+        queued.discard(arc)
+        x, y = arc
+        rows, keyed = support[x][y]
+        cand_x, cand_y = sets[x], sets[y]
+        if keyed:
+            keep = {v for v in cand_x if not cand_y.isdisjoint(rows[v])}
+        else:
+            keep = set(chain.from_iterable(map(rows.__getitem__, cand_y))).intersection(cand_x)
+        if len(keep) < len(cand_x):
+            if not keep:
+                return False
+            sets[x] = keep
+            for z in support[x]:
+                if z != y and (z, x) not in queued:
+                    queued.add((z, x))
+                    queue.append((z, x))
+    return True
+
+
 def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> CandidateTree:
     """Construct and refine the candidate tree for (query, data)."""
     cand = start_candidates(data, query, plan)
     by_label = data.neighbours_by_label
     labels = query.labels
-
-    def keep_linked(u: int, x: int) -> bool:
-        """Drop from C(u) every candidate with no data neighbour in C(x); True if C(u) shrank."""
-        other, before, rows = cand[x], cand[u], by_label[labels[x]]
-        cand[u] = {v for v in before if not other.isdisjoint(rows[v])}
-        return len(cand[u]) < len(before)
-
-    for u in plan.bfs_order[1:]:
-        keep_linked(u, plan.parent[u])
-    for u in reversed(plan.bfs_order):
-        for c in plan.children[u]:
-            keep_linked(u, c)
-    for u in plan.bfs_order[1:]:
-        keep_linked(u, plan.parent[u])
-
-    # The sweeps leave every tree arc consistent, so the worklist starts
-    # from the non-tree arcs and re-checks only the arcs into a set that shrank.
-    arcs = deque((u, un) for u in range(query.num_vertices) for un in plan.non_tree[u])
-    queued = set(arcs)
-    while arcs:
-        u, x = arcs.popleft()
-        queued.discard((u, x))
-        if keep_linked(u, x):
-            for y in query.adj[u]:
-                if y != x and (y, u) not in queued:
-                    queued.add((y, u))
-                    arcs.append((y, u))
+    support = [{y: (by_label[labels[y]], True) for y in query.adj[x]} for x in range(query.num_vertices)]
+    # Bottom-up then top-down checks each tree arc once and leaves the tree
+    # arcs consistent; the non-tree arcs follow, and only arcs into a set
+    # that shrinks are checked again.
+    arcs = [(u, c) for u in reversed(plan.bfs_order) for c in plan.children[u]]
+    arcs += [(u, plan.parent[u]) for u in plan.bfs_order[1:]]
+    arcs += [(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]]
+    if not arc_fixpoint(cand, support, arcs):
+        # the query is connected, so one empty set empties them all
+        cand = [set() for _ in cand]
 
     def group(a: int, b: int) -> dict[int, list[int]]:
         # C(b) holds only vertices of b's label, so its partners of v are

@@ -138,9 +138,6 @@ class Graph:
         """
         return _LabelIndex(self.adj, self.vertices_by_label)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, a: int, b: int) -> bool:
         row = self.adj[a]
         i = bisect_left(row, b)

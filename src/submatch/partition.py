@@ -3,10 +3,12 @@
 A tree over budget at the current matching-order vertex u has C(u) cut
 into k even contiguous chunks. Each chunk is the parent with C(u) cut
 to the chunk, taken to its arc-consistency fixpoint over the parent's
-stored groups (SplitContext.refined): a candidate is kept only if its
-row toward every query neighbour still holds a partner. The chunks'
-embedding sets partition the original's. Recursion advances to the
-next order position once C(u) is a singleton.
+stored groups (SplitContext.refined) by the index build's own routine,
+candidate_tree.arc_fixpoint, started from the arcs into u: a candidate
+is kept only if its row toward every query neighbour still holds a
+partner. The chunks' embedding sets partition the original's.
+Recursion advances to the next order position once C(u) is a
+singleton.
 
 Cutting C(u) leaves candidates of other vertices, before u in the order
 as well as after it, with no partner; most chunks of a cyclic query
@@ -45,9 +47,10 @@ from-scratch check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
-from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree
+from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree, arc_fixpoint
 from .plan import QueryPlan
 
 
@@ -102,16 +105,6 @@ def _lists_metrics(lengths: list[int]) -> tuple[int, int]:
     return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths, default=0)
 
 
-def _reach(index: dict[int, list[int]], keep) -> set[int]:
-    """Union of index[v] over v in keep."""
-    out: set[int] = set()
-    for v in keep:
-        row = index.get(v)
-        if row:
-            out.update(row)
-    return out
-
-
 def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None) -> dict[int, list[int]]:
     """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged).
 
@@ -132,9 +125,11 @@ def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set
 class SplitContext:
     """What every chunk of one split of `tree` at query vertex u shares.
 
-    The arcs a refined chunk re-checks are listed once here; the metrics
-    of each group are computed on first use and kept for the chunks that
-    leave both endpoints of the group unchanged.
+    The arc table (support, as arc_fixpoint reads it) is built once
+    here: a stored group is keyed by its source, and a tree child is
+    looked up through its parent's group. The metrics of each group are
+    computed on first use and kept for the chunks that leave both
+    endpoints of the group unchanged.
     """
 
     def __init__(self, tree: CandidateTree, plan: QueryPlan, u: int):
@@ -142,14 +137,11 @@ class SplitContext:
         self.plan = plan
         self.u = u
         self._metrics: dict[tuple[int, int], tuple[int, int]] = {}
-        self._adj = {**tree.tree_adj, **tree.non_tree_adj}
-        # Arcs into each vertex y, as (x, group, whether the group is keyed by x);
-        # a tree child's candidates are looked up through its parent's rows.
-        self.into: list[list[tuple[int, dict[int, list[int]], bool]]] = [[] for _ in tree.candidates]
-        for (a, b), lists in self._adj.items():
-            self.into[b].append((a, lists, True))
-            if (a, b) in tree.tree_adj:
-                self.into[a].append((b, lists, False))
+        self.support: list[dict[int, tuple[dict[int, list[int]], bool]]] = [{} for _ in tree.candidates]
+        for (a, b), lists in {**tree.tree_adj, **tree.non_tree_adj}.items():
+            self.support[a][b] = (lists, True)
+        for (a, b), lists in tree.tree_adj.items():
+            self.support[b][a] = (lists, False)
 
     def _metrics_of(self, key: tuple[int, int], lists: dict[int, list[int]]) -> tuple[int, int]:
         metrics = self._metrics.get(key)
@@ -163,22 +155,24 @@ class SplitContext:
         Vertices before u in the order keep their sets and u keeps
         part_set. Each later vertex w, in order, keeps the candidates
         linked to the retained set of at least one earlier query
-        neighbour: reached through that neighbour's rows or, when the
-        group is keyed by w (a tree child earlier in the order), whose
-        own row meets the child's set.
+        neighbour, read from w's arc table: reached through a tree
+        parent's rows or, when the group is keyed by w, whose own row
+        meets the neighbour's set.
         """
         tree, plan, u = self.tree, self.plan, self.u
+        position = plan.position
         candidates = list(tree.candidates)
         retained: dict[int, set[int]] = {}
         if len(part_set) < len(candidates[u]):
             retained[u] = part_set
             candidates[u] = sorted(part_set)
-        for w in plan.order[plan.position[u] + 1 :]:
+        for w in plan.order[position[u] + 1 :]:
             linked: set[int] = set()
-            for w_from, key, keyed_by_w in _earlier_links(plan, w):
-                lists = self._adj.get(key, {})
+            for w_from, (lists, keyed_by_w) in self.support[w].items():
+                if position[w_from] > position[w]:
+                    continue
                 if not keyed_by_w:
-                    linked |= _reach(lists, candidates[w_from])
+                    linked.update(chain.from_iterable(map(lists.get, candidates[w_from], repeat(()))))
                 elif w_from in retained:
                     keep = retained[w_from]
                     linked.update(v for v, row in lists.items() if not keep.isdisjoint(row))
@@ -206,33 +200,20 @@ class SplitContext:
         A candidate v of x is kept while its parent row toward each
         query neighbour y meets C(y); a tree child's candidates are the
         reach of its parent's retained rows. The parent is at its
-        fixpoint, so the worklist starts from u and re-checks only the
-        arcs into a shrunk set. Projection drops only candidates with no
-        such support, so this equals the projection onto part_set taken
-        to its fixpoint. Returns None as soon as a set empties, before
-        any group is cut; otherwise each group is cut once, from the
-        final sets.
+        fixpoint, so arc_fixpoint starts from the arcs into u.
+        Projection drops only candidates with no such support, so this
+        equals the projection onto part_set taken to its fixpoint.
+        Returns None as soon as a set empties, before any group is cut;
+        otherwise each group is cut once, from the final sets.
         """
-        retained = {self.u: part_set} if len(part_set) < len(self.tree.candidates[self.u]) else {}
-        queue = list(retained)
-        while queue:
-            y = queue.pop()
-            keep_y = retained[y]
-            for x, lists, keyed_by_x in self.into[y]:
-                cand_x = retained.get(x, self.tree.candidates[x])
-                if keyed_by_x:
-                    keep = {v for v in cand_x if not keep_y.isdisjoint(lists.get(v, ()))}
-                else:
-                    keep = _reach(lists, keep_y).intersection(cand_x)
-                if len(keep) < len(cand_x):
-                    if not keep:
-                        return None
-                    retained[x] = keep
-                    if x not in queue:
-                        queue.append(x)
-        candidates = list(self.tree.candidates)
-        for w, keep in retained.items():
-            candidates[w] = sorted(keep)
+        tree, u = self.tree, self.u
+        sets = list(tree.candidates)
+        if len(part_set) < len(sets[u]):
+            sets[u] = part_set
+            if not arc_fixpoint(sets, self.support, [(x, u) for x in self.support[u]]):
+                return None
+        retained = {w: keep for w, keep in enumerate(sets) if keep is not tree.candidates[w]}
+        candidates = [sorted(keep) if w in retained else keep for w, keep in enumerate(sets)]
         return self._cut(candidates, retained)
 
     def _cut(self, candidates: list[list[int]], retained: dict[int, set[int]]) -> CandidateTree:
@@ -276,24 +257,6 @@ def project_tree(tree: CandidateTree, plan: QueryPlan, u: int, part: Sequence[in
     if not part_set.issubset(tree.candidates[u]):
         raise ValueError("part must be a subset of the candidates of u")
     return SplitContext(tree, plan, u).project(part_set)
-
-
-def _earlier_links(plan: QueryPlan, w: int):
-    """Query neighbors of w earlier in the order, with their list keys.
-
-    Yields (earlier vertex, adjacency key, whether the key's lists are
-    indexed by w's own candidates). Tree lists are stored parent-first,
-    so a tree child that precedes w in the order flips the indexing.
-    """
-    p = plan.parent[w]
-    if p is not None and plan.position[p] < plan.position[w]:
-        yield p, (p, w), False
-    for c in plan.children[w]:
-        if plan.position[c] < plan.position[w]:
-            yield c, (w, c), True
-    for un in plan.non_tree[w]:
-        if plan.position[un] < plan.position[w]:
-            yield un, (un, w), False
 
 
 def _longest_list_into(tree: CandidateTree, plan: QueryPlan, index: int) -> int:

@@ -26,7 +26,6 @@ from submatch import (
     within_budgets,
 )
 from submatch.kernel import DEFAULT_CAPACITY, BufferOverflowError, CycleModel, RoundTrace
-from submatch.partition import _earlier_links
 from submatch.oracle import brute_force_embeddings
 
 
@@ -145,6 +144,24 @@ def reference_candidate_tree(data, query, plan):
         return out
 
     return CandidateTree.assemble([sorted(c) for c in cand], groups(tree_edges), groups(non_tree_edges))
+
+
+def _earlier_links(plan, w):
+    """Query neighbours of w earlier in the order, with their list keys.
+
+    Yields (earlier vertex, adjacency key, whether the key's lists are
+    indexed by w's own candidates). Tree lists are stored parent-first,
+    so a tree child that precedes w in the order flips the indexing.
+    """
+    p = plan.parent[w]
+    if p is not None and plan.position[p] < plan.position[w]:
+        yield p, (p, w), False
+    for c in plan.children[w]:
+        if plan.position[c] < plan.position[w]:
+            yield c, (w, c), True
+    for un in plan.non_tree[w]:
+        if plan.position[un] < plan.position[w]:
+            yield un, (un, w), False
 
 
 def reference_project_tree(tree, plan, u, part, *, allow_empty=False):

@@ -75,6 +75,20 @@ def test_absent_label_empties_all_candidate_sets():
     assert host_match(tree, plan) == []
 
 
+def test_refinement_that_empties_one_set_empties_every_set():
+    # path query 0-1-2-3; data a-b-c and b'-c'-d (a=0, b=1, c=2, b'=3, c'=4, d=5):
+    # every start set is a singleton, but b and c' are not adjacent, so the
+    # refinement stops at the first empty set and the fixpoint is empty
+    data = Graph.from_edges([0, 1, 2, 1, 2, 3], [(0, 1), (1, 2), (3, 4), (4, 5)])
+    query = Graph.from_edges([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+    plan = build_query_plan(query, data)
+    assert start_candidates(data, query, plan) == [{0}, {1}, {4}, {5}]
+    tree = build_candidate_tree(data, query, plan)
+    assert tree.candidates == [[], [], [], []]
+    assert list(tree.stored_lists()) == []
+    assert tree == helpers.reference_candidate_tree(data, query, plan)
+
+
 def test_soundness_every_oracle_embedding_stays_in_candidates():
     for data, query, plan, expected in helpers.solvable_instances(40, 10_000, max_data=50):
         tree = build_candidate_tree(data, query, plan)

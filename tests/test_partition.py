@@ -256,7 +256,7 @@ def test_partitions_match_reference_on_fixtures():
             assert_partitions_match_reference(qtree, qplan, config)
 
 
-@pytest.mark.parametrize("name", ["q3", "q7", "q8"])
+@pytest.mark.parametrize("name", ["q0", "q2", "q3", "q7", "q8"])
 def test_partitions_match_reference_on_benchmark_queries(name):
     data = fixtures.benchmark_graph()
     query = fixtures.benchmark_queries()[name]
