@@ -259,9 +259,7 @@ def load_graph(path) -> Graph:
     edges, self-loops, id gaps, and degree mismatches.
     """
     header: tuple[int, int] | None = None
-    labels: list[int | None] = []
-    vertex_line: list[int] = []
-    declared_degree: list[int] = []
+    vertices: dict[int, tuple[int, int, int]] = {}  # id -> (label, declared degree, line)
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []  # file line of each edge
 
@@ -285,9 +283,6 @@ def load_graph(path) -> Graph:
                     if nv < 0 or ne < 0:
                         raise GraphFormatError("negative count in header", lineno)
                     header = (nv, ne)
-                    labels = [None] * nv
-                    vertex_line = [0] * nv
-                    declared_degree = [0] * nv
                 elif kind == "v":
                     if header is None:
                         raise GraphFormatError("vertex line before header", lineno)
@@ -299,13 +294,11 @@ def load_graph(path) -> Graph:
                         raise GraphFormatError("malformed vertex line, fields must be integers", lineno)
                     if not 0 <= vid < header[0]:
                         raise GraphFormatError(f"vertex id {vid} outside 0..{header[0] - 1}", lineno)
-                    if labels[vid] is not None:
+                    if vid in vertices:
                         raise GraphFormatError(f"duplicate vertex {vid}", lineno)
                     if lab < 0:
                         raise GraphFormatError(f"negative label {lab}", lineno)
-                    labels[vid] = lab
-                    vertex_line[vid] = lineno
-                    declared_degree[vid] = deg
+                    vertices[vid] = (lab, deg, lineno)
                 elif kind == "e":
                     if header is None:
                         raise GraphFormatError("edge line before header", lineno)
@@ -320,7 +313,7 @@ def load_graph(path) -> Graph:
                     if a > b:
                         raise GraphFormatError(f"edge ({a}, {b}) must be written src < dst", lineno)
                     for end in (a, b):
-                        if not 0 <= end < header[0] or labels[end] is None:
+                        if end not in vertices:
                             raise GraphFormatError(f"edge references unknown vertex {end}", lineno)
                     edges.append((a, b))
                     edge_lines.append(lineno)
@@ -329,13 +322,14 @@ def load_graph(path) -> Graph:
 
         if header is None:
             raise GraphFormatError("missing 't <|V|> <|E|>' header")
-        for vid, lab in enumerate(labels):
-            if lab is None:
-                raise GraphFormatError(f"vertex {vid} never declared (ids must be dense 0..{header[0] - 1})")
+        if len(vertices) < header[0]:
+            # the first undeclared id is at most the number declared
+            vid = next(v for v in range(len(vertices) + 1) if v not in vertices)
+            raise GraphFormatError(f"vertex {vid} never declared (ids must be dense 0..{header[0] - 1})")
         if len(edges) != header[1]:
             raise GraphFormatError(f"header declares {header[1]} edges, file has {len(edges)}")
 
-        graph = Graph.from_edges([int(x) for x in labels], edges)  # type: ignore[arg-type]
+        graph = Graph.from_edges([vertices[v][0] for v in range(header[0])], edges)
     except GraphFormatError:
         # Graph.from_edges finds repeated edges in bulk once the file is
         # read, so a repeat among the edges read so far precedes the error.
@@ -345,11 +339,9 @@ def load_graph(path) -> Graph:
         raise GraphFormatError(defect[1], edge_lines[defect[0]]) from None
 
     for vid in range(header[0]):
-        if declared_degree[vid] != graph.degrees[vid]:
-            raise GraphFormatError(
-                f"vertex {vid} declares degree {declared_degree[vid]} but has {graph.degrees[vid]}",
-                vertex_line[vid],
-            )
+        _, deg, lineno = vertices[vid]
+        if deg != graph.degrees[vid]:
+            raise GraphFormatError(f"vertex {vid} declares degree {deg} but has {graph.degrees[vid]}", lineno)
     return graph
 
 

@@ -20,18 +20,19 @@ to its fixpoint. A chunk is dropped as soon as a set empties, before
 any group is cut, and any other tree with an empty candidate set (an
 absent-label root) is dropped before its budget check.
 
-A split at u is made only where a chunk could fit. Projection is
-monotone in the part, so the projection onto the empty part (the
-floor) is contained in every chunk's projection, and its max_degree
-bounds theirs from below. When the floor is over the degree budget, the
-tree is within the size budget, and no stored list into u or an earlier
-order vertex is over the degree budget (only splits at or before u
-could shorten those), u is left unsplit and recursion advances to the
-next order position with the same tree. Cutting C(u) there would only
-multiply the pieces by |C(u)| without bringing any under budget. The
-rule tests the unrefined floor; a refined chunk need not contain it, so
-a skip may pass over a split whose refined chunks would fit: that can
-cost pieces, never an embedding.
+A split at u is made only where a chunk could fit. At the fixpoint,
+cutting C(u) to nothing empties a set Z(u) that the plan alone fixes:
+u, and each later vertex whose earlier neighbours all lie in Z(u).
+Every other set keeps all its candidates, since one unchanged earlier
+neighbour reaches each of them. So the projection onto the empty part
+(the floor), contained in every chunk's projection, stores exactly the
+groups with neither end in Z(u), unchanged. When one of them is over
+the degree budget, the tree fits the size budget, and no stored list
+into u or an earlier order vertex is over the degree budget (only
+splits at or before u could shorten those), u is left unsplit
+(SplitContext.skips) and recursion advances with the same tree: a cut
+would only multiply the pieces. A refined chunk need not contain the
+floor, so a skip can cost pieces, never an embedding.
 
 The k sibling chunks of one split share a SplitContext, so a chunk
 costs in proportion to what it restricts, not to the parent tree. A
@@ -185,14 +186,24 @@ class SplitContext:
                 candidates[w] = sorted(linked)
         return self._cut(candidates, retained)
 
-    def floor(self) -> CandidateTree:
-        """The projection onto the empty part of C(u).
+    def skips(self, index: int, config: PartitionConfig) -> bool:
+        """Whether u = plan.order[index] is left unsplit, by the Z(u) rule of the module docstring.
 
-        Projection is monotone in the part, so every chunk's projection
-        contains this tree, and its max_degree is a lower bound on every
-        chunk's max_degree.
+        Earlier neighbours are read from the arc table, as project reads
+        them, and group degrees are the cached metrics the chunks' cuts
+        reuse. The tree must be at its fixpoint.
         """
-        return self.project(set())
+        tree, position, budget = self.tree, self.plan.position, config.degree_budget
+        if tree.size_bytes > config.size_budget:
+            return False
+        groups = list(chain(tree.tree_adj.items(), tree.non_tree_adj.items()))
+        if any(self._metrics_of(key, lists)[1] > budget for key, lists in groups if position[key[1]] <= index):
+            return False
+        emptied = {self.u}
+        for w in self.plan.order[index + 1 :]:
+            if all(w_from in emptied for w_from in self.support[w] if position[w_from] < position[w]):
+                emptied.add(w)
+        return any(self._metrics_of(key, lists)[1] > budget for key, lists in groups if emptied.isdisjoint(key))
 
     def refined(self, part_set: set[int]) -> CandidateTree | None:
         """The parent with C(u) cut to part_set, at its arc-consistency fixpoint.
@@ -259,21 +270,6 @@ def project_tree(tree: CandidateTree, plan: QueryPlan, u: int, part: Sequence[in
     return SplitContext(tree, plan, u).project(part_set)
 
 
-def _longest_list_into(tree: CandidateTree, plan: QueryPlan, index: int) -> int:
-    """Longest stored list whose target vertex is at or before order position `index`."""
-    position = plan.position
-    return max(
-        (
-            len(row)
-            for groups in (tree.tree_adj, tree.non_tree_adj)
-            for (_, b), lists in groups.items()
-            if position[b] <= index
-            for row in lists.values()
-        ),
-        default=0,
-    )
-
-
 def partition_tree(
     tree: CandidateTree,
     plan: QueryPlan,
@@ -290,12 +286,9 @@ def partition_tree(
     fixpoint (SplitContext.refined) and dropped when that empties a set,
     so every emitted tree is at its fixpoint. The order vertex
     u = plan.order[index] is skipped, not split, when no chunk of C(u)
-    could come within the degree budget before refinement: the tree
-    fits the size budget, every stored list into u or an earlier order
-    vertex fits the degree budget, and the split's floor (the
-    projection onto the empty part, contained in every chunk's
-    projection) is still over it. Raises UnsplittableTreeError if the
-    order is exhausted while budgets are still violated.
+    could come within the degree budget (SplitContext.skips). Raises
+    UnsplittableTreeError if the order is exhausted while budgets are
+    still violated.
     """
     if any(not c for c in tree.candidates):
         return 0
@@ -314,11 +307,7 @@ def partition_tree(
 
     u = plan.order[index]
     split = SplitContext(tree, plan, u)
-    if (
-        tree.size_bytes <= config.size_budget
-        and _longest_list_into(tree, plan, index) <= config.degree_budget
-        and split.floor().max_degree > config.degree_budget
-    ):
+    if split.skips(index, config):
         return partition_tree(tree, plan, index + 1, config, sink)
 
     cand = tree.candidates[u]

@@ -169,8 +169,9 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
 
     The test reference for submatch.project_tree, which shares unchanged
     lists with its parent instead; both must give == trees. With
-    allow_empty, an empty part gives the floor tree that
-    SplitContext.floor builds.
+    allow_empty, an empty part gives the floor: the reference for the
+    skip rule, whose max_degree SplitContext.skips reads from the plan
+    without building it.
     """
     if not part and not allow_empty:
         raise ValueError("part must be non-empty")
@@ -252,6 +253,28 @@ def reference_refine_tree(tree):
     return CandidateTree.assemble([sorted(c) for c in cand], restrict(tree.tree_adj), restrict(tree.non_tree_adj))
 
 
+def reference_skips(tree, plan, index, config):
+    """The skip rule from its definition: plan.order[index] is left unsplit.
+
+    The tree fits the size budget, no stored list into order[:index + 1]
+    is over the degree budget, and the from-scratch floor (the
+    projection onto the empty part) is.
+    """
+    into_prefix = [
+        row
+        for groups in (tree.tree_adj, tree.non_tree_adj)
+        for (_, b), lists in groups.items()
+        if plan.position[b] <= index
+        for row in lists.values()
+    ]
+    floor = reference_project_tree(tree, plan, plan.order[index], [], allow_empty=True)
+    return (
+        tree.size_bytes <= config.size_budget
+        and all(len(row) <= config.degree_budget for row in into_prefix)
+        and floor.max_degree > config.degree_budget
+    )
+
+
 def reference_partitions(tree, plan, index, config, skipped=None):
     """The trees partition_tree emits, in order, split by reference_project_tree.
 
@@ -267,19 +290,7 @@ def reference_partitions(tree, plan, index, config, skipped=None):
     if index >= plan.num_vertices:
         raise UnsplittableTreeError("budgets still violated after exhausting the matching order", -1)
     u = plan.order[index]
-    into_prefix = [
-        row
-        for groups in (tree.tree_adj, tree.non_tree_adj)
-        for (_, b), lists in groups.items()
-        if plan.position[b] <= index
-        for row in lists.values()
-    ]
-    floor = reference_project_tree(tree, plan, u, [], allow_empty=True)
-    if (
-        tree.size_bytes <= config.size_budget
-        and all(len(row) <= config.degree_budget for row in into_prefix)
-        and floor.max_degree > config.degree_budget
-    ):
+    if reference_skips(tree, plan, index, config):
         if skipped is not None:
             skipped.append(u)
         return reference_partitions(tree, plan, index + 1, config, skipped)

@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,23 @@ def test_run_parse_error_is_machine_readable(capsys, tmp_path, worked_paths):
     assert code == 1
     err = json.loads(out)["error"]
     assert err["type"] == "format" and err["line"] == 4
+
+
+@pytest.mark.parametrize("count", [5_000_000, 99_999_999_999])
+def test_run_header_count_alone_is_typed_error_without_sizing_arrays(capsys, worked_paths, tmp_path, count):
+    """A header whose vertex count no line bears out is a format error, found without allocating per declared vertex."""
+    query = tmp_path / "header_only.graph"
+    query.write_text(f"t {count} 0\n")
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "run", "--data", worked_paths[0], "--query", str(query), "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "format" and "vertex 0 never declared" in err["message"]
+    assert peak < 8 * 2**20
 
 
 def test_run_isolated_query_vertex_is_typed_error(capsys, worked_paths, tmp_path):

@@ -350,12 +350,13 @@ def test_tree_query_chunks_are_refined():
 
 
 def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
-    """A vertex left unsplit has no candidate whose own projection fits the degree budget.
+    """The skip rule agrees with the projected floor, and a skipped vertex has no candidate that fits.
 
-    Projection is monotone in the part, so every chunk containing v
-    contains v's single-candidate projection: no chunk of the skipped
-    split could have been emitted. The floor tree equals the
-    from-scratch projection onto the empty part.
+    At every call whose tree is over budget, SplitContext.skips equals
+    the reference rule, which builds the floor from scratch. Projection
+    is monotone in the part, so every chunk containing a candidate v of
+    a skipped vertex contains v's single-candidate projection: no chunk
+    of the skipped split could have been emitted.
     """
     calls = []
     original = submatch.partition.partition_tree
@@ -366,7 +367,7 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
 
     monkeypatch.setattr(submatch.partition, "partition_tree", recording)
     rng = random.Random(47)
-    skips = 0
+    skips = decided = 0
     for data, query, plan, _ in helpers.solvable_instances(30, 24_000, max_data=45):
         tree = build_candidate_tree(data, query, plan)
         for _ in range(4):
@@ -380,19 +381,67 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
                 recording(tree, plan, 0, config, lambda part: None)
             except UnsplittableTreeError:
                 continue
+            for parent, index in calls:
+                if all(parent.candidates) and not within_budgets(parent, config) and index < plan.num_vertices:
+                    u = plan.order[index]
+                    skipped = SplitContext(parent, plan, u).skips(index, config)
+                    assert skipped == helpers.reference_skips(parent, plan, index, config)
+                    decided += 1
             # Only a skip passes the same tree object on, at the next order position.
             for (parent, index), (child, child_index) in zip(calls, calls[1:]):
                 if child is not parent:
                     continue
                 assert child_index == index + 1
                 u = plan.order[index]
+                assert SplitContext(parent, plan, u).skips(index, config)
                 for v in parent.candidates[u]:
                     assert project_tree(parent, plan, u, [v]).max_degree > config.degree_budget
-                floor = SplitContext(parent, plan, u).floor()
-                assert floor == helpers.reference_project_tree(parent, plan, u, [], allow_empty=True)
-                assert floor.max_degree > config.degree_budget
                 skips += 1
-    assert skips >= 100
+    assert skips >= 100 and decided > 2 * skips
+
+
+def test_skip_rule_on_child_before_parent_order():
+    """The skip rule reads a tree child placed before its parent as an earlier neighbour.
+
+    The plan and tree of test_project_handles_child_before_parent_order,
+    taken to their fixpoint, and the same tree with 16 also linked from
+    10, so 1 keeps two candidates. In the second, Z(3) = {3, 2} and
+    Z(2) = {2} leave group (0, 1) whole, and its degree 2 decides a skip
+    at degree budget 1.
+    """
+    from submatch.plan import QueryPlan
+    from submatch.candidate_tree import CandidateTree
+
+    plan = QueryPlan.assemble(
+        root=0,
+        parent=[None, 0, 1, 0],
+        children=[[1, 3], [2], [], []],
+        non_tree=[[], [], [3], [2]],
+        order=[0, 3, 2, 1],
+        bfs_order=[0, 1, 3, 2],
+    )
+    skips = []
+    for row_of_10 in ([11, 14], [11, 14, 16]):
+        tree = helpers.reference_refine_tree(
+            CandidateTree.assemble(
+                candidates=[[10], [11, 14, 16], [12, 15], [13]],
+                tree_adj={
+                    (0, 1): {10: row_of_10},
+                    (1, 2): {11: [12], 14: [15], 16: [12]},
+                    (0, 3): {10: [13]},
+                },
+                non_tree_adj={(2, 3): {12: [13]}, (3, 2): {13: [12]}},
+            )
+        )
+        for degree_budget in (1, 2):
+            for size_budget in (tree.size_bytes - 1, tree.size_bytes):
+                config = PartitionConfig(size_budget=size_budget, degree_budget=degree_budget)
+                for index, u in enumerate(plan.order):
+                    skipped = SplitContext(tree, plan, u).skips(index, config)
+                    assert skipped == helpers.reference_skips(tree, plan, index, config)
+                    if skipped:
+                        skips.append((tree.candidates[1], degree_budget, size_budget - tree.size_bytes, u))
+    assert skips == [([11, 16], 1, 0, 3), ([11, 16], 1, 0, 2)]
 
 
 def assert_projections_share_unchanged(monkeypatch, tree, plan, config):

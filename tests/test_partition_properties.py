@@ -1,4 +1,4 @@
-"""Property tests of the refined chunk on random small instances.
+"""Property tests of the refined chunk and the skip rule on random small instances.
 
 Skipped where hypothesis is not installed.
 """
@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from submatch import build_candidate_tree, build_query_plan
+from submatch import PartitionConfig, build_candidate_tree, build_query_plan
 from submatch.oracle import brute_force_embeddings
 from submatch.partition import SplitContext
 
@@ -49,3 +49,30 @@ def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
             for groups in (chunk.tree_adj, chunk.non_tree_adj):
                 assert all(e[b] in groups[(a, b)].get(e[a], ()) for a, b in groups)
         tree = chunk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), draw=st.data())
+def test_skip_rule_is_the_projected_floor_rule(seed, draw):
+    """SplitContext.skips equals the rule read from the from-scratch floor.
+
+    At a random order position, the tree is the index or, as the
+    recursion makes them, a refined chunk of it whose earlier order
+    vertices are each cut to one random candidate (so the lists into the
+    prefix are short and the rule can fire); both are at their
+    fixpoint. Both budgets are random.
+    """
+    data, query = helpers.make_instance(seed, max_data=45, max_query=6)
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    assume(all(tree.candidates))
+    index = draw.draw(st.integers(0, plan.num_vertices - 1))
+    for u in plan.order[: draw.draw(st.integers(0, index))]:
+        tree = SplitContext(tree, plan, u).refined({draw.draw(st.sampled_from(tree.candidates[u]))})
+        assume(tree is not None)
+    config = PartitionConfig(
+        size_budget=max(17, tree.size_bytes + draw.draw(st.integers(-8, 64))),
+        degree_budget=draw.draw(st.integers(1, max(1, tree.max_degree))),
+    )
+    skipped = SplitContext(tree, plan, plan.order[index]).skips(index, config)
+    assert skipped == helpers.reference_skips(tree, plan, index, config)
