@@ -25,13 +25,15 @@ which on a tree is the fixpoint, then the non-tree arcs. An arc that
 shrinks C(u) queues again every arc into u but the one back from x,
 until no set shrinks (arc consistency). The partition chunks are
 refined by the same routine over a tree's stored lists
-(partition.SplitContext.refined). The query is connected, so when a set
-empties every set would, and the routine stops there. Every stored list
-is then built once from the final sets, as the members of the target
-set among the source candidate's data neighbours, so each is non-empty,
-sorted and holds only candidates of its target vertex by construction,
-and every candidate has a stored partner toward each of its query
-neighbours.
+(partition.refined, reading CandidateTree.arcs). The query is
+connected, so when a set empties every set would, and the routine
+stops there. Each set is then sorted once, and every stored list is
+built once from the final sets, as the members of the target set among
+the source candidate's data neighbours, so each is non-empty, sorted
+and holds only candidates of its target vertex by construction, and
+every candidate has a stored partner toward each of its query
+neighbours. assemble measures each group and proves the sets disjoint
+or not, once per index.
 
 Both the rule and the lists read the data graph only through its
 neighbour-label index (Graph.neighbours_by_label): C(x) holds only
@@ -47,18 +49,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
 
 from .graph import Graph, candidates_by_local_features
 from .plan import QueryPlan
 
+# Accounting: 4 bytes per stored candidate id and adjacency entry, 8 bytes
+# per list header (candidate sets included), 16 bytes base.
 BASE_HEADER_BYTES = 16
 LIST_HEADER_BYTES = 8
 ENTRY_BYTES = 4
 
 AdjacencyMap = dict[tuple[int, int], dict[int, list[int]]]
+ArcTable = list[dict[int, tuple[dict[int, list[int]], bool]]]
 
 
 @dataclass
@@ -73,11 +78,16 @@ class CandidateTree:
 
     Trees are immutable once built: nothing changes a candidate list, an
     adjacency group or a stored list afterwards, so a partition chunk
-    (partition.SplitContext) shares the unchanged ones with its parent
-    instead of copying them. size_bytes and max_degree are cached:
-    assemble computes them with tree_metrics, partition chunks sum them
-    while restricting, and tree_metrics recomputes them from scratch as
-    the check.
+    shares the unchanged ones with its parent instead of copying them.
+    A tree also carries what its builder proved, outside ==:
+    group_metrics, every group's (bytes, longest list), from which
+    size_bytes and max_degree are summed (summed_metrics); disjoint,
+    whether the candidate sets are known to be pairwise disjoint (the
+    kernel then runs no visited check); and arcs, arc_fixpoint's table,
+    built on first use. assemble proves them from scratch; a partition
+    chunk measures the groups it cuts, copies the other entries and
+    inherits disjoint, as it only shrinks sets. A tree built any other
+    way is not known disjoint. tree_metrics is the from-scratch check.
     """
 
     candidates: list[list[int]]
@@ -85,16 +95,25 @@ class CandidateTree:
     non_tree_adj: AdjacencyMap
     size_bytes: int = 0
     max_degree: int = 0
+    group_metrics: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict, compare=False, repr=False)
+    disjoint: bool = field(default=False, compare=False, repr=False)
 
     @staticmethod
-    def assemble(candidates, tree_adj, non_tree_adj) -> "CandidateTree":
-        tree = CandidateTree(
-            candidates=[sorted(c) for c in candidates],
-            tree_adj=tree_adj,
-            non_tree_adj=non_tree_adj,
-        )
-        tree.size_bytes, tree.max_degree = tree_metrics(tree)
-        return tree
+    def assemble(candidates: list[list[int]], tree_adj: AdjacencyMap, non_tree_adj: AdjacencyMap) -> "CandidateTree":
+        """The tree over these sorted candidate lists, measured and tested for disjointness."""
+        metrics = {key: measure_group(lists) for key, lists in chain(tree_adj.items(), non_tree_adj.items())}
+        disjoint = len(set().union(*candidates)) == sum(map(len, candidates))
+        return CandidateTree(candidates, tree_adj, non_tree_adj, *summed_metrics(candidates, metrics), metrics, disjoint)
+
+    @cached_property
+    def arcs(self) -> ArcTable:
+        """arc_fixpoint's support table: a group keyed by its source, a tree child through its parent's."""
+        support: ArcTable = [{} for _ in self.candidates]
+        for (a, b), lists in chain(self.tree_adj.items(), self.non_tree_adj.items()):
+            support[a][b] = (lists, True)
+        for (a, b), lists in self.tree_adj.items():
+            support[b][a] = (lists, False)
+        return support
 
     def stored_lists(self):
         for groups in (self.tree_adj, self.non_tree_adj):
@@ -102,12 +121,20 @@ class CandidateTree:
                 yield from per_cand.values()
 
 
-def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
-    """Recompute (size_bytes, max_degree) from the stored lists.
+def measure_group(lists: dict[int, list[int]]) -> tuple[int, int]:
+    """(bytes, longest list) of one adjacency group's stored lists."""
+    lengths = list(map(len, lists.values()))
+    return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths, default=0)
 
-    Accounting: 4 bytes per stored candidate id and adjacency entry,
-    8 bytes per list header (candidate sets included), 16 bytes base.
-    """
+
+def summed_metrics(candidates: list[list[int]], group_metrics: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
+    """(size_bytes, max_degree) of a tree with these candidate lists and per-group metrics."""
+    size = BASE_HEADER_BYTES + LIST_HEADER_BYTES * len(candidates) + ENTRY_BYTES * sum(map(len, candidates))
+    return size + sum(b for b, _ in group_metrics.values()), max((d for _, d in group_metrics.values()), default=0)
+
+
+def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
+    """Recompute (size_bytes, max_degree) from the stored lists, as the check of the carried ones."""
     size = BASE_HEADER_BYTES
     for cand in tree.candidates:
         size += LIST_HEADER_BYTES + ENTRY_BYTES * len(cand)
@@ -201,15 +228,17 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
         # the query is connected, so one empty set empties them all
         cand = [set() for _ in cand]
 
+    ordered = [sorted(c) for c in cand]
+
     def group(a: int, b: int) -> dict[int, list[int]]:
         # C(b) holds only vertices of b's label, so its partners of v are
         # the ones among v's ascending label-b row, already in order.
         has, rows = cand[b].__contains__, by_label[labels[b]]
-        return {v: row for v in sorted(cand[a]) if (row := list(filter(has, rows[v])))}
+        return {v: row for v in ordered[a] if (row := list(filter(has, rows[v])))}
 
     tree_adj = {(plan.parent[u], u): group(plan.parent[u], u) for u in plan.bfs_order[1:]}
     non_tree_adj = {(u, un): group(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]}
-    return CandidateTree.assemble(cand, tree_adj, non_tree_adj)
+    return CandidateTree.assemble(ordered, tree_adj, non_tree_adj)
 
 
 @dataclass

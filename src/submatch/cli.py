@@ -122,6 +122,12 @@ def _model_from(args) -> CycleModel:
         raise CliError("config", str(exc))
 
 
+def _check_cycles(*cycles: float) -> None:
+    """Every latency is finite, but latencies times a job's task counts can overflow."""
+    if not all(map(math.isfinite, cycles)):
+        raise CliError("config", "the cycle estimate overflows; lower --l-consts or --dram-ratio")
+
+
 def _write_trace(path: str, traces) -> None:
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -151,6 +157,7 @@ def _cmd_run(args) -> int:
         )
     except (UnsplittableTreeError, ValueError) as exc:
         raise CliError("run", str(exc))
+    _check_cycles(stats.cycles_basic, stats.cycles_task, stats.cycles_sep)
     if args.trace:
         _write_trace(args.trace, stats.traces)
     print(json.dumps(stats.to_report()))
@@ -223,6 +230,7 @@ def _cmd_compare(args) -> int:
                     jobs[key] = stats, model
                 stats, model = jobs[key]
                 cycles = cycle_estimate(model, variant, args.capacity)
+                _check_cycles(cycles)
                 writer.writerow(
                     [variant, delta, k_text, stats.embeddings, stats.partitions, round(cycles), round(stats.wall_ms, 3)]
                 )

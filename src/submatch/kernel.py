@@ -19,10 +19,11 @@ sorted and every level is FIFO, so each level holds its partials in
 increasing order; a level is refilled only once every deeper level has
 drained, and roots stream in ascending order, so all extensions of one
 partial are filed before any extension of a later one. The visited
-check runs only when two query vertices share a candidate: every
-stored list holds candidates of its target vertex alone, so with
-pairwise disjoint candidate sets (every query label distinct) no
-candidate can repeat a vertex of its partial.
+check runs only when the tree is not known to have pairwise disjoint
+candidate sets (CandidateTree.disjoint, proved once per index and
+inherited by every partition chunk): every stored list holds
+candidates of its target vertex alone, so with disjoint sets (every
+query label distinct) no candidate can repeat a vertex of its partial.
 
 A free tail (QueryPlan.tail_start) is expanded in one step. In it,
 every vertex's parent is matched before the tail and no vertex has a
@@ -152,9 +153,9 @@ def pipeline_enumerate(
     and stays at the front of its level with a resume offset. The
     round runs as one pass over the admitted inputs: an input's
     outputs are checked against every earlier non-tree row (each looked
-    up once per input) and, only if two candidate sets of the tree meet
-    (tested once per call), against the input itself. Survivors are
-    filed in bulk, in candidate order; an input with more than
+    up once per input) and, unless the tree is known to have disjoint
+    candidate sets (tree.disjoint), against the input itself. Survivors
+    are filed in bulk, in candidate order; an input with more than
     _ZIP_CUTOVER of them has its tuples built by zip rather than one
     concatenation each (see the module docstring). The round's task
     counts are closed forms: one visited task per output and one edge
@@ -193,7 +194,7 @@ def pipeline_enumerate(
         parent = plan.parent[u]
         checks = [(plan.position[un], tree.non_tree_adj.get((un, u), {})) for un in plan.earlier_non_tree[u]]
         stages.append((plan.position[parent], tree.tree_adj.get((parent, u), {}), checks))
-    may_repeat = len(set().union(*tree.candidates)) < sum(map(len, tree.candidates))
+    may_repeat = not tree.disjoint
     tail = order_length if may_repeat else plan.tail_start
     tail_stages = [stage[:2] for stage in stages[tail:]]
 

@@ -3,7 +3,7 @@
 A tree over budget at the current matching-order vertex u has C(u) cut
 into k even contiguous chunks. Each chunk is the parent with C(u) cut
 to the chunk, taken to its arc-consistency fixpoint over the parent's
-stored groups (SplitContext.refined) by the index build's own routine,
+stored groups (refined) by the index build's own routine,
 candidate_tree.arc_fixpoint, started from the arcs into u: a candidate
 is kept only if its row toward every query neighbour still holds a
 partner. The chunks' embedding sets partition the original's.
@@ -13,11 +13,11 @@ singleton.
 Cutting C(u) leaves candidates of other vertices, before u in the order
 as well as after it, with no partner; most chunks of a cyclic query
 lose a whole set that way and hold no embedding. The projection
-(SplitContext.project: each later vertex keeps what the retained sets
-of its earlier neighbours reach) drops only candidates with no partner,
-and the parent is at its fixpoint, so a chunk is its projection taken
-to its fixpoint. A chunk is dropped as soon as a set empties, before
-any group is cut, and any other tree with an empty candidate set (an
+(project_tree: each later vertex keeps what the retained sets of its
+earlier neighbours reach) drops only candidates with no partner, and
+the parent is at its fixpoint, so a chunk is its projection taken to
+its fixpoint. A chunk is dropped as soon as a set empties, before any
+group is cut, and any other tree with an empty candidate set (an
 absent-label root) is dropped before its budget check.
 
 A split at u is made only where a chunk could fit. At the fixpoint,
@@ -29,19 +29,22 @@ neighbour reaches each of them. So the projection onto the empty part
 groups with neither end in Z(u), unchanged. When one of them is over
 the degree budget, the tree fits the size budget, and no stored list
 into u or an earlier order vertex is over the degree budget (only
-splits at or before u could shorten those), u is left unsplit
-(SplitContext.skips) and recursion advances with the same tree: a cut
-would only multiply the pieces. A refined chunk need not contain the
-floor, so a skip can cost pieces, never an embedding.
+splits at or before u could shorten those), u is left unsplit (skips)
+and recursion advances with the same tree: a cut would only multiply
+the pieces. A refined chunk need not contain the floor, so a skip can
+cost pieces, never an embedding.
 
-The k sibling chunks of one split share a SplitContext, so a chunk
+Everything a split reads is carried by the tree (CandidateTree): its
+arc table, built once per tree and shared by the k sibling chunks and
+by a skip, and its per-group (bytes, longest list) metrics. So a chunk
 costs in proportion to what it restricts, not to the parent tree. A
 vertex whose set is unchanged keeps the parent's list object, and an
 adjacency group whose endpoints are both unchanged is shared by
-reference (trees are immutable once built, see CandidateTree). Every
-other group is cut once, from the final sets, by one rule: a row that
-loses no target is kept whole, any other row is filtered. size_bytes
-and max_degree are summed during the cut; tree_metrics is the
+reference with its metrics entry (trees are immutable once built).
+Every other group is cut once, from the final sets, by one rule (a row
+that loses no target is kept whole, any other row is filtered) and
+measured as it is cut; size_bytes and max_degree are summed from the
+table (candidate_tree.summed_metrics), and tree_metrics is the
 from-scratch check.
 """
 
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
-from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, AdjacencyMap, CandidateTree, arc_fixpoint
+from .candidate_tree import BASE_HEADER_BYTES, AdjacencyMap, CandidateTree, arc_fixpoint, measure_group, summed_metrics
 from .plan import QueryPlan
 
 
@@ -101,11 +104,6 @@ def partition_factor(tree: CandidateTree, config: PartitionConfig, u: int) -> in
     return max(1, min(ratio, len(tree.candidates[u])))
 
 
-def _lists_metrics(lengths: list[int]) -> tuple[int, int]:
-    """(bytes, longest list) of stored adjacency lists of these lengths, as tree_metrics counts them."""
-    return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths, default=0)
-
-
 def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None) -> dict[int, list[int]]:
     """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged).
 
@@ -123,151 +121,112 @@ def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set
     return new
 
 
-class SplitContext:
-    """What every chunk of one split of `tree` at query vertex u shares.
+def _cut(tree: CandidateTree, candidates: list[list[int]], retained: dict[int, set[int]]) -> CandidateTree:
+    """The tree over these sets: each group with an end in `retained` is cut and measured, every other one shared.
 
-    The arc table (support, as arc_fixpoint reads it) is built once
-    here: a stored group is keyed by its source, and a tree child is
-    looked up through its parent's group. The metrics of each group are
-    computed on first use and kept for the chunks that leave both
-    endpoints of the group unchanged.
+    A shared group keeps its parent's metrics entry, and the chunk
+    inherits the parent's disjointness: it only shrinks sets.
     """
+    adj: tuple[AdjacencyMap, AdjacencyMap] = ({}, {})
+    metrics = {}
+    for new_groups, groups in zip(adj, (tree.tree_adj, tree.non_tree_adj)):
+        for key, lists in groups.items():
+            a, b = key
+            keep_a, keep_b = retained.get(a), retained.get(b)
+            if keep_a is None and keep_b is None:
+                new_groups[key] = lists
+                metrics[key] = tree.group_metrics[key]
+            else:
+                new_groups[key] = new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
+                metrics[key] = measure_group(new)
+    return CandidateTree(candidates, *adj, *summed_metrics(candidates, metrics), metrics, tree.disjoint)
 
-    def __init__(self, tree: CandidateTree, plan: QueryPlan, u: int):
-        self.tree = tree
-        self.plan = plan
-        self.u = u
-        self._metrics: dict[tuple[int, int], tuple[int, int]] = {}
-        self.support: list[dict[int, tuple[dict[int, list[int]], bool]]] = [{} for _ in tree.candidates]
-        for (a, b), lists in {**tree.tree_adj, **tree.non_tree_adj}.items():
-            self.support[a][b] = (lists, True)
-        for (a, b), lists in tree.tree_adj.items():
-            self.support[b][a] = (lists, False)
 
-    def _metrics_of(self, key: tuple[int, int], lists: dict[int, list[int]]) -> tuple[int, int]:
-        metrics = self._metrics.get(key)
-        if metrics is None:
-            metrics = self._metrics[key] = _lists_metrics(list(map(len, lists.values())))
-        return metrics
+def refined(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTree | None:
+    """The tree with C(u) cut to part_set, at its arc-consistency fixpoint.
 
-    def project(self, part_set: set[int]) -> CandidateTree:
-        """The projection onto part_set, a subset of C(u), not refined.
+    A candidate v of x is kept while its stored row toward each query
+    neighbour y meets C(y); a tree child's candidates are the reach of
+    its parent's retained rows. The tree is at its fixpoint, so
+    arc_fixpoint reads tree.arcs from the arcs into u. Projection drops
+    only candidates with no such support, so this equals the projection
+    onto part_set taken to its fixpoint. Returns None as soon as a set
+    empties, before any group is cut; otherwise each group is cut once,
+    from the final sets.
+    """
+    sets = list(tree.candidates)
+    if len(part_set) < len(sets[u]):
+        sets[u] = part_set
+        if not arc_fixpoint(sets, tree.arcs, [(x, u) for x in tree.arcs[u]]):
+            return None
+    retained = {w: keep for w, keep in enumerate(sets) if keep is not tree.candidates[w]}
+    candidates = [sorted(keep) if w in retained else keep for w, keep in enumerate(sets)]
+    return _cut(tree, candidates, retained)
 
-        Vertices before u in the order keep their sets and u keeps
-        part_set. Each later vertex w, in order, keeps the candidates
-        linked to the retained set of at least one earlier query
-        neighbour, read from w's arc table: reached through a tree
-        parent's rows or, when the group is keyed by w, whose own row
-        meets the neighbour's set.
-        """
-        tree, plan, u = self.tree, self.plan, self.u
-        position = plan.position
-        candidates = list(tree.candidates)
-        retained: dict[int, set[int]] = {}
-        if len(part_set) < len(candidates[u]):
-            retained[u] = part_set
-            candidates[u] = sorted(part_set)
-        for w in plan.order[position[u] + 1 :]:
-            linked: set[int] = set()
-            for w_from, (lists, keyed_by_w) in self.support[w].items():
-                if position[w_from] > position[w]:
-                    continue
-                if not keyed_by_w:
-                    linked.update(chain.from_iterable(map(lists.get, candidates[w_from], repeat(()))))
-                elif w_from in retained:
-                    keep = retained[w_from]
-                    linked.update(v for v, row in lists.items() if not keep.isdisjoint(row))
-                else:
-                    # every stored row is non-empty and holds only candidates of w_from
-                    linked.update(lists)
-            linked.intersection_update(tree.candidates[w])
-            if len(linked) < len(tree.candidates[w]):
-                retained[w] = linked
-                candidates[w] = sorted(linked)
-        return self._cut(candidates, retained)
 
-    def skips(self, index: int, config: PartitionConfig) -> bool:
-        """Whether u = plan.order[index] is left unsplit, by the Z(u) rule of the module docstring.
+def skips(tree: CandidateTree, plan: QueryPlan, index: int, config: PartitionConfig) -> bool:
+    """Whether u = plan.order[index] is left unsplit, by the Z(u) rule of the module docstring.
 
-        Earlier neighbours are read from the arc table, as project reads
-        them, and group degrees are the cached metrics the chunks' cuts
-        reuse. The tree must be at its fixpoint.
-        """
-        tree, position, budget = self.tree, self.plan.position, config.degree_budget
-        if tree.size_bytes > config.size_budget:
-            return False
-        groups = list(chain(tree.tree_adj.items(), tree.non_tree_adj.items()))
-        if any(self._metrics_of(key, lists)[1] > budget for key, lists in groups if position[key[1]] <= index):
-            return False
-        emptied = {self.u}
-        for w in self.plan.order[index + 1 :]:
-            if all(w_from in emptied for w_from in self.support[w] if position[w_from] < position[w]):
-                emptied.add(w)
-        return any(self._metrics_of(key, lists)[1] > budget for key, lists in groups if emptied.isdisjoint(key))
-
-    def refined(self, part_set: set[int]) -> CandidateTree | None:
-        """The parent with C(u) cut to part_set, at its arc-consistency fixpoint.
-
-        A candidate v of x is kept while its parent row toward each
-        query neighbour y meets C(y); a tree child's candidates are the
-        reach of its parent's retained rows. The parent is at its
-        fixpoint, so arc_fixpoint starts from the arcs into u.
-        Projection drops only candidates with no such support, so this
-        equals the projection onto part_set taken to its fixpoint.
-        Returns None as soon as a set empties, before any group is cut;
-        otherwise each group is cut once, from the final sets.
-        """
-        tree, u = self.tree, self.u
-        sets = list(tree.candidates)
-        if len(part_set) < len(sets[u]):
-            sets[u] = part_set
-            if not arc_fixpoint(sets, self.support, [(x, u) for x in self.support[u]]):
-                return None
-        retained = {w: keep for w, keep in enumerate(sets) if keep is not tree.candidates[w]}
-        candidates = [sorted(keep) if w in retained else keep for w, keep in enumerate(sets)]
-        return self._cut(candidates, retained)
-
-    def _cut(self, candidates: list[list[int]], retained: dict[int, set[int]]) -> CandidateTree:
-        """The tree over these sets: each group with an end in `retained` is cut, every other one shared."""
-        size = BASE_HEADER_BYTES + sum(LIST_HEADER_BYTES + ENTRY_BYTES * len(cand) for cand in candidates)
-        max_degree = 0
-        adj: tuple[AdjacencyMap, AdjacencyMap] = ({}, {})
-        restricted = []
-        for new_groups, groups in zip(adj, (self.tree.tree_adj, self.tree.non_tree_adj)):
-            for key, lists in groups.items():
-                a, b = key
-                keep_a, keep_b = retained.get(a), retained.get(b)
-                if keep_a is None and keep_b is None:
-                    new = lists
-                    group_size, group_degree = self._metrics_of(key, lists)
-                    size += group_size
-                    if group_degree > max_degree:
-                        max_degree = group_degree
-                else:
-                    new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
-                    restricted.append(new)
-                new_groups[key] = new
-        restricted_size, restricted_degree = _lists_metrics([len(row) for new in restricted for row in new.values()])
-        return CandidateTree(candidates, *adj, size + restricted_size, max(max_degree, restricted_degree))
+    Earlier neighbours are read from tree.arcs, as project_tree reads
+    them, and group degrees from tree.group_metrics. The tree must be at
+    its fixpoint.
+    """
+    position, budget, arcs = plan.position, config.degree_budget, tree.arcs
+    if tree.size_bytes > config.size_budget:
+        return False
+    degrees = [(key, degree) for key, (_, degree) in tree.group_metrics.items() if degree > budget]
+    if any(position[b] <= index for (_, b), _ in degrees):
+        return False
+    emptied = {plan.order[index]}
+    for w in plan.order[index + 1 :]:
+        if all(w_from in emptied for w_from in arcs[w] if position[w_from] < position[w]):
+            emptied.add(w)
+    return any(emptied.isdisjoint(key) for key, _ in degrees)
 
 
 def project_tree(tree: CandidateTree, plan: QueryPlan, u: int, part: Sequence[int]) -> CandidateTree:
-    """Restrict the tree to the candidates of u in `part` (SplitContext.project).
+    """Restrict the tree to the candidates of u in `part`, not refined.
 
     Vertices before u in the matching order keep their full candidate
-    sets; u keeps exactly `part`; each later vertex keeps the candidates
-    linked to the retained set of at least one earlier query neighbor,
-    evaluated level by level in order (so reachability from `part` is
-    transitive). All adjacency lists are restricted to the retained
-    candidates. The result is not refined: partition_tree takes each
-    chunk to its fixpoint instead (SplitContext.refined).
+    sets; u keeps exactly `part`; each later vertex w, in order, keeps
+    the candidates linked to the retained set of at least one earlier
+    query neighbour, read from w's row of tree.arcs: reached through a
+    tree parent's rows or, when the group is keyed by w, whose own row
+    meets the neighbour's set (so reachability from `part` is
+    transitive). Every group touching a restricted set is cut to the
+    retained candidates. partition_tree makes no projection: it takes
+    each chunk to its fixpoint instead (refined), which equals the
+    projection taken to its fixpoint.
     """
     part_set = set(part)
     if not part_set:
         raise ValueError("part must be non-empty")
     if not part_set.issubset(tree.candidates[u]):
         raise ValueError("part must be a subset of the candidates of u")
-    return SplitContext(tree, plan, u).project(part_set)
+    position = plan.position
+    candidates = list(tree.candidates)
+    retained: dict[int, set[int]] = {}
+    if len(part_set) < len(candidates[u]):
+        retained[u] = part_set
+        candidates[u] = sorted(part_set)
+    for w in plan.order[position[u] + 1 :]:
+        linked: set[int] = set()
+        for w_from, (lists, keyed_by_w) in tree.arcs[w].items():
+            if position[w_from] > position[w]:
+                continue
+            if not keyed_by_w:
+                linked.update(chain.from_iterable(map(lists.get, candidates[w_from], repeat(()))))
+            elif w_from in retained:
+                keep = retained[w_from]
+                linked.update(v for v, row in lists.items() if not keep.isdisjoint(row))
+            else:
+                # every stored row is non-empty and holds only candidates of w_from
+                linked.update(lists)
+        linked.intersection_update(tree.candidates[w])
+        if len(linked) < len(tree.candidates[w]):
+            retained[w] = linked
+            candidates[w] = sorted(linked)
+    return _cut(tree, candidates, retained)
 
 
 def partition_tree(
@@ -281,12 +240,13 @@ def partition_tree(
 
     Returns the number of emitted trees. Trees with an empty candidate
     set hold no embeddings and are dropped before the budget check, so
-    none is emitted. `tree` must be at its arc-consistency fixpoint (as
-    build_candidate_tree leaves it); every chunk is taken to its
-    fixpoint (SplitContext.refined) and dropped when that empties a set,
-    so every emitted tree is at its fixpoint. The order vertex
+    none is emitted. `tree` must be at its arc-consistency fixpoint and
+    carry its group metrics (as build_candidate_tree leaves it, through
+    CandidateTree.assemble); every chunk is taken to its
+    fixpoint (refined) and dropped when that empties a set, so every
+    emitted tree is at its fixpoint. The order vertex
     u = plan.order[index] is skipped, not split, when no chunk of C(u)
-    could come within the degree budget (SplitContext.skips). Raises
+    could come within the degree budget (skips). Raises
     UnsplittableTreeError if the order is exhausted while budgets are
     still violated.
     """
@@ -296,20 +256,16 @@ def partition_tree(
         sink(tree)
         return 1
     if index >= plan.num_vertices:
-        worst = max(
-            ((len(row), key[0]) for key, lists in list(tree.tree_adj.items()) + list(tree.non_tree_adj.items()) for row in lists.values()),
-            default=(0, plan.order[-1]),
-        )
+        worst = max(((degree, a) for (a, _), (_, degree) in tree.group_metrics.items() if degree), default=(0, plan.order[-1]))
         raise UnsplittableTreeError(
             f"budgets still violated after exhausting the matching order (query vertex {worst[1]})",
             worst[1],
         )
 
-    u = plan.order[index]
-    split = SplitContext(tree, plan, u)
-    if split.skips(index, config):
+    if skips(tree, plan, index, config):
         return partition_tree(tree, plan, index + 1, config, sink)
 
+    u = plan.order[index]
     cand = tree.candidates[u]
     if config.fixed_k is not None:
         k = max(1, min(config.fixed_k, len(cand)))
@@ -321,7 +277,7 @@ def partition_tree(
     start = 0
     for i in range(k):
         size = base + (1 if i < extra else 0)
-        sub = split.refined(set(cand[start : start + size]))
+        sub = refined(tree, u, set(cand[start : start + size]))
         start += size
         if sub is None:
             continue

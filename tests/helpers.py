@@ -23,8 +23,11 @@ from submatch import (
     partition_factor,
     random_connected_query,
     random_graph,
+    tree_metrics,
     within_budgets,
 )
+import submatch.partition
+from submatch.candidate_tree import ENTRY_BYTES, LIST_HEADER_BYTES
 from submatch.kernel import DEFAULT_CAPACITY, BufferOverflowError, CycleModel, RoundTrace
 from submatch.oracle import brute_force_embeddings
 
@@ -170,8 +173,8 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
     The test reference for submatch.project_tree, which shares unchanged
     lists with its parent instead; both must give == trees. With
     allow_empty, an empty part gives the floor: the reference for the
-    skip rule, whose max_degree SplitContext.skips reads from the plan
-    without building it.
+    skip rule, whose max_degree submatch.partition.skips reads from the
+    plan and the tree's group metrics without building it.
     """
     if not part and not allow_empty:
         raise ValueError("part must be non-empty")
@@ -221,13 +224,12 @@ def reference_refine_tree(tree):
     """From-scratch arc-consistency fixpoint of a tree over its stored groups.
 
     Applied to a projection, the test reference for
-    submatch.partition.SplitContext.refined, which starts from the
-    parent's sets with C(u) cut and cuts each group once at the end.
-    Drop every candidate v of a with no partner in C(b) across
-    some query edge (a, b): through v's stored row when the group is
-    keyed by a, else (a a tree child of b) through the rows of the
-    retained candidates of b. Repeat until nothing changes, then cut
-    every group to the final sets.
+    submatch.partition.refined, which starts from the parent's sets with
+    C(u) cut and cuts each group once at the end. Drop every candidate v
+    of a with no partner in C(b) across some query edge (a, b): through
+    v's stored row when the group is keyed by a, else (a a tree child of
+    b) through the rows of the retained candidates of b. Repeat until
+    nothing changes, then cut every group to the final sets.
     """
     cand = [set(c) for c in tree.candidates]
     groups = {**tree.tree_adj, **tree.non_tree_adj}
@@ -308,6 +310,51 @@ def reference_partitions(tree, plan, index, config, skipped=None):
         start += size
         out += reference_partitions(sub, plan, index + (len(sub.candidates[u]) == 1), config, skipped)
     return out
+
+
+def partition_calls(tree, plan, config):
+    """partition_tree's emitted trees, in order, and every tree it was called on, recursion included.
+
+    The recursion calls the module attribute, which is replaced while
+    this runs, so the calls hold the root, every chunk and every tree a
+    skip passes on.
+    """
+    original = submatch.partition.partition_tree
+    emitted, calls = [], []
+
+    def recording(tree, plan, index, config, sink):
+        calls.append(tree)
+        return original(tree, plan, index, config, sink)
+
+    submatch.partition.partition_tree = recording
+    try:
+        recording(tree, plan, 0, config, emitted.append)
+    finally:
+        submatch.partition.partition_tree = original
+    return emitted, calls
+
+
+def carries_its_facts(tree, root) -> bool:
+    """Whether the facts `tree` carries agree with a recount from its lists.
+
+    Each group's (bytes, longest list) entry is recounted from its rows,
+    (size_bytes, max_degree) from every list (tree_metrics), and
+    disjointness by the union of the candidate sets. A partition of
+    `root` inherits root.disjoint, which must hold whenever it is set.
+    """
+    groups = {**tree.tree_adj, **tree.non_tree_adj}
+    recounted = {
+        key: (sum(LIST_HEADER_BYTES + ENTRY_BYTES * len(row) for row in lists.values()), max(map(len, lists.values()), default=0))
+        for key, lists in groups.items()
+    }
+    disjoint = len(set().union(*tree.candidates)) == sum(map(len, tree.candidates))
+    return (
+        tree.group_metrics == recounted
+        and (tree.size_bytes, tree.max_degree) == tree_metrics(tree)
+        and tree.disjoint == root.disjoint
+        and (disjoint or not tree.disjoint)
+        and (tree is not root or tree.disjoint == disjoint)
+    )
 
 
 def reference_tree_matches(tree, plan):

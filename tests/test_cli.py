@@ -348,6 +348,23 @@ def test_non_finite_cycle_constants_are_config_errors(capsys, worked_paths, comm
     assert err["type"] == "config" and names in err["message"]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--l-consts", "1e308,1e308,1e308,1e308,1,1"],
+        ["--l-consts", "1e300,1,1,1,1,1", "--dram-ratio", "1e8"],
+    ],
+)
+def test_overflowing_cycle_estimate_is_config_error(capsys, worked_paths, command, flags):
+    """Every latency is finite, but their products with the job's task counts overflow."""
+    data, query = worked_paths
+    code, out = run_cli(capsys, command, "--data", data, "--query", query, "--json", *flags)
+    assert code == 1
+    err = json.loads(out.splitlines()[-1])["error"]  # compare has printed its CSV header first
+    assert err["type"] == "config" and "overflows" in err["message"]
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [

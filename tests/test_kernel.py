@@ -369,6 +369,26 @@ def test_only_queries_with_shared_candidates_check_repeats():
             assert matches == [w for w in walks if len(set(w)) == len(w)], capacity
 
 
+def test_shared_candidate_runs_the_visited_check_however_the_tree_is_built():
+    """A hand-built star whose two leaves share candidates 2 and 3 gets no answer that repeats one.
+
+    assemble finds the sets not disjoint, and a tree built directly is
+    not known disjoint, so both run the visited check, even in the
+    free tail the two leaves form.
+    """
+    from submatch.candidate_tree import CandidateTree
+    from submatch.plan import QueryPlan
+
+    plan = QueryPlan.assemble(0, [None, 0, 0], [[1, 2], [], []], [[], [], []], [0, 1, 2], [0, 1, 2])
+    assert plan.tail_start == 1
+    parts = ([[1], [2, 3], [2, 3]], {(0, 1): {1: [2, 3]}, (0, 2): {1: [2, 3]}}, {})
+    for tree in (CandidateTree.assemble(*parts), CandidateTree(*parts)):
+        assert not tree.disjoint
+        for capacity in (1, 2, 1024):
+            matches, _ = pipeline_enumerate(tree, plan, capacity)
+            assert matches == [(1, 2, 3), (1, 3, 2)], capacity
+
+
 def test_port_limit_precondition_enforced():
     tree, plan = fixtures.partition_example()
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from submatch import Graph
 from submatch import fixtures
 from submatch.oracle import brute_force_embeddings
 import submatch.partition
-from submatch.partition import SplitContext
 
 import helpers
 
@@ -169,6 +168,29 @@ def test_partitions_are_disjoint_complete_and_within_budgets():
         assert sorted(pieces) == whole
         checked += 1
     assert checked >= 20
+
+
+def test_partitions_carry_group_metrics_sums_and_disjointness():
+    """Every tree partition_tree emits or splits carries what a recount from its lists gives."""
+    rng = random.Random(23)
+    trees = disjoint = 0
+    for data, query, plan, _ in helpers.solvable_instances(30, 27_000, max_data=45):
+        root = build_candidate_tree(data, query, plan)
+        for _ in range(3):
+            config = PartitionConfig(
+                size_budget=rng.randint(max(17, root.size_bytes // 4), max(18, root.size_bytes * 2)),
+                degree_budget=rng.randint(1, 8),
+                fixed_k=rng.choice([None, None, 2, 3]),
+            )
+            try:
+                _, calls = helpers.partition_calls(root, plan, config)
+            except UnsplittableTreeError:
+                continue
+            for tree in calls:
+                assert helpers.carries_its_facts(tree, root)
+            trees += len(calls)
+            disjoint += root.disjoint * len(calls)
+    assert trees >= 1000 and 0 < disjoint < trees
 
 
 def test_unsplittable_chain_reports_vertex():
@@ -352,7 +374,7 @@ def test_tree_query_chunks_are_refined():
 def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
     """The skip rule agrees with the projected floor, and a skipped vertex has no candidate that fits.
 
-    At every call whose tree is over budget, SplitContext.skips equals
+    At every call whose tree is over budget, partition.skips equals
     the reference rule, which builds the floor from scratch. Projection
     is monotone in the part, so every chunk containing a candidate v of
     a skipped vertex contains v's single-candidate projection: no chunk
@@ -383,8 +405,7 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
                 continue
             for parent, index in calls:
                 if all(parent.candidates) and not within_budgets(parent, config) and index < plan.num_vertices:
-                    u = plan.order[index]
-                    skipped = SplitContext(parent, plan, u).skips(index, config)
+                    skipped = submatch.partition.skips(parent, plan, index, config)
                     assert skipped == helpers.reference_skips(parent, plan, index, config)
                     decided += 1
             # Only a skip passes the same tree object on, at the next order position.
@@ -393,7 +414,7 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
                     continue
                 assert child_index == index + 1
                 u = plan.order[index]
-                assert SplitContext(parent, plan, u).skips(index, config)
+                assert submatch.partition.skips(parent, plan, index, config)
                 for v in parent.candidates[u]:
                     assert project_tree(parent, plan, u, [v]).max_degree > config.degree_budget
                 skips += 1
@@ -437,7 +458,7 @@ def test_skip_rule_on_child_before_parent_order():
             for size_budget in (tree.size_bytes - 1, tree.size_bytes):
                 config = PartitionConfig(size_budget=size_budget, degree_budget=degree_budget)
                 for index, u in enumerate(plan.order):
-                    skipped = SplitContext(tree, plan, u).skips(index, config)
+                    skipped = submatch.partition.skips(tree, plan, index, config)
                     assert skipped == helpers.reference_skips(tree, plan, index, config)
                     if skipped:
                         skips.append((tree.candidates[1], degree_budget, size_budget - tree.size_bytes, u))
@@ -447,21 +468,21 @@ def test_skip_rule_on_child_before_parent_order():
 def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
     """Every chunk made while partitioning reuses, by reference, what it left unchanged.
 
-    Every chunk comes from SplitContext.refined. A vertex is
+    Every chunk comes from partition.refined. A vertex is
     unchanged when its candidate set keeps its size. Its list is the
     parent's object; a group between two unchanged vertices is the
     parent's object; a restricted group into an unchanged target keeps
     each surviving row as the parent's object. Returns how many groups
     and rows were checked by identity, and how many refined chunks.
     """
-    original_refined = SplitContext.refined
+    original_refined = submatch.partition.refined
     shared = {"groups": 0, "rows": 0, "refined": 0}
 
-    def refining(split, part_set):
-        sub = original_refined(split, part_set)
+    def refining(parent, u, part_set):
+        sub = original_refined(parent, u, part_set)
         if sub is not None:
             shared["refined"] += 1
-            check(split.tree, sub)
+            check(parent, sub)
         return sub
 
     def check(parent, sub):
@@ -483,7 +504,7 @@ def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
         return sub
 
     with monkeypatch.context() as patch:
-        patch.setattr(SplitContext, "refined", refining)
+        patch.setattr(submatch.partition, "refined", refining)
         partition_tree(tree, plan, 0, config, lambda part: None)
     return shared
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from submatch import PartitionConfig, build_candidate_tree, build_query_plan
 from submatch.oracle import brute_force_embeddings
-from submatch.partition import SplitContext
+from submatch.partition import refined, skips
 
 import helpers
 
@@ -18,7 +18,7 @@ import helpers
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10**6), depth=st.integers(1, 2), draw=st.data())
 def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
-    """SplitContext.refined equals the from-scratch projection taken to its fixpoint.
+    """partition.refined equals the from-scratch projection taken to its fixpoint.
 
     Each level cuts a random vertex u to a random non-empty part of C(u),
     starting from the index and, at depth 2, from the first chunk. A
@@ -35,7 +35,7 @@ def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
     for _ in range(depth):
         u = draw.draw(st.sampled_from(plan.order))
         part = draw.draw(st.lists(st.sampled_from(tree.candidates[u]), min_size=1, unique=True))
-        chunk = SplitContext(tree, plan, u).refined(set(part))
+        chunk = refined(tree, u, set(part))
         reference = helpers.reference_refine_tree(helpers.reference_project_tree(tree, plan, u, part))
         embeddings = [e for e in embeddings if e[u] in part]
         if not all(reference.candidates):
@@ -54,7 +54,7 @@ def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10**6), draw=st.data())
 def test_skip_rule_is_the_projected_floor_rule(seed, draw):
-    """SplitContext.skips equals the rule read from the from-scratch floor.
+    """partition.skips equals the rule read from the from-scratch floor.
 
     At a random order position, the tree is the index or, as the
     recursion makes them, a refined chunk of it whose earlier order
@@ -68,11 +68,11 @@ def test_skip_rule_is_the_projected_floor_rule(seed, draw):
     assume(all(tree.candidates))
     index = draw.draw(st.integers(0, plan.num_vertices - 1))
     for u in plan.order[: draw.draw(st.integers(0, index))]:
-        tree = SplitContext(tree, plan, u).refined({draw.draw(st.sampled_from(tree.candidates[u]))})
+        tree = refined(tree, u, {draw.draw(st.sampled_from(tree.candidates[u]))})
         assume(tree is not None)
     config = PartitionConfig(
         size_budget=max(17, tree.size_bytes + draw.draw(st.integers(-8, 64))),
         degree_budget=draw.draw(st.integers(1, max(1, tree.max_degree))),
     )
-    skipped = SplitContext(tree, plan, plan.order[index]).skips(index, config)
+    skipped = skips(tree, plan, index, config)
     assert skipped == helpers.reference_skips(tree, plan, index, config)
