@@ -1,9 +1,9 @@
 """The candidate search tree: a complete, partitionable search space.
 
 For each query vertex u the tree stores the candidate set C(u); for each
-tree edge (parent, child) it stores, per parent candidate, the child
-candidates adjacent in the data graph; for each non-tree query edge it
-stores the analogous lists in both directions. Any embedding can be
+tree edge (parent, child) a group holding, per parent candidate, the
+child candidates adjacent in the data graph; for each non-tree query
+edge the analogous groups in both directions. Any embedding can be
 enumerated by walking these lists alone, never touching the data graph.
 
 Construction first refines the candidate sets alone. It starts from the
@@ -32,8 +32,8 @@ built once from the final sets, as the members of the target set among
 the source candidate's data neighbours, so each is non-empty, sorted
 and holds only candidates of its target vertex by construction, and
 every candidate has a stored partner toward each of its query
-neighbours. assemble measures each group and proves the sets disjoint
-or not, once per index.
+neighbours. The tree's constructor measures each group and proves the
+sets disjoint or not, once per index.
 
 Both the rule and the lists read the data graph only through its
 neighbour-label index (Graph.neighbours_by_label): C(x) holds only
@@ -62,63 +62,61 @@ BASE_HEADER_BYTES = 16
 LIST_HEADER_BYTES = 8
 ENTRY_BYTES = 4
 
-AdjacencyMap = dict[tuple[int, int], dict[int, list[int]]]
+Groups = dict[tuple[int, int], dict[int, list[int]]]
 ArcTable = list[dict[int, tuple[dict[int, list[int]], bool]]]
 
 
 @dataclass
 class CandidateTree:
-    """Candidate sets plus per-candidate adjacency lists.
+    """Candidate sets plus one adjacency group per stored query arc.
 
-    tree_adj is keyed (parent, child) and maps each parent candidate to
-    its sorted child candidates. non_tree_adj holds both directed views
-    of every non-tree query edge. Every stored list is non-empty, sorted
-    ascending, keyed by a candidate of its source vertex, and holds only
-    candidates of its target vertex.
+    groups is keyed by directed query arc (a, b) and maps each candidate
+    of a to its sorted candidates of b: every tree edge is stored parent
+    to child, every non-tree edge in both directions. Every stored list
+    is non-empty, sorted ascending, keyed by a candidate of its source
+    vertex, and holds only candidates of its target vertex. Only
+    candidates and groups are compared.
 
     Trees are immutable once built: nothing changes a candidate list, an
     adjacency group or a stored list afterwards, so a partition chunk
     shares the unchanged ones with its parent instead of copying them.
-    A tree also carries what its builder proved, outside ==:
-    group_metrics, every group's (bytes, longest list), from which
-    size_bytes and max_degree are summed (summed_metrics); disjoint,
-    whether the candidate sets are known to be pairwise disjoint (the
-    kernel then runs no visited check); and arcs, arc_fixpoint's table,
-    built on first use. assemble proves them from scratch; a partition
-    chunk measures the groups it cuts, copies the other entries and
-    inherits disjoint, as it only shrinks sets. A tree built any other
-    way is not known disjoint. tree_metrics is the from-scratch check.
+    The constructor derives the rest: group_metrics, every group's
+    (bytes, longest list), and disjoint, whether the candidate sets are
+    pairwise disjoint (the kernel then runs no visited check), unless
+    passed in (a partition chunk measures only the groups it cuts and
+    inherits disjoint); then size_bytes and max_degree, summed from
+    group_metrics. arcs, arc_fixpoint's table, is built on first use.
+    tree_metrics is the from-scratch check.
     """
 
     candidates: list[list[int]]
-    tree_adj: AdjacencyMap
-    non_tree_adj: AdjacencyMap
-    size_bytes: int = 0
-    max_degree: int = 0
-    group_metrics: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict, compare=False, repr=False)
-    disjoint: bool = field(default=False, compare=False, repr=False)
+    groups: Groups
+    group_metrics: dict[tuple[int, int], tuple[int, int]] | None = field(default=None, compare=False, repr=False)
+    disjoint: bool | None = field(default=None, compare=False, repr=False)
+    size_bytes: int = field(init=False, compare=False)
+    max_degree: int = field(init=False, compare=False)
 
-    @staticmethod
-    def assemble(candidates: list[list[int]], tree_adj: AdjacencyMap, non_tree_adj: AdjacencyMap) -> "CandidateTree":
-        """The tree over these sorted candidate lists, measured and tested for disjointness."""
-        metrics = {key: measure_group(lists) for key, lists in chain(tree_adj.items(), non_tree_adj.items())}
-        disjoint = len(set().union(*candidates)) == sum(map(len, candidates))
-        return CandidateTree(candidates, tree_adj, non_tree_adj, *summed_metrics(candidates, metrics), metrics, disjoint)
+    def __post_init__(self):
+        candidates = self.candidates
+        if self.group_metrics is None:
+            self.group_metrics = {key: measure_group(lists) for key, lists in self.groups.items()}
+        if self.disjoint is None:
+            self.disjoint = len(set().union(*candidates)) == sum(map(len, candidates))
+        metrics = self.group_metrics.values()
+        size = BASE_HEADER_BYTES + LIST_HEADER_BYTES * len(candidates) + ENTRY_BYTES * sum(map(len, candidates))
+        self.size_bytes = size + sum(b for b, _ in metrics)
+        self.max_degree = max((d for _, d in metrics), default=0)
 
     @cached_property
     def arcs(self) -> ArcTable:
-        """arc_fixpoint's support table: a group keyed by its source, a tree child through its parent's."""
+        """arc_fixpoint's support table: each group keyed at its source, a tree edge (reverse not stored) also at its child."""
         support: ArcTable = [{} for _ in self.candidates]
-        for (a, b), lists in chain(self.tree_adj.items(), self.non_tree_adj.items()):
+        for (a, b), lists in self.groups.items():
             support[a][b] = (lists, True)
-        for (a, b), lists in self.tree_adj.items():
-            support[b][a] = (lists, False)
+        for (a, b), lists in self.groups.items():
+            if (b, a) not in self.groups:
+                support[b][a] = (lists, False)
         return support
-
-    def stored_lists(self):
-        for groups in (self.tree_adj, self.non_tree_adj):
-            for per_cand in groups.values():
-                yield from per_cand.values()
 
 
 def measure_group(lists: dict[int, list[int]]) -> tuple[int, int]:
@@ -127,21 +125,16 @@ def measure_group(lists: dict[int, list[int]]) -> tuple[int, int]:
     return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths, default=0)
 
 
-def summed_metrics(candidates: list[list[int]], group_metrics: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
-    """(size_bytes, max_degree) of a tree with these candidate lists and per-group metrics."""
-    size = BASE_HEADER_BYTES + LIST_HEADER_BYTES * len(candidates) + ENTRY_BYTES * sum(map(len, candidates))
-    return size + sum(b for b, _ in group_metrics.values()), max((d for _, d in group_metrics.values()), default=0)
-
-
 def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
     """Recompute (size_bytes, max_degree) from the stored lists, as the check of the carried ones."""
     size = BASE_HEADER_BYTES
     for cand in tree.candidates:
         size += LIST_HEADER_BYTES + ENTRY_BYTES * len(cand)
     max_degree = 0
-    for lst in tree.stored_lists():
-        size += LIST_HEADER_BYTES + ENTRY_BYTES * len(lst)
-        max_degree = max(max_degree, len(lst))
+    for lists in tree.groups.values():
+        for lst in lists.values():
+            size += LIST_HEADER_BYTES + ENTRY_BYTES * len(lst)
+            max_degree = max(max_degree, len(lst))
     return size, max_degree
 
 
@@ -236,9 +229,9 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
         has, rows = cand[b].__contains__, by_label[labels[b]]
         return {v: row for v in ordered[a] if (row := list(filter(has, rows[v])))}
 
-    tree_adj = {(plan.parent[u], u): group(plan.parent[u], u) for u in plan.bfs_order[1:]}
-    non_tree_adj = {(u, un): group(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]}
-    return CandidateTree.assemble(ordered, tree_adj, non_tree_adj)
+    stored = [(plan.parent[u], u) for u in plan.bfs_order[1:]]
+    stored += [(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]]
+    return CandidateTree(ordered, {(a, b): group(a, b) for a, b in stored})
 
 
 @dataclass
@@ -259,7 +252,7 @@ def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> WorkloadTable:
     counts: list[dict[int, int]] = [{} for _ in range(plan.num_vertices)]
     for u in reversed(plan.bfs_order):
         # every stored list holds only candidates of its child, all counted already
-        kids = [(counts[c].__getitem__, tree.tree_adj.get((u, c), {})) for c in plan.children[u]]
+        kids = [(counts[c].__getitem__, tree.groups.get((u, c), {})) for c in plan.children[u]]
         for v in tree.candidates[u]:
             value = 1
             for count, lists in kids:
@@ -280,10 +273,8 @@ def dump_tree(tree: CandidateTree) -> str:
     lines = []
     for u, cand in enumerate(tree.candidates):
         lines.append(f"C({u}): {' '.join(map(str, cand))}".rstrip())
-    groups = dict(tree.tree_adj)
-    groups.update(tree.non_tree_adj)
-    for a, b in sorted(groups):
-        per_cand = groups[(a, b)]
+    for a, b in sorted(tree.groups):
+        per_cand = tree.groups[(a, b)]
         for v in sorted(per_cand):
             if per_cand[v]:
                 lines.append(f"N[{a}->{b}][{v}]: {' '.join(map(str, per_cand[v]))}")

@@ -76,14 +76,12 @@ def partition_example() -> tuple[CandidateTree, QueryPlan]:
         order=[0, 1, 2, 3],
         bfs_order=[0, 1, 2, 3],
     )
-    tree = CandidateTree.assemble(
+    tree = CandidateTree(
         candidates=[[1, 2], [3, 4, 5], [6, 7, 8], [9, 10]],
-        tree_adj={
+        groups={
             (0, 1): {1: [3, 5], 2: [4]},
             (0, 2): {1: [6, 8], 2: [6, 7, 8]},
             (1, 3): {3: [9], 4: [9], 5: [10]},
-        },
-        non_tree_adj={
             (1, 2): {3: [6], 4: [7], 5: [8]},
             (2, 1): {6: [3], 7: [4], 8: [5]},
         },

@@ -251,6 +251,11 @@ def _first_defect(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str] |
     return None
 
 
+def _reject_int(field: str) -> int:
+    """load_graph's int() for a line holding a non-ASCII character or '_', which int() would read as digits."""
+    raise ValueError(f"{field!r} is not in ASCII digits")
+
+
 def load_graph(path) -> Graph:
     """Parse a graph file, rejecting the whole file on the first defect.
 
@@ -271,13 +276,14 @@ def load_graph(path) -> Graph:
                     continue
                 parts = line.split()
                 kind = parts[0]
+                parse = int if line.isascii() and "_" not in line else _reject_int
                 if kind == "t":
                     if header is not None:
                         raise GraphFormatError("duplicate header", lineno)
                     if len(parts) != 3:
                         raise GraphFormatError("malformed header, expected 't <|V|> <|E|>'", lineno)
                     try:
-                        nv, ne = int(parts[1]), int(parts[2])
+                        nv, ne = parse(parts[1]), parse(parts[2])
                     except ValueError:
                         raise GraphFormatError("malformed header, counts must be integers", lineno)
                     if nv < 0 or ne < 0:
@@ -289,7 +295,7 @@ def load_graph(path) -> Graph:
                     if len(parts) != 4:
                         raise GraphFormatError("malformed vertex line, expected 'v <id> <label> <degree>'", lineno)
                     try:
-                        vid, lab, deg = int(parts[1]), int(parts[2]), int(parts[3])
+                        vid, lab, deg = parse(parts[1]), parse(parts[2]), parse(parts[3])
                     except ValueError:
                         raise GraphFormatError("malformed vertex line, fields must be integers", lineno)
                     if not 0 <= vid < header[0]:
@@ -305,7 +311,7 @@ def load_graph(path) -> Graph:
                     if len(parts) != 3:
                         raise GraphFormatError("malformed edge line, expected 'e <src> <dst>'", lineno)
                     try:
-                        a, b = int(parts[1]), int(parts[2])
+                        a, b = parse(parts[1]), parse(parts[2])
                     except ValueError:
                         raise GraphFormatError("malformed edge line, endpoints must be integers", lineno)
                     if a == b:

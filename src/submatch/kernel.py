@@ -192,8 +192,8 @@ def pipeline_enumerate(
     stages: list = [None]
     for u in plan.order[1:]:
         parent = plan.parent[u]
-        checks = [(plan.position[un], tree.non_tree_adj.get((un, u), {})) for un in plan.earlier_non_tree[u]]
-        stages.append((plan.position[parent], tree.tree_adj.get((parent, u), {}), checks))
+        checks = [(plan.position[un], tree.groups.get((un, u), {})) for un in plan.earlier_non_tree[u]]
+        stages.append((plan.position[parent], tree.groups.get((parent, u), {}), checks))
     may_repeat = not tree.disjoint
     tail = order_length if may_repeat else plan.tail_start
     tail_stages = [stage[:2] for stage in stages[tail:]]

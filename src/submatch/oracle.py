@@ -93,7 +93,7 @@ def brute_force_tree_walks(tree, plan) -> int:
         if p is None:
             pool = tree.candidates[u]
         else:
-            pool = tree.tree_adj.get((p, u), {}).get(chosen[p], ())
+            pool = tree.groups.get((p, u), {}).get(chosen[p], ())
         for v in pool:
             chosen[u] = v
             extend(i + 1)

@@ -43,9 +43,10 @@ adjacency group whose endpoints are both unchanged is shared by
 reference with its metrics entry (trees are immutable once built).
 Every other group is cut once, from the final sets, by one rule (a row
 that loses no target is kept whole, any other row is filtered) and
-measured as it is cut; size_bytes and max_degree are summed from the
-table (candidate_tree.summed_metrics), and tree_metrics is the
-from-scratch check.
+measured as it is cut. The chunk is built from its sets, its groups,
+this metrics table and the parent's disjointness, so its constructor
+measures nothing again and only sums size_bytes and max_degree;
+tree_metrics is the from-scratch check.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
-from .candidate_tree import BASE_HEADER_BYTES, AdjacencyMap, CandidateTree, arc_fixpoint, measure_group, summed_metrics
+from .candidate_tree import BASE_HEADER_BYTES, CandidateTree, arc_fixpoint, measure_group
 from .plan import QueryPlan
 
 
@@ -127,19 +128,17 @@ def _cut(tree: CandidateTree, candidates: list[list[int]], retained: dict[int, s
     A shared group keeps its parent's metrics entry, and the chunk
     inherits the parent's disjointness: it only shrinks sets.
     """
-    adj: tuple[AdjacencyMap, AdjacencyMap] = ({}, {})
-    metrics = {}
-    for new_groups, groups in zip(adj, (tree.tree_adj, tree.non_tree_adj)):
-        for key, lists in groups.items():
-            a, b = key
-            keep_a, keep_b = retained.get(a), retained.get(b)
-            if keep_a is None and keep_b is None:
-                new_groups[key] = lists
-                metrics[key] = tree.group_metrics[key]
-            else:
-                new_groups[key] = new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
-                metrics[key] = measure_group(new)
-    return CandidateTree(candidates, *adj, *summed_metrics(candidates, metrics), metrics, tree.disjoint)
+    groups, metrics = {}, {}
+    for key, lists in tree.groups.items():
+        a, b = key
+        keep_a, keep_b = retained.get(a), retained.get(b)
+        if keep_a is None and keep_b is None:
+            groups[key] = lists
+            metrics[key] = tree.group_metrics[key]
+        else:
+            groups[key] = new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
+            metrics[key] = measure_group(new)
+    return CandidateTree(candidates, groups, metrics, tree.disjoint)
 
 
 def refined(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTree | None:
@@ -240,9 +239,8 @@ def partition_tree(
 
     Returns the number of emitted trees. Trees with an empty candidate
     set hold no embeddings and are dropped before the budget check, so
-    none is emitted. `tree` must be at its arc-consistency fixpoint and
-    carry its group metrics (as build_candidate_tree leaves it, through
-    CandidateTree.assemble); every chunk is taken to its
+    none is emitted. `tree` must be at its arc-consistency fixpoint (as
+    build_candidate_tree leaves it); every chunk is taken to its
     fixpoint (refined) and dropped when that empties a set, so every
     emitted tree is at its fixpoint. The order vertex
     u = plan.order[index] is skipped, not split, when no chunk of C(u)

@@ -60,7 +60,7 @@ def powerlaw_graph(
     The edge set goes to Graph.from_edges unsorted (it sorts the rows),
     and the whole call runs with the cyclic collector paused.
     """
-    if n < 1 or num_labels < 1 or exponent <= 1.0:
+    if n < 1 or num_labels < 1 or not exponent > 1.0:
         raise ValueError("need n >= 1, num_labels >= 1, exponent > 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     labels = [rng.randrange(num_labels) for _ in range(n)]

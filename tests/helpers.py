@@ -27,7 +27,6 @@ from submatch import (
     within_budgets,
 )
 import submatch.partition
-from submatch.candidate_tree import ENTRY_BYTES, LIST_HEADER_BYTES
 from submatch.kernel import DEFAULT_CAPACITY, BufferOverflowError, CycleModel, RoundTrace
 from submatch.oracle import brute_force_embeddings
 
@@ -139,14 +138,11 @@ def reference_candidate_tree(data, query, plan):
                 cand[a] = keep
                 changed = True
 
-    def groups(edges):
-        out = {}
-        for a, b in edges:
-            rows = {v: sorted(set(data.adj[v]) & cand[b]) for v in cand[a]}
-            out[(a, b)] = {v: row for v, row in rows.items() if row}
-        return out
-
-    return CandidateTree.assemble([sorted(c) for c in cand], groups(tree_edges), groups(non_tree_edges))
+    groups = {}
+    for a, b in tree_edges + non_tree_edges:
+        rows = {v: sorted(set(data.adj[v]) & cand[b]) for v in cand[a]}
+        groups[(a, b)] = {v: row for v, row in rows.items() if row}
+    return CandidateTree([sorted(c) for c in cand], groups)
 
 
 def _earlier_links(plan, w):
@@ -190,7 +186,7 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
         w = plan.order[pos]
         linked = set()
         for w_from, key, keyed_by_w in _earlier_links(plan, w):
-            lists = tree.tree_adj.get(key) or tree.non_tree_adj.get(key) or {}
+            lists = tree.groups.get(key, {})
             if keyed_by_w:
                 keep = retained[w_from]
                 linked.update(v for v, row in lists.items() if any(x in keep for x in row))
@@ -199,25 +195,18 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
                     linked.update(lists.get(v_from, ()))
         retained[w] = linked & set(tree.candidates[w])
 
-    def restrict(groups):
-        out = {}
-        for (a, b), lists in groups.items():
-            keep_a, keep_b = retained[a], retained[b]
-            new_lists = {}
-            for v, row in lists.items():
-                if v not in keep_a:
-                    continue
-                new_row = [x for x in row if x in keep_b]
-                if new_row:
-                    new_lists[v] = new_row
-            out[(a, b)] = new_lists
-        return out
-
-    return CandidateTree.assemble(
-        [sorted(retained[w]) for w in range(plan.num_vertices)],
-        restrict(tree.tree_adj),
-        restrict(tree.non_tree_adj),
-    )
+    groups = {}
+    for (a, b), lists in tree.groups.items():
+        keep_a, keep_b = retained[a], retained[b]
+        new_lists = {}
+        for v, row in lists.items():
+            if v not in keep_a:
+                continue
+            new_row = [x for x in row if x in keep_b]
+            if new_row:
+                new_lists[v] = new_row
+        groups[(a, b)] = new_lists
+    return CandidateTree([sorted(retained[w]) for w in range(plan.num_vertices)], groups)
 
 
 def reference_refine_tree(tree):
@@ -232,11 +221,11 @@ def reference_refine_tree(tree):
     nothing changes, then cut every group to the final sets.
     """
     cand = [set(c) for c in tree.candidates]
-    groups = {**tree.tree_adj, **tree.non_tree_adj}
+    groups = tree.groups
     changed = True
     while changed:
         changed = False
-        for a, b in list(groups) + [(c, p) for p, c in tree.tree_adj]:
+        for a, b in list(groups) + [(b, a) for a, b in groups if (b, a) not in groups]:
             if (a, b) in groups:
                 keep = {v for v in cand[a] if any(w in cand[b] for w in groups[(a, b)].get(v, ()))}
             else:
@@ -245,14 +234,11 @@ def reference_refine_tree(tree):
                 cand[a] = keep
                 changed = True
 
-    def restrict(source):
-        out = {}
-        for (a, b), lists in source.items():
-            rows = {v: [x for x in row if x in cand[b]] for v, row in lists.items() if v in cand[a]}
-            out[(a, b)] = {v: row for v, row in rows.items() if row}
-        return out
-
-    return CandidateTree.assemble([sorted(c) for c in cand], restrict(tree.tree_adj), restrict(tree.non_tree_adj))
+    out = {}
+    for (a, b), lists in groups.items():
+        rows = {v: [x for x in row if x in cand[b]] for v, row in lists.items() if v in cand[a]}
+        out[(a, b)] = {v: row for v, row in rows.items() if row}
+    return CandidateTree([sorted(c) for c in cand], out)
 
 
 def reference_skips(tree, plan, index, config):
@@ -262,13 +248,7 @@ def reference_skips(tree, plan, index, config):
     is over the degree budget, and the from-scratch floor (the
     projection onto the empty part) is.
     """
-    into_prefix = [
-        row
-        for groups in (tree.tree_adj, tree.non_tree_adj)
-        for (_, b), lists in groups.items()
-        if plan.position[b] <= index
-        for row in lists.values()
-    ]
+    into_prefix = [row for (_, b), lists in tree.groups.items() if plan.position[b] <= index for row in lists.values()]
     floor = reference_project_tree(tree, plan, plan.order[index], [], allow_empty=True)
     return (
         tree.size_bytes <= config.size_budget
@@ -335,25 +315,21 @@ def partition_calls(tree, plan, config):
 
 
 def carries_its_facts(tree, root) -> bool:
-    """Whether the facts `tree` carries agree with a recount from its lists.
+    """Whether the facts `tree` carries agree with a freshly built tree over its sets and groups.
 
-    Each group's (bytes, longest list) entry is recounted from its rows,
-    (size_bytes, max_degree) from every list (tree_metrics), and
-    disjointness by the union of the candidate sets. A partition of
-    `root` inherits root.disjoint, which must hold whenever it is set.
+    The fresh tree measures every group and tests disjointness by the
+    union of the candidate sets; tree_metrics recounts (size_bytes,
+    max_degree) from every list. A partition of `root` inherits
+    root.disjoint, which must hold whenever it is set.
     """
-    groups = {**tree.tree_adj, **tree.non_tree_adj}
-    recounted = {
-        key: (sum(LIST_HEADER_BYTES + ENTRY_BYTES * len(row) for row in lists.values()), max(map(len, lists.values()), default=0))
-        for key, lists in groups.items()
-    }
-    disjoint = len(set().union(*tree.candidates)) == sum(map(len, tree.candidates))
+    fresh = CandidateTree(tree.candidates, tree.groups)
     return (
-        tree.group_metrics == recounted
-        and (tree.size_bytes, tree.max_degree) == tree_metrics(tree)
+        tree == fresh
+        and tree.group_metrics == fresh.group_metrics
+        and (tree.size_bytes, tree.max_degree) == (fresh.size_bytes, fresh.max_degree) == tree_metrics(tree)
         and tree.disjoint == root.disjoint
-        and (disjoint or not tree.disjoint)
-        and (tree is not root or tree.disjoint == disjoint)
+        and (fresh.disjoint or not tree.disjoint)
+        and (tree is not root or tree.disjoint == fresh.disjoint)
     )
 
 
@@ -380,13 +356,13 @@ def reference_tree_matches(tree, plan):
         if depth == 0:
             pool = tree.candidates[u]
         else:
-            pool = tree.tree_adj.get((p, u), {}).get(mapping[plan.position[p]], ())
+            pool = tree.groups.get((p, u), {}).get(mapping[plan.position[p]], ())
         for v in pool:
             if v in used:
                 continue
             ok = True
             for un in plan.earlier_non_tree[u]:
-                row = tree.non_tree_adj.get((un, u), {}).get(mapping[plan.position[un]], ())
+                row = tree.groups.get((un, u), {}).get(mapping[plan.position[un]], ())
                 if v not in row:
                     ok = False
                     break
@@ -514,7 +490,7 @@ def generate_batch(
     parent = plan.parent[u]
     assert parent is not None
     parent_pos = plan.position[parent]
-    lists = tree.tree_adj.get((parent, u), {})
+    lists = tree.groups.get((parent, u), {})
 
     sources: list[tuple[int, ...]] = []
     outputs: list[tuple[int, ...]] = []
@@ -560,7 +536,7 @@ def validate_edges(tree: CandidateTree, tasks: Sequence[EdgeTask], batch_size: i
     """AND-accumulated edge bit per output; outputs with no tasks stay 1."""
     bits = [1] * batch_size
     for t in tasks:
-        row = tree.non_tree_adj.get(t.pair, {}).get(t.neighbor_vertex, ())
+        row = tree.groups.get(t.pair, {}).get(t.neighbor_vertex, ())
         if t.candidate not in row:
             bits[t.output] = 0
     return bits

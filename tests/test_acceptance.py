@@ -68,8 +68,8 @@ def test_criterion_1_worked_example_fidelity():
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     assert tree.candidates == [[0, 1], [3, 5], [2, 4, 6], [8, 9]]
-    assert tree.non_tree_adj[(1, 2)][5] == [4, 6]
-    assert tree.tree_adj[(2, 3)][2] == [8]
+    assert tree.groups[(1, 2)][5] == [4, 6]
+    assert tree.groups[(2, 3)][2] == [8]
 
     found, _ = pipeline_enumerate(tree, plan, 1024, CycleModel())
     assert found == [(0, 3, 2, 8), (1, 5, 4, 9)]

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import submatch.candidate_tree
 import submatch.plan
 from submatch import (
@@ -13,6 +15,8 @@ from submatch import (
     dump_tree,
     estimate_workload,
     host_match,
+    partition_tree,
+    pipeline_enumerate,
     run_job,
     tree_metrics,
 )
@@ -50,9 +54,9 @@ def worked_tree():
 def test_worked_tree_reproduces_worked_example_sets():
     tree, _ = worked_tree()
     assert tree.candidates == [[0, 1], [3, 5], [2, 4, 6], [8, 9]]
-    assert tree.tree_adj[(0, 1)] == {0: [3], 1: [5]}
-    assert tree.non_tree_adj[(1, 2)][5] == [4, 6]
-    assert tree.tree_adj[(2, 3)][2] == [8]
+    assert tree.groups[(0, 1)] == {0: [3], 1: [5]}
+    assert tree.groups[(1, 2)][5] == [4, 6]
+    assert tree.groups[(2, 3)][2] == [8]
 
 
 def test_worked_golden_dump():
@@ -85,7 +89,7 @@ def test_refinement_that_empties_one_set_empties_every_set():
     assert start_candidates(data, query, plan) == [{0}, {1}, {4}, {5}]
     tree = build_candidate_tree(data, query, plan)
     assert tree.candidates == [[], [], [], []]
-    assert list(tree.stored_lists()) == []
+    assert all(not lists for lists in tree.groups.values())
     assert tree == helpers.reference_candidate_tree(data, query, plan)
 
 
@@ -103,7 +107,7 @@ def assert_refined_fixpoint(tree, plan):
     cand_sets = [set(c) for c in tree.candidates]
     for u in range(plan.num_vertices):
         for c in plan.children[u]:
-            lists = tree.tree_adj.get((u, c), {})
+            lists = tree.groups.get((u, c), {})
             for v in tree.candidates[u]:
                 row = lists.get(v, ())
                 assert row, f"candidate {v} of {u} has empty list toward child {c}"
@@ -112,7 +116,7 @@ def assert_refined_fixpoint(tree, plan):
         if p is not None:
             linked = set()
             for vp in tree.candidates[p]:
-                linked.update(tree.tree_adj.get((p, u), {}).get(vp, ()))
+                linked.update(tree.groups.get((p, u), {}).get(vp, ()))
             assert cand_sets[u] <= linked
 
 
@@ -143,14 +147,13 @@ def test_adjacency_entries_are_candidates_and_data_edges():
     for data, query, plan, _ in helpers.solvable_instances(10, 12_000, max_data=40):
         tree = build_candidate_tree(data, query, plan)
         cand_sets = [set(c) for c in tree.candidates]
-        for groups in (tree.tree_adj, tree.non_tree_adj):
-            for (a, b), lists in groups.items():
-                for v, row in lists.items():
-                    assert v in cand_sets[a]
-                    assert row == sorted(row)
-                    for w in row:
-                        assert w in cand_sets[b]
-                        assert data.has_edge(v, w)
+        for (a, b), lists in tree.groups.items():
+            for v, row in lists.items():
+                assert v in cand_sets[a]
+                assert row == sorted(row)
+                for w in row:
+                    assert w in cand_sets[b]
+                    assert data.has_edge(v, w)
 
 
 def test_workload_fixture_totals_seven():
@@ -165,7 +168,7 @@ def test_workload_all_singleton_lists_counts_roots():
     data = Graph.from_edges([0, 1, 2, 0, 1, 2], [(0, 1), (1, 2), (3, 4), (4, 5)])
     plan = build_query_plan(plan_q, data)
     tree = build_candidate_tree(data, plan_q, plan)
-    assert all(len(row) == 1 for lists in tree.tree_adj.values() for row in lists.values())
+    assert all(len(row) == 1 for lists in tree.groups.values() for row in lists.values())
     assert estimate_workload(tree, plan).total == len(tree.candidates[plan.root])
 
 
@@ -191,20 +194,42 @@ def test_metrics_recount_matches_cached_and_independent_formula():
         lengths = []
         for cand in tree.candidates:
             expected += LIST_HEADER_BYTES + ENTRY_BYTES * len(cand)
-        for groups in (tree.tree_adj, tree.non_tree_adj):
-            for lists in groups.values():
-                for row in lists.values():
-                    expected += LIST_HEADER_BYTES + ENTRY_BYTES * len(row)
-                    lengths.append(len(row))
+        for lists in tree.groups.values():
+            for row in lists.values():
+                expected += LIST_HEADER_BYTES + ENTRY_BYTES * len(row)
+                lengths.append(len(row))
         assert size == expected
         assert degree == (max(lengths) if lengths else 0)
 
 
 def test_metrics_of_empty_tree():
-    empty = CandidateTree.assemble([[], []], {(0, 1): {}}, {})
+    empty = CandidateTree([[], []], {(0, 1): {}})
     size, degree = tree_metrics(empty)
     assert degree == 0
     assert size == BASE_HEADER_BYTES + 2 * LIST_HEADER_BYTES
+
+
+def test_a_tree_built_from_its_sets_and_groups_is_the_builders_tree():
+    # the constructor derives size and degree, so a tree made directly is
+    # budgeted, split and port-checked as the built one is
+    tree, plan = fixtures.partition_example()
+    direct = CandidateTree(tree.candidates, tree.groups)
+    assert (direct.size_bytes, direct.max_degree) == (tree.size_bytes, tree.max_degree) == (260, 3)
+    assert direct == tree
+    emitted = []
+    partition_tree(direct, plan, 0, PartitionConfig(size_budget=200, degree_budget=2, port_limit=2), emitted.append)
+    assert [(t.size_bytes, t.max_degree) for t in emitted] == [(180, 2), (124, 1)]
+    with pytest.raises(ValueError, match="tree degree 3 exceeds port limit 2"):
+        pipeline_enumerate(direct, plan, port_limit=2)
+
+
+def test_rebuilding_a_tree_from_its_sets_and_groups_derives_the_same_facts():
+    for _, _, _, tree, _ in helpers.built_instances(30, 28_500, max_data=40):
+        rebuilt = CandidateTree(tree.candidates, tree.groups)
+        assert rebuilt == tree
+        assert rebuilt.group_metrics == tree.group_metrics
+        assert rebuilt.disjoint == tree.disjoint
+        assert tree_metrics(tree) == (rebuilt.size_bytes, rebuilt.max_degree) == (tree.size_bytes, tree.max_degree)
 
 
 def test_stored_lists_are_sorted_nonempty_and_within_candidates():
@@ -215,7 +240,7 @@ def test_stored_lists_are_sorted_nonempty_and_within_candidates():
         query = fixtures.benchmark_queries()[name]
         trees.append(build_candidate_tree(data, query, build_query_plan(query, data)))
     for tree in trees:
-        for (a, b), lists in list(tree.tree_adj.items()) + list(tree.non_tree_adj.items()):
+        for (a, b), lists in tree.groups.items():
             cand_a, cand_b = set(tree.candidates[a]), set(tree.candidates[b])
             for v, row in lists.items():
                 assert v in cand_a
@@ -238,9 +263,8 @@ def test_index_equals_naive_fixpoint_reference():
         plan = build_query_plan(query, data)
         tree = build_candidate_tree(data, query, plan)
         assert tree == helpers.reference_candidate_tree(data, query, plan)
-        for groups in (tree.tree_adj, tree.non_tree_adj):
-            for lists in groups.values():
-                assert list(lists) == sorted(lists)
+        for lists in tree.groups.values():
+            assert list(lists) == sorted(lists)
 
 
 def test_neighbour_label_prefilter_shrinks_start_sets_and_keeps_the_index():

@@ -92,6 +92,15 @@ def test_run_parse_error_is_machine_readable(capsys, tmp_path, worked_paths):
     assert err["type"] == "format" and err["line"] == 4
 
 
+def test_run_non_ascii_digit_in_query_is_typed_format_error(capsys, tmp_path, worked_paths):
+    query = tmp_path / "digit.graph"
+    query.write_text("t 2 1\nv 0 0 1\nv 1 \u0661 1\ne 0 1\n", encoding="utf-8")
+    code, out = run_cli(capsys, "run", "--data", worked_paths[0], "--query", str(query), "--json")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "format" and err["line"] == 3 and "must be integers" in err["message"]
+
+
 @pytest.mark.parametrize("count", [5_000_000, 99_999_999_999])
 def test_run_header_count_alone_is_typed_error_without_sizing_arrays(capsys, worked_paths, tmp_path, count):
     """A header whose vertex count no line bears out is a format error, found without allocating per declared vertex."""
@@ -280,6 +289,15 @@ def test_gen_power_law(capsys, tmp_path):
     assert code == 0
     g = load_graph(out)
     assert g.num_vertices == 200 and g.num_edges > 100
+
+
+def test_gen_nan_power_law_is_typed_error(capsys, tmp_path):
+    out = tmp_path / "nan.graph"
+    code, text = run_cli(capsys, "gen", "--out", str(out), "--n", "20", "--power-law", "nan", "--json")
+    assert code == 1
+    err = json.loads(text)["error"]
+    assert err["type"] == "gen" and "exponent > 1" in err["message"]
+    assert not out.exists()
 
 
 def test_gen_rejects_both_models(capsys, tmp_path):

@@ -76,11 +76,18 @@ def test_round_trip_identity_on_random_graphs(tmp_path):
         ("t 2 1\nv 0 0 9\nv 1 0 1\ne 0 1\n", "declares degree", 2),
         ("t 2 0\nv 0 0 0\n", "never declared", None),
         ("v 0 0 0\n", "before header", 1),
+        # int() reads these fields as 2, 1, 10, 1, 1 and 0, which would load
+        ("t \u0662 1\nv 0 0 1\nv 1 0 1\ne 0 1\n", "counts must be integers", 1),
+        ("t 2 1\nv \u0661 0 1\nv 0 0 1\ne 0 1\n", "fields must be integers", 2),
+        ("t 2 1\nv 0 1_0 1\nv 1 10 1\ne 0 1\n", "fields must be integers", 2),
+        ("t 2 1\nv 0 0 1\nv 1 0 \uff11\ne 0 1\n", "fields must be integers", 3),
+        ("t 2 1\nv 0 0 1\nv 1 0 1\ne 0 \u0661\n", "endpoints must be integers", 4),
+        ("t 2 1\nv 0 0 1\nv 1 0 1\ne 0_0 1\n", "endpoints must be integers", 4),
     ],
 )
 def test_parse_errors_reject_whole_file_with_line(tmp_path, body, fragment, line):
     path = tmp_path / "bad.graph"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(GraphFormatError) as err:
         load_graph(path)
     assert fragment in str(err.value)

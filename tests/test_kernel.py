@@ -309,7 +309,7 @@ def test_free_tail_with_empty_rows_equals_staged_reference():
     u = plan.order[-1]
     chunk = project_tree(tree, plan, u, tree.candidates[u][:1])
     assert plan.tail_start == 1
-    assert set(chunk.tree_adj[(plan.root, u)]) < set(chunk.candidates[plan.root])
+    assert set(chunk.groups[(plan.root, u)]) < set(chunk.candidates[plan.root])
     _assert_equal_to_staged_reference(chunk, plan, (1, 2, 5, 1024))
 
 
@@ -339,8 +339,8 @@ def _walks(tree, plan):
     walks = [(v,) for v in tree.candidates[plan.root]]
     for u in plan.order[1:]:
         parent = plan.parent[u]
-        lists = tree.tree_adj.get((parent, u), {})
-        checks = [(plan.position[un], tree.non_tree_adj.get((un, u), {})) for un in plan.earlier_non_tree[u]]
+        lists = tree.groups.get((parent, u), {})
+        checks = [(plan.position[un], tree.groups.get((un, u), {})) for un in plan.earlier_non_tree[u]]
         walks = [
             w + (v,)
             for w in walks
@@ -372,21 +372,20 @@ def test_only_queries_with_shared_candidates_check_repeats():
 def test_shared_candidate_runs_the_visited_check_however_the_tree_is_built():
     """A hand-built star whose two leaves share candidates 2 and 3 gets no answer that repeats one.
 
-    assemble finds the sets not disjoint, and a tree built directly is
-    not known disjoint, so both run the visited check, even in the
-    free tail the two leaves form.
+    The constructor is the only way to build a tree, and it finds the
+    sets not disjoint, so the visited check runs, even in the free tail
+    the two leaves form.
     """
     from submatch.candidate_tree import CandidateTree
     from submatch.plan import QueryPlan
 
     plan = QueryPlan.assemble(0, [None, 0, 0], [[1, 2], [], []], [[], [], []], [0, 1, 2], [0, 1, 2])
     assert plan.tail_start == 1
-    parts = ([[1], [2, 3], [2, 3]], {(0, 1): {1: [2, 3]}, (0, 2): {1: [2, 3]}}, {})
-    for tree in (CandidateTree.assemble(*parts), CandidateTree(*parts)):
-        assert not tree.disjoint
-        for capacity in (1, 2, 1024):
-            matches, _ = pipeline_enumerate(tree, plan, capacity)
-            assert matches == [(1, 2, 3), (1, 3, 2)], capacity
+    tree = CandidateTree([[1], [2, 3], [2, 3]], {(0, 1): {1: [2, 3]}, (0, 2): {1: [2, 3]}})
+    assert not tree.disjoint
+    for capacity in (1, 2, 1024):
+        matches, _ = pipeline_enumerate(tree, plan, capacity)
+        assert matches == [(1, 2, 3), (1, 3, 2)], capacity
 
 
 def test_port_limit_precondition_enforced():

@@ -47,9 +47,9 @@ def tail_instances(draw):
                 group[c] = sorted(draw(st.sets(st.sampled_from(candidates[target]))))
         return group
 
-    tree_adj = {(parent[u], u): rows(parent[u], u) for u in range(1, n)}
-    non_tree_adj = {(a, b): rows(a, b) for a in range(n) for b in non_tree[a]}
-    return CandidateTree.assemble(candidates, tree_adj, non_tree_adj), plan, prefix, shared
+    groups = {(parent[u], u): rows(parent[u], u) for u in range(1, n)}
+    groups.update({(a, b): rows(a, b) for a in range(n) for b in non_tree[a]})
+    return CandidateTree(candidates, groups), plan, prefix, shared
 
 
 def run(enumerate_fn, tree, plan, capacity):

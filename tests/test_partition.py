@@ -84,9 +84,9 @@ def test_project_singletons_cover_and_restrict():
                 sub_set = set(sub.candidates[w])
                 union[w] |= sub_set
                 assert sub_set <= set(tree.candidates[w])
-                for key, lists in sub.tree_adj.items():
+                for key, lists in sub.groups.items():
                     for vv, row in lists.items():
-                        assert set(row) <= set(tree.tree_adj[key].get(vv, ()))
+                        assert set(row) <= set(tree.groups[key].get(vv, ()))
         for w in range(plan.num_vertices):
             if plan.position[w] > plan.position[u]:
                 # every refined candidate survives in at least one part:
@@ -116,20 +116,21 @@ def test_project_handles_child_before_parent_order():
         order=[0, 3, 2, 1],
         bfs_order=[0, 1, 3, 2],
     )
-    tree = CandidateTree.assemble(
+    tree = CandidateTree(
         candidates=[[10], [11, 14, 16], [12, 15], [13]],
-        tree_adj={
+        groups={
             (0, 1): {10: [11, 14]},
             (1, 2): {11: [12], 14: [15], 16: [12]},
             (0, 3): {10: [13]},
+            (2, 3): {12: [13]},
+            (3, 2): {13: [12]},
         },
-        non_tree_adj={(2, 3): {12: [13]}, (3, 2): {13: [12]}},
     )
     sub = project_tree(tree, plan, 0, [10])
     assert sub.candidates[3] == [13]
     assert sub.candidates[2] == [12]  # 15 has no link to the retained 13
     assert sub.candidates[1] == [11, 14, 16]  # 16 retained via its child link
-    assert sub.tree_adj[(1, 2)] == {11: [12], 16: [12]}
+    assert sub.groups[(1, 2)] == {11: [12], 16: [12]}
 
 
 def test_partition_noop_when_within_budgets():
@@ -444,14 +445,15 @@ def test_skip_rule_on_child_before_parent_order():
     skips = []
     for row_of_10 in ([11, 14], [11, 14, 16]):
         tree = helpers.reference_refine_tree(
-            CandidateTree.assemble(
+            CandidateTree(
                 candidates=[[10], [11, 14, 16], [12, 15], [13]],
-                tree_adj={
+                groups={
                     (0, 1): {10: row_of_10},
                     (1, 2): {11: [12], 14: [15], 16: [12]},
                     (0, 3): {10: [13]},
+                    (2, 3): {12: [13]},
+                    (3, 2): {13: [12]},
                 },
-                non_tree_adj={(2, 3): {12: [13]}, (3, 2): {13: [12]}},
             )
         )
         for degree_budget in (1, 2):
@@ -491,16 +493,15 @@ def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
         for w, unchanged in enumerate(same):
             if unchanged:
                 assert sub.candidates[w] is parent.candidates[w]
-        for groups, parent_groups in ((sub.tree_adj, parent.tree_adj), (sub.non_tree_adj, parent.non_tree_adj)):
-            for (a, b), lists in groups.items():
-                parent_lists = parent_groups[(a, b)]
-                if same[a] and same[b]:
-                    assert lists is parent_lists
-                    shared["groups"] += 1
-                elif same[b]:
-                    for v, row in lists.items():
-                        assert row is parent_lists[v]
-                        shared["rows"] += 1
+        for (a, b), lists in sub.groups.items():
+            parent_lists = parent.groups[(a, b)]
+            if same[a] and same[b]:
+                assert lists is parent_lists
+                shared["groups"] += 1
+            elif same[b]:
+                for v, row in lists.items():
+                    assert row is parent_lists[v]
+                    shared["rows"] += 1
         return sub
 
     with monkeypatch.context() as patch:

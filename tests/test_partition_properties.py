@@ -46,8 +46,7 @@ def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
         assert chunk is not tree
         for e in embeddings:
             assert all(e[w] in chunk.candidates[w] for w in range(plan.num_vertices))
-            for groups in (chunk.tree_adj, chunk.non_tree_adj):
-                assert all(e[b] in groups[(a, b)].get(e[a], ()) for a, b in groups)
+            assert all(e[b] in chunk.groups[(a, b)].get(e[a], ()) for a, b in chunk.groups)
         tree = chunk
 
 

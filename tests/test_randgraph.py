@@ -36,6 +36,12 @@ def test_batched_draws_equal_one_pair_per_call(monkeypatch, shape, draw_batch):
         assert batched.getstate() == reference.getstate(), seed
 
 
+@pytest.mark.parametrize("exponent", [1.0, 0.5, float("nan")])
+def test_exponent_must_exceed_one(exponent):
+    with pytest.raises(ValueError, match="exponent > 1"):
+        powerlaw_graph(10, exponent, 2, 0)
+
+
 def test_dense_target_reaches_the_attempt_cap():
     graph = powerlaw_graph(6, 1.5, 2, 0, 50.0)
     assert graph.num_edges < 15  # the target, all 15 pairs, is never reached

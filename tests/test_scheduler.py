@@ -4,6 +4,7 @@ import random
 import pytest
 
 from submatch import (
+    CandidateTree,
     CycleModel,
     Graph,
     UnsplittableTreeError,
@@ -76,8 +77,7 @@ def test_host_match_empty_candidates():
     from submatch import project_tree
 
     sub = project_tree(tree, plan, 0, [1])
-    sub.candidates[3] = []
-    sub.tree_adj[(1, 3)] = {}
+    sub = CandidateTree(sub.candidates[:3] + [[]], {**sub.groups, (1, 3): {}})
     assert host_match(sub, plan) == []
 
 
