@@ -12,7 +12,6 @@ all three estimates.
 
 from .candidate_tree import (
     CandidateTree,
-    WorkloadTable,
     build_candidate_tree,
     dump_tree,
     estimate_workload,
@@ -53,7 +52,6 @@ __all__ = [
     "RoundTrace",
     "SchedulerState",
     "UnsplittableTreeError",
-    "WorkloadTable",
     "brute_force_embeddings",
     "brute_force_tree_walks",
     "build_candidate_tree",

@@ -234,21 +234,13 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
     return CandidateTree(ordered, {(a, b): group(a, b) for a, b in stored})
 
 
-@dataclass
-class WorkloadTable:
-    """Per-candidate counts of tree-only walks through the suffix below it.
+def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> int:
+    """Count the tree-only candidate walks from the root, bottom up.
 
     counts[u][v] is 1 for leaves and otherwise the product over children
-    of the sum of counts over v's stored list toward that child. total
-    sums the root candidates and estimates the tree's workload.
+    of the sum of counts over v's stored list toward that child; the
+    workload sums the root candidates' counts.
     """
-
-    counts: list[dict[int, int]] = field(default_factory=list)
-    total: int = 0
-
-
-def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> WorkloadTable:
-    """Bottom-up dynamic program counting tree-only candidate walks."""
     counts: list[dict[int, int]] = [{} for _ in range(plan.num_vertices)]
     for u in reversed(plan.bfs_order):
         # every stored list holds only candidates of its child, all counted already
@@ -260,8 +252,7 @@ def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> WorkloadTable:
                 if value == 0:
                     break
             counts[u][v] = value
-    total = sum(counts[plan.root].values())
-    return WorkloadTable(counts=counts, total=total)
+    return sum(counts[plan.root].values())
 
 
 def dump_tree(tree: CandidateTree) -> str:

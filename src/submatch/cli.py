@@ -34,23 +34,42 @@ class CliError(Exception):
         self.line = line
 
 
+def _ascii(kind):
+    """kind (int or float) read, as load_graph reads fields, only from ASCII text without '_'.
+
+    Python's int and float also read other scripts' digits and '_'. The
+    ValueError is a usage error in a flag and a config error in a list.
+    """
+
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"{text!r} is not in ASCII digits")
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # the type argparse names in its usage error
+    return parse
+
+
+_int, _float = _ascii(int), _ascii(float)
+
+
 def _parse_l_consts(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("expected six comma-separated values")
-    return tuple(float(p) for p in parts)
+    return tuple(map(_float, parts))
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="data graph file")
     p.add_argument("--query", required=True, help="query graph file")
-    p.add_argument("--delta-s", dest="delta_s", type=int, default=262144, help="tree size budget in bytes")
-    p.add_argument("--delta-d", dest="delta_d", type=int, default=16, help="adjacency list length budget")
-    p.add_argument("--port-max", dest="port_max", type=int, default=16, help="hard cap on list length")
-    p.add_argument("--no", dest="capacity", type=int, default=DEFAULT_CAPACITY, help="per-round expansion bound")
+    p.add_argument("--delta-s", dest="delta_s", type=_int, default=262144, help="tree size budget in bytes")
+    p.add_argument("--delta-d", dest="delta_d", type=_int, default=16, help="adjacency list length budget")
+    p.add_argument("--port-max", dest="port_max", type=_int, default=16, help="hard cap on list length")
+    p.add_argument("--no", dest="capacity", type=_int, default=DEFAULT_CAPACITY, help="per-round expansion bound")
     p.add_argument("--l-consts", dest="l_consts", type=_parse_l_consts, default=DEFAULT_LATENCIES,
                    help="six stage latencies, comma separated")
-    p.add_argument("--dram-ratio", dest="dram_ratio", type=float, default=1.0,
+    p.add_argument("--dram-ratio", dest="dram_ratio", type=_float, default=1.0,
                    help="latency multiplier modeling slow external memory (about 7 is typical)")
     p.add_argument("--json", action="store_true", help="report errors as JSON on stdout")
 
@@ -62,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one query end to end")
     _add_config_flags(run_p)
     run_p.add_argument("--variant", default="share", choices=JOB_VARIANTS)
-    run_p.add_argument("--delta", type=float, default=0.1, help="host workload share in [0,1]")
-    run_p.add_argument("--k", dest="fixed_k", type=int, default=None, help="fix the partition factor (>= 2)")
+    run_p.add_argument("--delta", type=_float, default=0.1, help="host workload share in [0,1]")
+    run_p.add_argument("--k", dest="fixed_k", type=_int, default=None, help="fix the partition factor (>= 2)")
     run_p.add_argument("--trace", help="write the per-round kernel trace CSV here")
 
     cmp_p = sub.add_parser("compare", help="sweep variants, share thresholds, or partition factors")
@@ -74,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen", help="generate a random labeled graph file")
     gen_p.add_argument("--out", required=True)
-    gen_p.add_argument("--n", type=int, required=True, help="vertex count")
-    gen_p.add_argument("--p", type=float, default=None, help="edge probability (uniform model)")
-    gen_p.add_argument("--power-law", dest="power_law", type=float, default=None, help="power-law exponent (> 1)")
-    gen_p.add_argument("--labels", type=int, default=3)
-    gen_p.add_argument("--seed", type=int, default=0)
+    gen_p.add_argument("--n", type=_int, required=True, help="vertex count")
+    gen_p.add_argument("--p", type=_float, default=None, help="edge probability (uniform model)")
+    gen_p.add_argument("--power-law", dest="power_law", type=_float, default=None, help="power-law exponent (> 1)")
+    gen_p.add_argument("--labels", type=_int, default=3)
+    gen_p.add_argument("--seed", type=_int, default=0)
     gen_p.add_argument("--json", action="store_true")
 
     oracle_p = sub.add_parser("oracle")  # debugging helper, hidden from the command list
@@ -193,8 +212,8 @@ def _compare_grid(args) -> tuple[list[str], list[float], list[tuple[str, Partiti
             raise CliError("config", f"unknown variant {variant!r}")
     _check_capacity(args.capacity)
     try:
-        deltas = [_check_delta(float(text)) for text in _split_list(args.delta)]
-        ks = [(text, _check_k(None if text == "auto" else int(text))) for text in _split_list(args.fixed_k)]
+        deltas = [_check_delta(_float(text)) for text in _split_list(args.delta)]
+        ks = [(text, _check_k(None if text == "auto" else _int(text))) for text in _split_list(args.fixed_k)]
     except ValueError as exc:
         raise CliError("config", f"bad --delta or --k value: {exc}")
     for flag, values in (("--variant", variants), ("--delta", deltas), ("--k", ks)):

@@ -68,14 +68,7 @@ def partition_example() -> tuple[CandidateTree, QueryPlan]:
     {6, 8} under vertex 2, and {9, 10} under vertex 3; the workload
     counts at the root are 4 and 3.
     """
-    plan = QueryPlan.assemble(
-        root=0,
-        parent=[None, 0, 0, 1],
-        children=[[1, 2], [3], [], []],
-        non_tree=[[], [2], [1], []],
-        order=[0, 1, 2, 3],
-        bfs_order=[0, 1, 2, 3],
-    )
+    plan = QueryPlan(parent=[None, 0, 0, 1], non_tree=[[], [2], [1], []], order=[0, 1, 2, 3])
     tree = CandidateTree(
         candidates=[[1, 2], [3, 4, 5], [6, 7, 8], [9, 10]],
         groups={

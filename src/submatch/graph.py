@@ -57,15 +57,16 @@ def paused_collector(fn):
 class Graph:
     """Immutable vertex-labeled undirected simple graph.
 
-    Adjacency lists are sorted ascending, hold no duplicates and no
-    self-loops, and ``degrees[v] == len(adj[v])``. Labels are
+    A graph is its labels and its adjacency rows. Rows are sorted
+    ascending and hold no duplicates and no self-loops. Labels are
     non-negative ints of any size. ``from_edges`` builds the rows from
     plain per-vertex lists, each sorted once, with the cyclic collector
     paused.
 
-    ``vertices_by_label``, ``label_rank`` and ``neighbour_labels`` are
-    indexes built on first use and cached: one pass over the graph each,
-    paid once by the first job on it. A neighbour-label mask gives each
+    ``degrees`` (``len(adj[v])`` per vertex), ``vertices_by_label``,
+    ``label_rank`` and ``neighbour_labels`` are derived on first use and
+    cached: one pass over the graph each, paid once by the first job on
+    it. A neighbour-label mask gives each
     present label the bit of its rank among the present labels, so its
     size follows the number of distinct labels, not their values.
 
@@ -75,7 +76,6 @@ class Graph:
 
     labels: tuple[int, ...]
     adj: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
 
     @property
     def num_vertices(self) -> int:
@@ -86,12 +86,13 @@ class Graph:
         return sum(self.degrees) // 2
 
     @property
-    def label_count(self) -> int:
-        return max(self.labels) + 1 if self.labels else 0
-
-    @property
     def max_degree(self) -> int:
         return max(self.degrees) if self.degrees else 0
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Each vertex's neighbour count, ``len(adj[v])``."""
+        return tuple(map(len, self.adj))
 
     @cached_property
     def vertices_by_label(self) -> dict[int, list[int]]:
@@ -180,7 +181,7 @@ class Graph:
         rows = tuple(map(tuple, adj))
         if not _rows_well_formed(rows):
             raise GraphFormatError(_first_defect(n, edges)[1])  # type: ignore[index]
-        return cls(tuple(labels), rows, tuple(map(len, rows)))
+        return cls(tuple(labels), rows)
 
 
 class _LabelIndex(dict):

@@ -9,9 +9,10 @@ particular by its tree parent).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import prod
 
 from .graph import Graph, candidates_by_local_features
 
@@ -24,13 +25,16 @@ class DisconnectedQueryError(ValueError):
 class QueryPlan:
     """Spanning tree plus matching order for one query graph.
 
-    parent[root] is None. Every query edge is either a tree edge
-    (parent/children) or appears in both endpoints' non_tree lists.
-    bfs_order lists vertices parents-first; position is the inverse
-    permutation of order. tail_start is where the order's free tail
-    begins: the longest suffix, of two or more vertices, whose every
-    vertex has its tree parent before the suffix and no earlier
-    non-tree neighbour; num_vertices when there is none.
+    Three tables are given: parent (parent[root] is None), non_tree
+    (every query edge is either a tree edge or appears in both
+    endpoints' non_tree lists) and the matching order. The constructor
+    derives the rest from them: root; children, ascending; bfs_order,
+    breadth-first over children from the root, so parents first;
+    position, the inverse permutation of order; earlier_non_tree[u], u's
+    non-tree neighbours before it in the order; and tail_start, where
+    the order's free tail begins: the longest suffix, of two or more
+    vertices, whose every vertex has its tree parent before the suffix
+    and no earlier non-tree neighbour; num_vertices when there is none.
 
     local_filter is ``(query, data, lists)`` when the plan was built by
     build_query_plan: lists[u] is candidates_by_local_features(data,
@@ -39,28 +43,32 @@ class QueryPlan:
     again. It takes no part in equality.
     """
 
-    root: int
     parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
     non_tree: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
-    bfs_order: tuple[int, ...]
-    position: tuple[int, ...]
-    earlier_non_tree: tuple[tuple[int, ...], ...]
-    tail_start: int
     local_filter: tuple[Graph, Graph, list[list[int]]] | None = field(default=None, compare=False, repr=False)
+    root: int = field(init=False)
+    children: tuple[tuple[int, ...], ...] = field(init=False)
+    bfs_order: tuple[int, ...] = field(init=False)
+    position: tuple[int, ...] = field(init=False)
+    earlier_non_tree: tuple[tuple[int, ...], ...] = field(init=False)
+    tail_start: int = field(init=False)
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.order)
-
-    @staticmethod
-    def assemble(root, parent, children, non_tree, order, bfs_order, local_filter=None) -> "QueryPlan":
-        """Fill in the derived position and earlier-neighbor tables and the tail start."""
+    def __post_init__(self) -> None:
+        store = partial(object.__setattr__, self)  # the dataclass is frozen
+        parent, order = tuple(self.parent), tuple(self.order)
         n = len(order)
+        children: list[list[int]] = [[] for _ in range(n)]
+        for u, p in enumerate(parent):
+            if p is not None:
+                children[p].append(u)
+        bfs_order = [parent.index(None)]
+        for u in bfs_order:
+            bfs_order += children[u]
         position = [0] * n
         for i, u in enumerate(order):
             position[u] = i
+        non_tree = tuple(map(tuple, self.non_tree))
         earlier = tuple(tuple(un for un in non_tree[u] if position[un] < position[u]) for u in range(n))
         tail_start = n
         latest_parent = 0  # latest parent position over order[t:]
@@ -71,18 +79,19 @@ class QueryPlan:
             latest_parent = max(latest_parent, position[parent[u]])
             if latest_parent < t and t <= n - 2:
                 tail_start = t
-        return QueryPlan(
-            root=root,
-            parent=tuple(parent),
-            children=tuple(tuple(c) for c in children),
-            non_tree=tuple(tuple(x) for x in non_tree),
-            order=tuple(order),
-            bfs_order=tuple(bfs_order),
-            position=tuple(position),
-            earlier_non_tree=earlier,
-            tail_start=tail_start,
-            local_filter=local_filter,
-        )
+        store("parent", parent)
+        store("non_tree", non_tree)
+        store("order", order)
+        store("root", bfs_order[0])
+        store("children", tuple(map(tuple, children)))
+        store("bfs_order", tuple(bfs_order))
+        store("position", tuple(position))
+        store("earlier_non_tree", earlier)
+        store("tail_start", tail_start)
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.order)
 
 
 def build_query_plan(query: Graph, data: Graph) -> QueryPlan:
@@ -103,51 +112,32 @@ def build_query_plan(query: Graph, data: Graph) -> QueryPlan:
     root = 0 if n == 1 else min(range(n), key=lambda u: (Fraction(len(local[u]), query.degrees[u]), u))
 
     parent: list[int | None] = [None] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    bfs_order = [root]
     seen = [False] * n
     seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    queue = [root]
+    for u in queue:
         for w in query.adj[u]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = u
-                children[u].append(w)
-                bfs_order.append(w)
                 queue.append(w)
     if not all(seen):
         raise DisconnectedQueryError("query graph is disconnected")
 
-    non_tree: list[list[int]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in query.adj[a]:
-            if a < b and parent[a] != b and parent[b] != a:
-                non_tree[a].append(b)
-                non_tree[b].append(a)
-    non_tree = [sorted(x) for x in non_tree]
+    non_tree = [[b for b in query.adj[a] if parent[a] != b and parent[b] != a] for a in range(n)]
 
     # Root-to-leaf paths, cheapest candidate product first.
     paths = []
+    parents = set(parent)
     for leaf in range(n):
-        if not children[leaf]:
+        if leaf not in parents:
             path = [leaf]
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])  # type: ignore[arg-type]
             path.reverse()
-            cost = 1
-            for u in path:
-                cost *= len(local[u])
-            paths.append((cost, tuple(path)))
+            paths.append((prod(len(local[u]) for u in path), tuple(path)))
     paths.sort()
 
-    order: list[int] = []
-    placed = [False] * n
-    for _, path in paths:
-        for u in path:
-            if not placed[u]:
-                placed[u] = True
-                order.append(u)
+    order = list(dict.fromkeys(u for _, path in paths for u in path))  # each vertex where it first appears
 
-    return QueryPlan.assemble(root, parent, children, non_tree, order, bfs_order, (query, data, local))
+    return QueryPlan(parent, non_tree, order, (query, data, local))

@@ -147,7 +147,7 @@ def run_job(
     traces: list[RoundTrace] = [] if collect_trace else None  # type: ignore[assignment]
 
     def dispatch(part: CandidateTree) -> None:
-        workload = estimate_workload(part, plan).total
+        workload = estimate_workload(part, plan)
         side = route_tree(state, workload)
         routing_log.append((workload, side))
         if side == "kernel":

@@ -97,7 +97,7 @@ def reference_from_edges(labels, edges):
         adj[a].add(b)
         adj[b].add(a)
     rows = tuple(tuple(sorted(s)) for s in adj)
-    return Graph(tuple(labels), rows, tuple(len(r) for r in rows))
+    return Graph(tuple(labels), rows)
 
 
 def add_random_edges(graph: Graph, count: int, rng: random.Random) -> Graph:

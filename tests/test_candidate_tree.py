@@ -7,6 +7,7 @@ import submatch.plan
 from submatch import (
     Graph,
     PartitionConfig,
+    QueryPlan,
     SchedulerState,
     brute_force_tree_walks,
     build_candidate_tree,
@@ -17,6 +18,7 @@ from submatch import (
     host_match,
     partition_tree,
     pipeline_enumerate,
+    project_tree,
     run_job,
     tree_metrics,
 )
@@ -157,10 +159,12 @@ def test_adjacency_entries_are_candidates_and_data_edges():
 
 
 def test_workload_fixture_totals_seven():
-    tree, plan = fixtures.partition_example()
-    table = estimate_workload(tree, plan)
-    assert table.counts[0] == {1: 4, 2: 3}
-    assert table.total == 7
+    # the plan from its three given tables derives the rest
+    tree, _ = fixtures.partition_example()
+    plan = QueryPlan([None, 0, 0, 1], [[], [2], [1], []], [0, 1, 2, 3])
+    assert (plan.root, plan.children, plan.bfs_order) == (0, ((1, 2), (3,), (), ()), (0, 1, 2, 3))
+    assert estimate_workload(tree, plan) == brute_force_tree_walks(tree, plan) == 7
+    assert [estimate_workload(project_tree(tree, plan, 0, [v]), plan) for v in (1, 2)] == [4, 3]
 
 
 def test_workload_all_singleton_lists_counts_roots():
@@ -169,20 +173,20 @@ def test_workload_all_singleton_lists_counts_roots():
     plan = build_query_plan(plan_q, data)
     tree = build_candidate_tree(data, plan_q, plan)
     assert all(len(row) == 1 for lists in tree.groups.values() for row in lists.values())
-    assert estimate_workload(tree, plan).total == len(tree.candidates[plan.root])
+    assert estimate_workload(tree, plan) == len(tree.candidates[plan.root])
 
 
 def test_workload_matches_exhaustive_tree_walks():
     for data, query, plan, _ in helpers.solvable_instances(30, 13_000, max_data=40):
         tree = build_candidate_tree(data, query, plan)
-        assert estimate_workload(tree, plan).total == brute_force_tree_walks(tree, plan)
+        assert estimate_workload(tree, plan) == brute_force_tree_walks(tree, plan)
 
 
 def test_workload_bounds_true_embedding_count_from_above():
     # ignoring injectivity and non-tree edges only ever adds walks
     for data, query, plan, expected in helpers.solvable_instances(15, 15_000, max_data=40):
         tree = build_candidate_tree(data, query, plan)
-        assert estimate_workload(tree, plan).total >= len(expected)
+        assert estimate_workload(tree, plan) >= len(expected)
 
 
 def test_metrics_recount_matches_cached_and_independent_formula():
@@ -292,7 +296,7 @@ def test_index_on_a_shared_graph_equals_the_index_on_a_fresh_one():
     bench = fixtures.benchmark_graph()
     queries = sorted(fixtures.benchmark_queries().items())
     for name, query in queries:
-        shared, fresh = (Graph(bench.labels, bench.adj, bench.degrees) for _ in range(2))
+        shared, fresh = (Graph(bench.labels, bench.adj) for _ in range(2))
         for other_name, other in queries:
             if other_name != name:
                 build_candidate_tree(shared, other, build_query_plan(other, shared))

@@ -341,6 +341,43 @@ def test_package_runs_as_module(worked_paths):
     assert json.loads(proc.stdout)["embeddings"] == 2
 
 
+@pytest.mark.parametrize(
+    "command, flags, status",
+    [
+        ("run", ["--delta-d", "\u0661", "--port-max", "1_6"], 2),
+        ("run", ["--no", "\uff12"], 2),
+        ("run", ["--delta", "\uff10.\uff15"], 2),
+        ("run", ["--k", "\u0663"], 2),
+        ("run", ["--delta-s", "262_144"], 2),
+        ("run", ["--dram-ratio", "\u0667"], 2),
+        ("compare", ["--l-consts", "\u0661,1,1,1,1,1"], 2),
+        ("compare", ["--k", "\uff12", "--delta", "\uff10.1"], 1),
+        ("compare", ["--delta", "0.1,0.0_5"], 1),
+        ("gen", ["--n", "\uff15"], 2),
+        ("gen", ["--n", "5", "--labels", "1_0"], 2),
+        ("gen", ["--n", "5", "--seed", "\u0667"], 2),
+        ("gen", ["--n", "5", "--p", "\uff10.5"], 2),
+        ("gen", ["--n", "5", "--power-law", "\uff12.5"], 2),
+    ],
+)
+def test_numeric_options_read_ascii_digits_only(capsys, worked_paths, tmp_path, command, flags, status):
+    """A non-ASCII digit or '_' is a usage error in a flag and a config error in a list item, as in load_graph."""
+    data, query = worked_paths
+    out_path = tmp_path / "gen.graph"
+    inputs = ["--out", str(out_path)] if command == "gen" else ["--data", data, "--query", query]
+    argv = [command, *inputs, "--json", *flags]
+    if status == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+    else:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "config"  # the whole output: no CSV header
+    assert not out_path.exists()
+
+
 def test_dram_ratio_scales_basic_cycles(capsys, worked_paths):
     data, query = worked_paths
     _, out1 = run_cli(capsys, "run", "--data", data, "--query", query, "--no", "4")

@@ -31,6 +31,8 @@ def test_worked_data_graph_loads_with_expected_shape():
     assert g.num_edges == 12
     assert g.labels == (0, 0, 2, 1, 2, 1, 2, 3, 3, 3)
     assert g.degrees == (3, 2, 3, 2, 3, 4, 3, 1, 1, 2)
+    copy = Graph(g.labels, g.adj)  # a graph is its labels and rows; degrees are derived
+    assert copy == g and copy.degrees == g.degrees and copy.num_edges == 12
 
 
 def test_single_vertex_graph(tmp_path):
@@ -162,18 +164,18 @@ def test_label_index_filter_equals_full_scan_for_every_label_and_degree():
     # every label (the last two absent) and every degree up to one past the maximum
     rng = random.Random(31)
     bench = fixtures.benchmark_graph()
-    graphs = [Graph(bench.labels, bench.adj, bench.degrees)]  # a fresh object: the fixture is shared
+    graphs = [Graph(bench.labels, bench.adj)]  # a fresh object: the fixture is shared
     graphs += [random_graph(rng.randint(1, 40), rng.uniform(0.05, 0.5), 4, rng) for _ in range(20)]
     for data in graphs:
         assert "vertices_by_label" not in data.__dict__  # built on first use only
-        for label in range(data.label_count + 2):
+        for label in range(max(data.labels) + 2):
             label_class = [v for v in range(data.num_vertices) if data.labels[v] == label]
             for degree in range(data.max_degree + 2):
                 query = SimpleNamespace(labels=(label,), degrees=(degree,))
                 expected = [v for v in label_class if data.degrees[v] >= degree]
                 assert candidates_by_local_features(data, query, 0) == expected, (label, degree)
         assert "vertices_by_label" in data.__dict__
-        assert data == Graph(data.labels, data.adj, data.degrees)  # the index is not compared
+        assert data == Graph(data.labels, data.adj)  # the index is not compared
 
 
 def brute_neighbour_labels(graph):
@@ -210,7 +212,7 @@ def test_neighbour_labels_built_once_on_first_use():
     rank = data.label_rank
     assert first == (1 << rank[2], 1 << rank[1], 1 << rank[2]) == (1 << 1, 1 << 0, 1 << 1)
     assert data.neighbour_labels is first
-    assert data == Graph(data.labels, data.adj, data.degrees)  # the masks are not compared
+    assert data == Graph(data.labels, data.adj)  # the masks are not compared
 
 
 def assert_label_rows_match_brute_force(graph, labels):
@@ -229,7 +231,7 @@ def assert_label_rows_match_brute_force(graph, labels):
 
 def test_neighbours_by_label_rows_match_brute_force():
     rng = random.Random(43)
-    graphs = [Graph(g.labels, g.adj, g.degrees) for g in (fixtures.worked_data(), fixtures.benchmark_graph())]  # unshared copies
+    graphs = [Graph(g.labels, g.adj) for g in (fixtures.worked_data(), fixtures.benchmark_graph())]  # unshared copies
     graphs += [random_graph(rng.randint(1, 40), rng.uniform(0, 0.5), rng.randint(1, 6), rng) for _ in range(20)]
     # labels 64 and above, and an isolated vertex (6) with no row
     graphs.append(Graph.from_edges([0, 63, 64, 65, 200, 64, 7], [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)]))
@@ -244,7 +246,7 @@ def test_neighbours_by_label_rows_match_brute_force():
 
 def test_neighbours_by_label_is_built_on_first_use_and_leaves_equality_alone():
     worked = fixtures.worked_data()  # shared by other tests, so take unused copies
-    data, fresh = (Graph(worked.labels, worked.adj, worked.degrees) for _ in range(2))
+    data, fresh = (Graph(worked.labels, worked.adj) for _ in range(2))
     before = hash(data)
     assert "neighbours_by_label" not in data.__dict__
     expected, _ = run_job(data, fixtures.worked_query(), PartitionConfig(), SchedulerState(), "share")
@@ -265,7 +267,7 @@ def test_neighbours_by_label_is_built_on_first_use_and_leaves_equality_alone():
 
 def spread(graph, factor):
     """graph with each label L replaced by (L + 1) * factor + L."""
-    return Graph(tuple((lab + 1) * factor + lab for lab in graph.labels), graph.adj, graph.degrees)
+    return Graph(tuple((lab + 1) * factor + lab for lab in graph.labels), graph.adj)
 
 
 def test_label_masks_follow_the_number_of_labels_not_their_values():

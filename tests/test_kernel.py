@@ -379,7 +379,7 @@ def test_shared_candidate_runs_the_visited_check_however_the_tree_is_built():
     from submatch.candidate_tree import CandidateTree
     from submatch.plan import QueryPlan
 
-    plan = QueryPlan.assemble(0, [None, 0, 0], [[1, 2], [], []], [[], [], []], [0, 1, 2], [0, 1, 2])
+    plan = QueryPlan([None, 0, 0], [[], [], []], [0, 1, 2])
     assert plan.tail_start == 1
     tree = CandidateTree([[1], [2, 3], [2, 3]], {(0, 1): {1: [2, 3]}, (0, 2): {1: [2, 3]}})
     assert not tree.disjoint

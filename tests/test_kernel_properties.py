@@ -24,14 +24,13 @@ def tail_instances(draw):
     prefix = draw(st.integers(1, 3))
     n = prefix + draw(st.integers(2, 3))
     parent = [None] + [draw(st.integers(0, min(u, prefix) - 1)) for u in range(1, n)]
-    children = [[c for c in range(n) if parent[c] == u] for u in range(n)]
     non_tree = [[] for _ in range(n)]
     for a in range(prefix):
         for b in range(a + 1, prefix):
             if parent[b] != a and draw(st.booleans()):
                 non_tree[a].append(b)
                 non_tree[b].append(a)
-    plan = QueryPlan.assemble(0, parent, children, non_tree, list(range(n)), list(range(n)))
+    plan = QueryPlan(parent, non_tree, list(range(n)))
 
     # Vertex u's candidates are drawn from u's own id block, so the sets
     # are disjoint unless `shared` folds the last vertex onto the first.

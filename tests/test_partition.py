@@ -108,14 +108,8 @@ def test_project_handles_child_before_parent_order():
     from submatch.plan import QueryPlan
     from submatch.candidate_tree import CandidateTree
 
-    plan = QueryPlan.assemble(
-        root=0,
-        parent=[None, 0, 1, 0],
-        children=[[1, 3], [2], [], []],
-        non_tree=[[], [], [3], [2]],
-        order=[0, 3, 2, 1],
-        bfs_order=[0, 1, 3, 2],
-    )
+    plan = QueryPlan(parent=[None, 0, 1, 0], non_tree=[[], [], [3], [2]], order=[0, 3, 2, 1])
+    assert plan.bfs_order == (0, 1, 3, 2)  # derived breadth-first, not from the order
     tree = CandidateTree(
         candidates=[[10], [11, 14, 16], [12, 15], [13]],
         groups={
@@ -434,14 +428,7 @@ def test_skip_rule_on_child_before_parent_order():
     from submatch.plan import QueryPlan
     from submatch.candidate_tree import CandidateTree
 
-    plan = QueryPlan.assemble(
-        root=0,
-        parent=[None, 0, 1, 0],
-        children=[[1, 3], [2], [], []],
-        non_tree=[[], [], [3], [2]],
-        order=[0, 3, 2, 1],
-        bfs_order=[0, 1, 3, 2],
-    )
+    plan = QueryPlan(parent=[None, 0, 1, 0], non_tree=[[], [], [3], [2]], order=[0, 3, 2, 1])
     skips = []
     for row_of_10 in ([11, 14], [11, 14, 16]):
         tree = helpers.reference_refine_tree(

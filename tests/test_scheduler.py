@@ -252,7 +252,7 @@ def test_each_side_matches_exactly_the_trees_routed_to_it(monkeypatch):
     embeddings, stats = run_job(data, query, PartitionConfig(), SchedulerState(0.1), "share")
     assert (stats.host_trees, stats.kernel_trees) == (19, 36)
     assert (len(kernel_parts), len(host_parts)) == (stats.kernel_trees, stats.host_trees)
-    assert [estimate_workload(part, plan).total for part in host_parts] == [
+    assert [estimate_workload(part, plan) for part in host_parts] == [
         w for w, side in stats.routing_log if side == "host"
     ]
     assert embeddings == expected
