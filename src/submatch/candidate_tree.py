@@ -25,7 +25,7 @@ which on a tree is the fixpoint, then the non-tree arcs. An arc that
 shrinks C(u) queues again every arc into u but the one back from x,
 until no set shrinks (arc consistency). The partition chunks are
 refined by the same routine over a tree's stored lists
-(partition.refined, reading CandidateTree.arcs). The query is
+(partition.project_tree, reading CandidateTree.arcs). The query is
 connected, so when a set empties every set would, and the routine
 stops there. Each set is then sorted once, and every stored list is
 built once from the final sets, as the members of the target set among

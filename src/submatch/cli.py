@@ -289,17 +289,22 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     handlers = {"run": _cmd_run, "compare": _cmd_compare, "gen": _cmd_gen, "oracle": _cmd_oracle}
+    # The error is reported after its except block ends, which frees the
+    # traceback and the job frames (and answers) it holds.
     try:
         return handlers[args.command](args)
     except CliError as exc:
-        payload = {"error": {"type": exc.kind, "message": str(exc)}}
-        if exc.line is not None:
-            payload["error"]["line"] = exc.line
-        if getattr(args, "json", False) or args.command == "run":
-            print(json.dumps(payload))
-        else:
-            print(f"submatch: {exc}", file=sys.stderr)
-        return 1
+        kind, message, line = exc.kind, str(exc), exc.line
+    except MemoryError:
+        kind, message, line = "memory", "out of memory; a job holds all its answers, so allow the process more memory", None
+    payload = {"error": {"type": kind, "message": message}}
+    if line is not None:
+        payload["error"]["line"] = line
+    if getattr(args, "json", False) or args.command == "run":
+        print(json.dumps(payload))
+    else:
+        print(f"submatch: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,40 +1,40 @@
 """Recursive splitting of a candidate tree under size and degree budgets.
 
 A tree over budget at the current matching-order vertex u has C(u) cut
-into k even contiguous chunks. Each chunk is the parent with C(u) cut
-to the chunk, taken to its arc-consistency fixpoint over the parent's
-stored groups (refined) by the index build's own routine,
-candidate_tree.arc_fixpoint, started from the arcs into u: a candidate
-is kept only if its row toward every query neighbour still holds a
-partner. The chunks' embedding sets partition the original's.
-Recursion advances to the next order position once C(u) is a
-singleton.
-
-Cutting C(u) leaves candidates of other vertices, before u in the order
-as well as after it, with no partner; most chunks of a cyclic query
-lose a whole set that way and hold no embedding. The projection
-(project_tree: each later vertex keeps what the retained sets of its
-earlier neighbours reach) drops only candidates with no partner, and
-the parent is at its fixpoint, so a chunk is its projection taken to
-its fixpoint. A chunk is dropped as soon as a set empties, before any
-group is cut, and any other tree with an empty candidate set (an
-absent-label root) is dropped before its budget check.
+into k even contiguous chunks, and every chunk is made by one routine,
+project_tree: the projection of the parent onto its part of C(u),
+taken to its arc-consistency fixpoint by the index build's own routine,
+candidate_tree.arc_fixpoint, over the parent's stored groups, started
+from the arcs into u. A candidate is kept only if its row toward every
+query neighbour still holds a partner. Cutting C(u) leaves candidates
+of other vertices, before u in the order as well as after it, with no
+partner; most chunks of a cyclic query lose a whole set that way and
+hold no embedding. A chunk is dropped as soon as a set empties, before
+any group is cut, and any other tree with an empty candidate set (an
+absent-label root) is dropped before its budget check. The chunks'
+embedding sets partition the parent's. Recursion advances to the next
+order position once C(u) is a singleton.
 
 A split at u is made only where a chunk could fit. At the fixpoint,
 cutting C(u) to nothing empties a set Z(u) that the plan alone fixes:
 u, and each later vertex whose earlier neighbours all lie in Z(u).
 Every other set keeps all its candidates, since one unchanged earlier
-neighbour reaches each of them. So the projection onto the empty part
-(the floor), contained in every chunk's projection, stores exactly the
-groups with neither end in Z(u), unchanged. When one of them is over
-the degree budget, the tree fits the size budget, and no stored list
-into u or an earlier order vertex is over the degree budget (only
-splits at or before u could shorten those), u is left unsplit (skips)
-and recursion advances with the same tree: a cut would only multiply
-the pieces. A refined chunk need not contain the floor, so a skip can
-cost pieces, never an embedding.
+neighbour reaches each of them. So the floor, the cut to the empty
+part before any fixpoint (each later vertex keeping what the retained
+sets of its earlier neighbours reach), stores exactly the groups with
+neither end in Z(u), unchanged, and the same cut to any part contains
+it. When one of them is over the degree budget, the tree fits the size
+budget, and no stored list into u or an earlier order vertex is over
+the degree budget (only splits at or before u could shorten those), u
+is left unsplit (skips) and recursion advances with the same tree: a
+cut would only multiply the pieces. A chunk need not contain the floor
+once at its fixpoint, so a skip can cost pieces, never an embedding.
+Every vertex of a tree that exhausts the order was cut to a singleton
+(every list into it holds at most one entry) or skipped (every list
+into it was within the degree budget, and chunks only shorten lists),
+so only the size budget can still be violated there.
 
-Everything a split reads is carried by the tree (CandidateTree): its
+Everything a chunk reads is carried by the tree (CandidateTree): its
 arc table, built once per tree and shared by the k sibling chunks and
 by a skip, and its per-group (bytes, longest list) metrics. So a chunk
 costs in proportion to what it restricts, not to the parent tree. A
@@ -52,8 +52,7 @@ tree_metrics is the from-scratch check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Callable, Sequence
+from typing import Callable
 
 from .candidate_tree import BASE_HEADER_BYTES, CandidateTree, arc_fixpoint, measure_group
 from .plan import QueryPlan
@@ -80,11 +79,7 @@ class PartitionConfig:
 
 
 class UnsplittableTreeError(RuntimeError):
-    """Budgets still violated after the matching order was exhausted."""
-
-    def __init__(self, message: str, query_vertex: int):
-        super().__init__(message)
-        self.query_vertex = query_vertex
+    """The size budget still violated after the matching order was exhausted."""
 
 
 def within_budgets(tree: CandidateTree, config: PartitionConfig) -> bool:
@@ -96,13 +91,12 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def partition_factor(tree: CandidateTree, config: PartitionConfig, u: int) -> int:
-    """k = min(ceil(max(size/size_budget, degree/degree_budget)), |C(u)|), at least 1."""
-    ratio = max(
+    """k = min(fixed_k or ceil(max(size/size_budget, degree/degree_budget)), |C(u)|), at least 1."""
+    k = config.fixed_k or max(
         _ceil_div(tree.size_bytes, config.size_budget),
         _ceil_div(tree.max_degree, config.degree_budget),
-        1,
     )
-    return max(1, min(ratio, len(tree.candidates[u])))
+    return max(1, min(k, len(tree.candidates[u])))
 
 
 def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None) -> dict[int, list[int]]:
@@ -122,12 +116,25 @@ def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set
     return new
 
 
-def _cut(tree: CandidateTree, candidates: list[list[int]], retained: dict[int, set[int]]) -> CandidateTree:
-    """The tree over these sets: each group with an end in `retained` is cut and measured, every other one shared.
+def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTree | None:
+    """The projection onto part, taken to its fixpoint: the tree with C(u) cut to part_set.
 
-    A shared group keeps its parent's metrics entry, and the chunk
-    inherits the parent's disjointness: it only shrinks sets.
+    A candidate v of x is kept while its stored row toward each query
+    neighbour y meets C(y); a tree child's candidates are the reach of
+    its parent's retained rows. The tree is at its fixpoint, so
+    arc_fixpoint reads tree.arcs from the arcs into u. Returns None as
+    soon as a set empties, before any group is cut. Otherwise each group
+    with an end whose set shrank is cut once, from the final sets, and
+    measured; every other group is shared with its metrics entry, and
+    the chunk inherits the parent's disjointness: it only shrinks sets.
     """
+    sets = list(tree.candidates)
+    if len(part_set) < len(sets[u]):
+        sets[u] = part_set
+        if not arc_fixpoint(sets, tree.arcs, [(x, u) for x in tree.arcs[u]]):
+            return None
+    retained = {w: keep for w, keep in enumerate(sets) if keep is not tree.candidates[w]}
+    candidates = [sorted(keep) if w in retained else keep for w, keep in enumerate(sets)]
     groups, metrics = {}, {}
     for key, lists in tree.groups.items():
         a, b = key
@@ -141,34 +148,11 @@ def _cut(tree: CandidateTree, candidates: list[list[int]], retained: dict[int, s
     return CandidateTree(candidates, groups, metrics, tree.disjoint)
 
 
-def refined(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTree | None:
-    """The tree with C(u) cut to part_set, at its arc-consistency fixpoint.
-
-    A candidate v of x is kept while its stored row toward each query
-    neighbour y meets C(y); a tree child's candidates are the reach of
-    its parent's retained rows. The tree is at its fixpoint, so
-    arc_fixpoint reads tree.arcs from the arcs into u. Projection drops
-    only candidates with no such support, so this equals the projection
-    onto part_set taken to its fixpoint. Returns None as soon as a set
-    empties, before any group is cut; otherwise each group is cut once,
-    from the final sets.
-    """
-    sets = list(tree.candidates)
-    if len(part_set) < len(sets[u]):
-        sets[u] = part_set
-        if not arc_fixpoint(sets, tree.arcs, [(x, u) for x in tree.arcs[u]]):
-            return None
-    retained = {w: keep for w, keep in enumerate(sets) if keep is not tree.candidates[w]}
-    candidates = [sorted(keep) if w in retained else keep for w, keep in enumerate(sets)]
-    return _cut(tree, candidates, retained)
-
-
 def skips(tree: CandidateTree, plan: QueryPlan, index: int, config: PartitionConfig) -> bool:
     """Whether u = plan.order[index] is left unsplit, by the Z(u) rule of the module docstring.
 
-    Earlier neighbours are read from tree.arcs, as project_tree reads
-    them, and group degrees from tree.group_metrics. The tree must be at
-    its fixpoint.
+    Earlier neighbours are read from tree.arcs, and group degrees from
+    tree.group_metrics. The tree must be at its fixpoint.
     """
     position, budget, arcs = plan.position, config.degree_budget, tree.arcs
     if tree.size_bytes > config.size_budget:
@@ -181,51 +165,6 @@ def skips(tree: CandidateTree, plan: QueryPlan, index: int, config: PartitionCon
         if all(w_from in emptied for w_from in arcs[w] if position[w_from] < position[w]):
             emptied.add(w)
     return any(emptied.isdisjoint(key) for key, _ in degrees)
-
-
-def project_tree(tree: CandidateTree, plan: QueryPlan, u: int, part: Sequence[int]) -> CandidateTree:
-    """Restrict the tree to the candidates of u in `part`, not refined.
-
-    Vertices before u in the matching order keep their full candidate
-    sets; u keeps exactly `part`; each later vertex w, in order, keeps
-    the candidates linked to the retained set of at least one earlier
-    query neighbour, read from w's row of tree.arcs: reached through a
-    tree parent's rows or, when the group is keyed by w, whose own row
-    meets the neighbour's set (so reachability from `part` is
-    transitive). Every group touching a restricted set is cut to the
-    retained candidates. partition_tree makes no projection: it takes
-    each chunk to its fixpoint instead (refined), which equals the
-    projection taken to its fixpoint.
-    """
-    part_set = set(part)
-    if not part_set:
-        raise ValueError("part must be non-empty")
-    if not part_set.issubset(tree.candidates[u]):
-        raise ValueError("part must be a subset of the candidates of u")
-    position = plan.position
-    candidates = list(tree.candidates)
-    retained: dict[int, set[int]] = {}
-    if len(part_set) < len(candidates[u]):
-        retained[u] = part_set
-        candidates[u] = sorted(part_set)
-    for w in plan.order[position[u] + 1 :]:
-        linked: set[int] = set()
-        for w_from, (lists, keyed_by_w) in tree.arcs[w].items():
-            if position[w_from] > position[w]:
-                continue
-            if not keyed_by_w:
-                linked.update(chain.from_iterable(map(lists.get, candidates[w_from], repeat(()))))
-            elif w_from in retained:
-                keep = retained[w_from]
-                linked.update(v for v, row in lists.items() if not keep.isdisjoint(row))
-            else:
-                # every stored row is non-empty and holds only candidates of w_from
-                linked.update(lists)
-        linked.intersection_update(tree.candidates[w])
-        if len(linked) < len(tree.candidates[w]):
-            retained[w] = linked
-            candidates[w] = sorted(linked)
-    return _cut(tree, candidates, retained)
 
 
 def partition_tree(
@@ -241,12 +180,12 @@ def partition_tree(
     set hold no embeddings and are dropped before the budget check, so
     none is emitted. `tree` must be at its arc-consistency fixpoint (as
     build_candidate_tree leaves it); every chunk is taken to its
-    fixpoint (refined) and dropped when that empties a set, so every
-    emitted tree is at its fixpoint. The order vertex
+    fixpoint (project_tree) and dropped when that empties a set, so
+    every emitted tree is at its fixpoint. The order vertex
     u = plan.order[index] is skipped, not split, when no chunk of C(u)
     could come within the degree budget (skips). Raises
-    UnsplittableTreeError if the order is exhausted while budgets are
-    still violated.
+    UnsplittableTreeError if the order is exhausted while the tree is
+    over the size budget, the one budget that can still fail there.
     """
     if any(not c for c in tree.candidates):
         return 0
@@ -254,10 +193,9 @@ def partition_tree(
         sink(tree)
         return 1
     if index >= plan.num_vertices:
-        worst = max(((degree, a) for (a, _), (_, degree) in tree.group_metrics.items() if degree), default=(0, plan.order[-1]))
         raise UnsplittableTreeError(
-            f"budgets still violated after exhausting the matching order (query vertex {worst[1]})",
-            worst[1],
+            f"a tree of {tree.size_bytes} bytes is over the size budget of {config.size_budget} bytes"
+            " after exhausting the matching order"
         )
 
     if skips(tree, plan, index, config):
@@ -265,17 +203,13 @@ def partition_tree(
 
     u = plan.order[index]
     cand = tree.candidates[u]
-    if config.fixed_k is not None:
-        k = max(1, min(config.fixed_k, len(cand)))
-    else:
-        k = partition_factor(tree, config, u)
-
+    k = partition_factor(tree, config, u)
     base, extra = divmod(len(cand), k)
     emitted = 0
     start = 0
     for i in range(k):
         size = base + (1 if i < extra else 0)
-        sub = refined(tree, u, set(cand[start : start + size]))
+        sub = project_tree(tree, u, set(cand[start : start + size]))
         start += size
         if sub is None:
             continue

@@ -164,10 +164,14 @@ def _earlier_links(plan, w):
 
 
 def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
-    """From-scratch projection: rebuild every set and list of the tree.
+    """From-scratch projection onto `part` of C(u), not taken to its fixpoint.
 
-    The test reference for submatch.project_tree, which shares unchanged
-    lists with its parent instead; both must give == trees. With
+    Vertices before u in the matching order keep their full sets, u
+    keeps exactly `part`, and each later vertex keeps the candidates
+    linked to the retained set of an earlier query neighbour; every
+    group is rebuilt from the retained sets. Taken to its fixpoint by
+    reference_refine_tree, the reference for submatch.project_tree,
+    which shares unchanged lists with its parent instead. With
     allow_empty, an empty part gives the floor: the reference for the
     skip rule, whose max_degree submatch.partition.skips reads from the
     plan and the tree's group metrics without building it.
@@ -213,7 +217,7 @@ def reference_refine_tree(tree):
     """From-scratch arc-consistency fixpoint of a tree over its stored groups.
 
     Applied to a projection, the test reference for
-    submatch.partition.refined, which starts from the parent's sets with
+    submatch.project_tree, which starts from the parent's sets with
     C(u) cut and cuts each group once at the end. Drop every candidate v
     of a with no partner in C(b) across some query edge (a, b): through
     v's stored row when the group is keyed by a, else (a a tree child of
@@ -270,17 +274,14 @@ def reference_partitions(tree, plan, index, config, skipped=None):
     if within_budgets(tree, config):
         return [tree]
     if index >= plan.num_vertices:
-        raise UnsplittableTreeError("budgets still violated after exhausting the matching order", -1)
+        raise UnsplittableTreeError("the size budget still violated after exhausting the matching order")
     u = plan.order[index]
     if reference_skips(tree, plan, index, config):
         if skipped is not None:
             skipped.append(u)
         return reference_partitions(tree, plan, index + 1, config, skipped)
     cand = tree.candidates[u]
-    if config.fixed_k is not None:
-        k = max(1, min(config.fixed_k, len(cand)))
-    else:
-        k = partition_factor(tree, config, u)
+    k = partition_factor(tree, config, u)
     base, extra = divmod(len(cand), k)
     out = []
     start = 0

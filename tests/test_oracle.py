@@ -96,9 +96,7 @@ def test_tree_walks_fixture_is_seven():
 
 def test_tree_walks_singleton_lists_counts_roots():
     tree, plan = fixtures.partition_example()
-    from submatch import project_tree
-
-    sub = project_tree(tree, plan, 0, [2])  # all lists below the root are short
+    sub = helpers.reference_project_tree(tree, plan, 0, [2])  # all lists below the root are short
     assert brute_force_tree_walks(sub, plan) == estimate_workload(sub, plan) == 3
 
 

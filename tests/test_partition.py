@@ -35,6 +35,12 @@ def test_factor_is_one_within_budgets():
     assert partition_factor(tree, config, 0) == 1
 
 
+def test_factor_fixed_k_overrides_the_ratio_up_to_the_candidates():
+    tree, _ = fixtures.partition_example()
+    assert len(tree.candidates[0]) == 2 and len(tree.candidates[2]) == 3
+    assert [partition_factor(tree, PartitionConfig(fixed_k=k), u) for k in (2, 3, 5) for u in (0, 2)] == [2, 2, 2, 3, 2, 3]
+
+
 def test_factor_matches_direct_formula_on_random_budgets():
     rng = random.Random(8)
     for data, query, plan, _ in helpers.solvable_instances(10, 20_000, max_data=40):
@@ -56,19 +62,23 @@ def test_factor_matches_direct_formula_on_random_budgets():
 
 def test_project_fixture_reaches_example_sets():
     tree, plan = fixtures.partition_example()
-    part_a = project_tree(tree, plan, 0, [1])
+    part_a = helpers.reference_project_tree(tree, plan, 0, [1])
     assert part_a.candidates == [[1], [3, 5], [6, 8], [9, 10]]
-    part_b = project_tree(tree, plan, 0, [2])
+    part_b = helpers.reference_project_tree(tree, plan, 0, [2])
     assert part_b.candidates == [[2], [4], [6, 7, 8], [9]]
+    # at its fixpoint the second chunk loses 6 and 8: neither has a partner in C(1) = {4}
+    assert [project_tree(tree, 0, {v}).candidates for v in (1, 2)] == [part_a.candidates, [[2], [4], [7], [9]]]
 
 
 def test_project_full_part_is_identity():
     tree, plan = fixtures.partition_example()
-    assert project_tree(tree, plan, 0, tree.candidates[0]) == tree
+    assert helpers.reference_project_tree(tree, plan, 0, tree.candidates[0]) == tree
+    assert project_tree(tree, 0, set(tree.candidates[0])) == tree
     data, query = fixtures.worked_data(), fixtures.worked_query()
     qplan = build_query_plan(query, data)
     qtree = build_candidate_tree(data, query, qplan)
-    assert project_tree(qtree, qplan, qplan.root, qtree.candidates[qplan.root]) == qtree
+    assert helpers.reference_project_tree(qtree, qplan, qplan.root, qtree.candidates[qplan.root]) == qtree
+    assert project_tree(qtree, qplan.root, set(qtree.candidates[qplan.root])) == qtree
 
 
 def test_project_singletons_cover_and_restrict():
@@ -79,7 +89,9 @@ def test_project_singletons_cover_and_restrict():
             continue
         union: dict[int, set] = {w: set() for w in range(plan.num_vertices)}
         for v in tree.candidates[u]:
-            sub = project_tree(tree, plan, u, [v])
+            sub = helpers.reference_project_tree(tree, plan, u, [v])
+            chunk = project_tree(tree, u, {v})  # the projection at its fixpoint lies inside it
+            assert chunk is None or all(set(c) <= set(s) for c, s in zip(chunk.candidates, sub.candidates))
             for w in range(plan.num_vertices):
                 sub_set = set(sub.candidates[w])
                 union[w] |= sub_set
@@ -92,14 +104,6 @@ def test_project_singletons_cover_and_restrict():
                 # every refined candidate survives in at least one part:
                 # its parent-link chain reaches some root candidate
                 assert union[w] == set(tree.candidates[w])
-
-
-def test_project_rejects_empty_and_foreign_parts():
-    tree, plan = fixtures.partition_example()
-    with pytest.raises(ValueError, match="non-empty"):
-        project_tree(tree, plan, 0, [])
-    with pytest.raises(ValueError, match="subset of the candidates"):
-        project_tree(tree, plan, 0, [tree.candidates[0][0], max(tree.candidates[0]) + 1])
 
 
 def test_project_handles_child_before_parent_order():
@@ -120,7 +124,7 @@ def test_project_handles_child_before_parent_order():
             (3, 2): {13: [12]},
         },
     )
-    sub = project_tree(tree, plan, 0, [10])
+    sub = helpers.reference_project_tree(tree, plan, 0, [10])
     assert sub.candidates[3] == [13]
     assert sub.candidates[2] == [12]  # 15 has no link to the retained 13
     assert sub.candidates[1] == [11, 14, 16]  # 16 retained via its child link
@@ -188,7 +192,7 @@ def test_partitions_carry_group_metrics_sums_and_disjointness():
     assert trees >= 1000 and 0 < disjoint < trees
 
 
-def test_unsplittable_chain_reports_vertex():
+def test_unsplittable_chain_reports_size_budget():
     # two-vertex query over a two-vertex data graph: every candidate set is
     # a singleton, so only the byte budget can force a split and it never can
     data = Graph.from_edges([0, 1], [(0, 1)])
@@ -196,9 +200,8 @@ def test_unsplittable_chain_reports_vertex():
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     config = PartitionConfig(size_budget=17, degree_budget=16)
-    with pytest.raises(UnsplittableTreeError) as err:
+    with pytest.raises(UnsplittableTreeError, match=f"a tree of {tree.size_bytes} bytes is over the size budget of 17 bytes"):
         partition_tree(tree, plan, 0, config, lambda part: None)
-    assert 0 <= err.value.query_vertex < 2
 
 
 def test_empty_tree_over_budget_emits_nothing():
@@ -411,7 +414,7 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
                 u = plan.order[index]
                 assert submatch.partition.skips(parent, plan, index, config)
                 for v in parent.candidates[u]:
-                    assert project_tree(parent, plan, u, [v]).max_degree > config.degree_budget
+                    assert helpers.reference_project_tree(parent, plan, u, [v]).max_degree > config.degree_budget
                 skips += 1
     assert skips >= 100 and decided > 2 * skips
 
@@ -457,20 +460,20 @@ def test_skip_rule_on_child_before_parent_order():
 def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
     """Every chunk made while partitioning reuses, by reference, what it left unchanged.
 
-    Every chunk comes from partition.refined. A vertex is
+    Every chunk comes from partition.project_tree. A vertex is
     unchanged when its candidate set keeps its size. Its list is the
     parent's object; a group between two unchanged vertices is the
     parent's object; a restricted group into an unchanged target keeps
     each surviving row as the parent's object. Returns how many groups
-    and rows were checked by identity, and how many refined chunks.
+    and rows were checked by identity, and how many chunks.
     """
-    original_refined = submatch.partition.refined
-    shared = {"groups": 0, "rows": 0, "refined": 0}
+    original = submatch.partition.project_tree
+    shared = {"groups": 0, "rows": 0, "chunks": 0}
 
-    def refining(parent, u, part_set):
-        sub = original_refined(parent, u, part_set)
+    def projecting(parent, u, part_set):
+        sub = original(parent, u, part_set)
         if sub is not None:
-            shared["refined"] += 1
+            shared["chunks"] += 1
             check(parent, sub)
         return sub
 
@@ -492,14 +495,14 @@ def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
         return sub
 
     with monkeypatch.context() as patch:
-        patch.setattr(submatch.partition, "refined", refining)
+        patch.setattr(submatch.partition, "project_tree", projecting)
         partition_tree(tree, plan, 0, config, lambda part: None)
     return shared
 
 
 def test_projections_share_unchanged_groups_and_rows_on_fixture(monkeypatch):
     tree, plan = fixtures.partition_example()
-    total = {"groups": 0, "rows": 0, "refined": 0}
+    total = {"groups": 0, "rows": 0, "chunks": 0}
     for config in (
         PartitionConfig(size_budget=tree.size_bytes - 1),
         PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2),
@@ -510,7 +513,7 @@ def test_projections_share_unchanged_groups_and_rows_on_fixture(monkeypatch):
             total[key] += count
     # The fixture is cyclic and every refined chunk of it shrinks all four sets, so no
     # group stays whole; q7 and q8 below cover whole groups on refined chunks.
-    assert total["rows"] and total["refined"]
+    assert total["rows"] and total["chunks"]
 
 
 @pytest.mark.parametrize("name", ["q3", "q7", "q8"])
@@ -522,10 +525,10 @@ def test_projections_share_unchanged_groups_and_rows_on_benchmark_queries(monkey
     # Refined chunks of q7 and q8 under the default budgets leave no target whole (q7)
     # or no set whole (q8); a tighter budget splits deeper, where chunks leave some whole.
     tighter = {"q7": PartitionConfig(size_budget=500), "q8": PartitionConfig(degree_budget=8)}
-    shared = {"groups": 0, "rows": 0, "refined": 0}
+    shared = {"groups": 0, "rows": 0, "chunks": 0}
     for config in [PartitionConfig()] + ([tighter[name]] if name in tighter else []):
         for key, count in assert_projections_share_unchanged(monkeypatch, tree, plan, config).items():
             shared[key] += count
     # on the tree query q3 no chunk cuts a group whose target it leaves unchanged
     assert shared["groups"] and (shared["rows"] or name == "q3")
-    assert shared["refined"] > 0
+    assert shared["chunks"] > 0

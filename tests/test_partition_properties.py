@@ -1,4 +1,4 @@
-"""Property tests of the refined chunk and the skip rule on random small instances.
+"""Property tests of the chunk, the skip rule and the unsplittable error on random small instances.
 
 Skipped where hypothesis is not installed.
 """
@@ -8,9 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from submatch import PartitionConfig, build_candidate_tree, build_query_plan
+from submatch import PartitionConfig, UnsplittableTreeError, build_candidate_tree, build_query_plan
 from submatch.oracle import brute_force_embeddings
-from submatch.partition import refined, skips
+from submatch.partition import project_tree, skips
+import submatch.partition
 
 import helpers
 
@@ -18,7 +19,7 @@ import helpers
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10**6), depth=st.integers(1, 2), draw=st.data())
 def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
-    """partition.refined equals the from-scratch projection taken to its fixpoint.
+    """partition.project_tree equals the from-scratch projection taken to its fixpoint.
 
     Each level cuts a random vertex u to a random non-empty part of C(u),
     starting from the index and, at depth 2, from the first chunk. A
@@ -35,7 +36,7 @@ def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
     for _ in range(depth):
         u = draw.draw(st.sampled_from(plan.order))
         part = draw.draw(st.lists(st.sampled_from(tree.candidates[u]), min_size=1, unique=True))
-        chunk = refined(tree, u, set(part))
+        chunk = project_tree(tree, u, set(part))
         reference = helpers.reference_refine_tree(helpers.reference_project_tree(tree, plan, u, part))
         embeddings = [e for e in embeddings if e[u] in part]
         if not all(reference.candidates):
@@ -67,7 +68,7 @@ def test_skip_rule_is_the_projected_floor_rule(seed, draw):
     assume(all(tree.candidates))
     index = draw.draw(st.integers(0, plan.num_vertices - 1))
     for u in plan.order[: draw.draw(st.integers(0, index))]:
-        tree = refined(tree, u, {draw.draw(st.sampled_from(tree.candidates[u]))})
+        tree = project_tree(tree, u, {draw.draw(st.sampled_from(tree.candidates[u]))})
         assume(tree is not None)
     config = PartitionConfig(
         size_budget=max(17, tree.size_bytes + draw.draw(st.integers(-8, 64))),
@@ -75,3 +76,44 @@ def test_skip_rule_is_the_projected_floor_rule(seed, draw):
     )
     skipped = skips(tree, plan, index, config)
     assert skipped == helpers.reference_skips(tree, plan, index, config)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10**6),
+    size_share=st.floats(0.0, 1.0),
+    degree_budget=st.integers(1, 4),
+    fixed_k=st.sampled_from([None, 2, 3]),
+)
+def test_exhausted_order_leaves_only_the_size_budget(seed, size_share, degree_budget, fixed_k):
+    """Every tree the recursion carries past the last order vertex fits the degree budget.
+
+    Each vertex was cut to a singleton (every list into it holds at most
+    one entry) or skipped (every list into it was within the budget),
+    and chunks only shorten lists. So UnsplittableTreeError is raised
+    only over the size budget, and its message gives the tree's bytes
+    and that budget.
+    """
+    data, query = helpers.make_instance(seed, max_data=30, max_query=6)
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    config = PartitionConfig(
+        size_budget=max(17, int(tree.size_bytes * size_share)), degree_budget=degree_budget, fixed_k=fixed_k
+    )
+    original = submatch.partition.partition_tree
+    exhausted = []
+
+    def recording(tree, plan, index, config, sink):
+        if index == plan.num_vertices:
+            exhausted.append(tree)
+        return original(tree, plan, index, config, sink)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(submatch.partition, "partition_tree", recording)
+        try:
+            recording(tree, plan, 0, config, lambda part: None)
+        except UnsplittableTreeError as exc:
+            last = exhausted[-1]
+            assert last.size_bytes > config.size_budget
+            assert str(exc).startswith(f"a tree of {last.size_bytes} bytes is over the size budget of {config.size_budget} bytes")
+    assert all(t.max_degree <= config.degree_budget for t in exhausted)

@@ -76,7 +76,7 @@ def test_host_match_empty_candidates():
     tree, plan = fixtures.partition_example()
     from submatch import project_tree
 
-    sub = project_tree(tree, plan, 0, [1])
+    sub = project_tree(tree, 0, {1})
     sub = CandidateTree(sub.candidates[:3] + [[]], {**sub.groups, (1, 3): {}})
     assert host_match(sub, plan) == []
 
