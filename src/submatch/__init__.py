@@ -4,10 +4,9 @@ The package builds a complete candidate index for a labeled query over a
 labeled data graph, splits it under memory and list-length budgets,
 routes the pieces between a host side and a batched dataflow pipeline
 (both run the pipeline's loop; only the kernel side is costed),
-enumerates all embeddings exactly, and reports closed-form plus
-event-driven cycle-cost estimates for the pipeline. The pipeline
-variants (basic, task, sep) only price a run: one run's counters give
-all three estimates.
+enumerates all embeddings exactly, and reports closed-form cycle-cost
+estimates for the pipeline. The pipeline variants (basic, task, sep)
+only price a run: one run's counters give all three estimates.
 """
 
 from .candidate_tree import (
@@ -15,18 +14,9 @@ from .candidate_tree import (
     build_candidate_tree,
     dump_tree,
     estimate_workload,
-    tree_metrics,
 )
 from .graph import Graph, GraphFormatError, candidates_by_local_features, graph_to_text, load_graph, save_graph
-from .kernel import (
-    CycleModel,
-    RoundTrace,
-    cycle_estimate,
-    pipeline_enumerate,
-    pipeline_fill_slack,
-    simulate_dataflow_schedule,
-)
-from .oracle import OracleGuardError, brute_force_embeddings, brute_force_tree_walks
+from .kernel import CycleModel, RoundTrace, cycle_estimate, pipeline_enumerate
 from .partition import (
     PartitionConfig,
     UnsplittableTreeError,
@@ -36,7 +26,7 @@ from .partition import (
     within_budgets,
 )
 from .plan import DisconnectedQueryError, QueryPlan, build_query_plan
-from .randgraph import powerlaw_graph, random_connected_query, random_graph
+from .randgraph import powerlaw_graph, random_graph
 from .scheduler import JobStats, SchedulerState, host_match, route_tree, run_job
 
 __all__ = [
@@ -46,14 +36,11 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "JobStats",
-    "OracleGuardError",
     "PartitionConfig",
     "QueryPlan",
     "RoundTrace",
     "SchedulerState",
     "UnsplittableTreeError",
-    "brute_force_embeddings",
-    "brute_force_tree_walks",
     "build_candidate_tree",
     "build_query_plan",
     "candidates_by_local_features",
@@ -66,15 +53,11 @@ __all__ = [
     "partition_factor",
     "partition_tree",
     "pipeline_enumerate",
-    "pipeline_fill_slack",
     "powerlaw_graph",
     "project_tree",
-    "random_connected_query",
     "random_graph",
     "route_tree",
     "run_job",
     "save_graph",
-    "simulate_dataflow_schedule",
-    "tree_metrics",
     "within_budgets",
 ]

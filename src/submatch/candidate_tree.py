@@ -86,7 +86,7 @@ class CandidateTree:
     passed in (a partition chunk measures only the groups it cuts and
     inherits disjoint); then size_bytes and max_degree, summed from
     group_metrics. arcs, arc_fixpoint's table, is built on first use.
-    tree_metrics is the from-scratch check.
+    tree_metrics in tests/helpers.py is the from-scratch check.
     """
 
     candidates: list[list[int]]
@@ -123,19 +123,6 @@ def measure_group(lists: dict[int, list[int]]) -> tuple[int, int]:
     """(bytes, longest list) of one adjacency group's stored lists."""
     lengths = list(map(len, lists.values()))
     return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths, default=0)
-
-
-def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
-    """Recompute (size_bytes, max_degree) from the stored lists, as the check of the carried ones."""
-    size = BASE_HEADER_BYTES
-    for cand in tree.candidates:
-        size += LIST_HEADER_BYTES + ENTRY_BYTES * len(cand)
-    max_degree = 0
-    for lists in tree.groups.values():
-        for lst in lists.values():
-            size += LIST_HEADER_BYTES + ENTRY_BYTES * len(lst)
-            max_degree = max(max_degree, len(lst))
-    return size, max_degree
 
 
 def start_candidates(data: Graph, query: Graph, plan: QueryPlan | None = None) -> list[set[int]]:

@@ -5,7 +5,6 @@ Subcommands:
   compare   sweep variants / share thresholds / partition factors, CSV;
             one job per distinct (share threshold, factor), priced per variant
   gen       write a seeded random graph file
-  oracle    brute-force reference count (debugging; hidden from help)
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ import sys
 
 from .graph import GraphFormatError, load_graph, save_graph
 from .kernel import DEFAULT_CAPACITY, DEFAULT_LATENCIES, CycleModel, cycle_estimate
-from .oracle import OracleGuardError, brute_force_embeddings
 from .partition import PartitionConfig, UnsplittableTreeError
-from .plan import build_query_plan
 from .randgraph import powerlaw_graph, random_graph
 from .scheduler import JOB_VARIANTS, SchedulerState, run_job
 
@@ -76,7 +73,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="submatch", description="Subgraph matching over a partitionable candidate search tree")
-    sub = parser.add_subparsers(dest="command", metavar="{run,compare,gen}")
+    sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="run one query end to end")
     _add_config_flags(run_p)
@@ -99,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--labels", type=_int, default=3)
     gen_p.add_argument("--seed", type=_int, default=0)
     gen_p.add_argument("--json", action="store_true")
-
-    oracle_p = sub.add_parser("oracle")  # debugging helper, hidden from the command list
-    oracle_p.add_argument("--data", required=True)
-    oracle_p.add_argument("--query", required=True)
-    oracle_p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -270,25 +262,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    data = _load(args.data, "data")
-    query = _load(args.query, "query")
-    try:
-        plan = build_query_plan(query, data)
-        found = brute_force_embeddings(query, data, plan.order)
-    except (OracleGuardError, ValueError) as exc:
-        raise CliError("oracle", str(exc))
-    print(json.dumps({"embeddings": len(found), "order": list(plan.order)}))
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2
-    handlers = {"run": _cmd_run, "compare": _cmd_compare, "gen": _cmd_gen, "oracle": _cmd_oracle}
+    handlers = {"run": _cmd_run, "compare": _cmd_compare, "gen": _cmd_gen}
     # The error is reported after its except block ends, which frees the
     # traceback and the job frames (and answers) it holds.
     try:

@@ -52,9 +52,8 @@ so which one runs changes neither the matches nor their order.
 
 The three pipeline variants (basic, task, sep) find the same matches
 in the same rounds, so the matcher takes no variant. They exist only in
-the accounting: cycle_estimate and simulate_dataflow_schedule price one
-run's counters and trace under each, and differ only in how they count
-stage overlap.
+the accounting: cycle_estimate prices one run's counters under each,
+and the variants differ only in how they count stage overlap.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .candidate_tree import CandidateTree
 from .plan import QueryPlan
@@ -354,45 +353,16 @@ def _issue_cycles(flavor: str, n: int, m: int) -> int:
 def cycle_estimate(model: CycleModel, variant: str, capacity: int = DEFAULT_CAPACITY) -> float:
     """Closed-form cycle cost of one run under the given pipeline variant.
 
-    serial: every stage waits for the previous partial. basic: stages are
-    pipelined within a round but run one after another. task: the expand
-    and visited-check stages overlap, then edge work and collection.
-    sep: duplicated task generators let all stages overlap.
+    basic: stages are pipelined within a round but run one after
+    another. task: the expand and visited-check stages overlap, then
+    edge work and collection. sep: duplicated task generators let all
+    stages overlap.
     """
     n = model.results_generated
     m = model.edge_tasks_generated
-    if variant == "serial":
-        return n * model.per_result_latency + m * model.per_edge_task_latency
     flavor = _flavor(variant)
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     if flavor == "basic":
         return (n * model.per_result_latency + m * model.per_edge_task_latency) / capacity + _issue_cycles(flavor, n, m)
     return _issue_cycles(flavor, n, m)
-
-
-def _round_fill(outputs: int, edge_tasks: int, max_latency: float) -> float:
-    stages = (4 if outputs else 0) + (2 if edge_tasks else 0)
-    return stages * (max_latency + 1.0)
-
-
-def pipeline_fill_slack(trace: Iterable[RoundTrace], model: CycleModel) -> float:
-    """Total pipeline fill overhead: active stages times max latency per round."""
-    max_latency = max(model.latencies)
-    return sum(_round_fill(r.outputs, r.edge_tasks, max_latency) for r in trace)
-
-
-def simulate_dataflow_schedule(trace: Iterable[RoundTrace], variant: str, model: CycleModel) -> float:
-    """Event-style makespan of a recorded run under a stage schedule.
-
-    Each round issues its items as _issue_cycles counts them and pays a
-    fill of its active stages times the largest latency. Makespan is
-    never less than the closed-form estimate minus the fill slack for
-    the same trace.
-    """
-    flavor = _flavor(variant)
-    max_latency = max(model.latencies)
-    total = 0.0
-    for r in trace:
-        total += _issue_cycles(flavor, r.outputs, r.edge_tasks) + _round_fill(r.outputs, r.edge_tasks, max_latency)
-    return total

@@ -13,7 +13,8 @@ hold no embedding. A chunk is dropped as soon as a set empties, before
 any group is cut, and any other tree with an empty candidate set (an
 absent-label root) is dropped before its budget check. The chunks'
 embedding sets partition the parent's. Recursion advances to the next
-order position once C(u) is a singleton.
+order position once C(u) is a singleton, and a tree whose C(u) already
+is one goes on unchanged, as a skipped tree does.
 
 A split at u is made only where a chunk could fit. At the fixpoint,
 cutting C(u) to nothing empties a set Z(u) that the plan alone fixes:
@@ -46,7 +47,7 @@ that loses no target is kept whole, any other row is filtered) and
 measured as it is cut. The chunk is built from its sets, its groups,
 this metrics table and the parent's disjointness, so its constructor
 measures nothing again and only sums size_bytes and max_degree;
-tree_metrics is the from-scratch check.
+tree_metrics in tests/helpers.py is the from-scratch check.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ def partition_tree(
     build_candidate_tree leaves it); every chunk is taken to its
     fixpoint (project_tree) and dropped when that empties a set, so
     every emitted tree is at its fixpoint. The order vertex
-    u = plan.order[index] is skipped, not split, when no chunk of C(u)
-    could come within the degree budget (skips). Raises
+    u = plan.order[index] is skipped, not split, when C(u) is a
+    singleton or no chunk of C(u) could come within the degree budget
+    (skips). Raises
     UnsplittableTreeError if the order is exhausted while the tree is
     over the size budget, the one budget that can still fail there.
     """
@@ -198,11 +200,11 @@ def partition_tree(
             " after exhausting the matching order"
         )
 
-    if skips(tree, plan, index, config):
-        return partition_tree(tree, plan, index + 1, config, sink)
-
     u = plan.order[index]
     cand = tree.candidates[u]
+    if len(cand) == 1 or skips(tree, plan, index, config):
+        return partition_tree(tree, plan, index + 1, config, sink)
+
     k = partition_factor(tree, config, u)
     base, extra = divmod(len(cand), k)
     emitted = 0

@@ -79,22 +79,3 @@ def powerlaw_graph(
         ends = rng.choices(population, cum_weights=cum, k=2 * batch)
         edges.update((a, b) if a < b else (b, a) for a, b in zip(ends[::2], ends[1::2]) if a != b)
     return Graph.from_edges(labels, edges)
-
-
-def random_connected_query(
-    n: int, extra_edges: int, labels: list[int], seed: int | random.Random
-) -> Graph:
-    """Connected query: random spanning tree plus extra non-tree edges.
-
-    labels supplies the alphabet to draw vertex labels from (typically
-    the labels present in a data graph, so candidates can exist).
-    """
-    if n < 2:
-        raise ValueError("query needs at least 2 vertices")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    missing = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
-    rng.shuffle(missing)
-    edges.update(missing[: min(extra_edges, len(missing))])
-    vlabels = [rng.choice(labels) for _ in range(n)]
-    return Graph.from_edges(vlabels, edges)

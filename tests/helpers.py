@@ -1,8 +1,10 @@
-"""Shared instance generators and reference models for the test suite.
+"""Shared fixtures, instance generators and reference models for the test suite.
 
 Everything is driven by explicit seeds so failures replay exactly. Each
 reference_* function (and the staged kernel model it drives) is the
-expected value of the package function it names.
+expected value of the package function it names. The fixtures are the
+bundled worked pair, a hand-built candidate tree with known numbers and
+the deterministic 3000-vertex benchmark graph with its nine queries.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from submatch import (
     CandidateTree,
@@ -20,15 +23,94 @@ from submatch import (
     UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
+    load_graph,
     partition_factor,
-    random_connected_query,
+    powerlaw_graph,
     random_graph,
-    tree_metrics,
     within_budgets,
 )
 import submatch.partition
+from submatch import kernel
+from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES
+from submatch.fixtures import QUERY_NAMES, data_path
 from submatch.kernel import DEFAULT_CAPACITY, BufferOverflowError, CycleModel, RoundTrace
-from submatch.oracle import brute_force_embeddings
+
+from oracle import brute_force_embeddings
+
+BENCHMARK_SEED = 1357
+BENCHMARK_VERTICES = 3000
+BENCHMARK_EXPONENT = 2.5
+BENCHMARK_AVG_DEGREE = 10.0  # hub-heavy, like social-network benchmarks
+BENCHMARK_LABELS = 11
+
+
+@lru_cache(maxsize=None)
+def worked_data() -> Graph:
+    return load_graph(data_path("worked_data"))
+
+
+@lru_cache(maxsize=None)
+def worked_query() -> Graph:
+    return load_graph(data_path("worked_query"))
+
+
+@lru_cache(maxsize=None)
+def benchmark_graph() -> Graph:
+    """The 3000-vertex benchmark graph, generated on first use: same seed, same bytes."""
+    return powerlaw_graph(
+        BENCHMARK_VERTICES,
+        BENCHMARK_EXPONENT,
+        BENCHMARK_LABELS,
+        BENCHMARK_SEED,
+        avg_degree=BENCHMARK_AVG_DEGREE,
+    )
+
+
+@lru_cache(maxsize=None)
+def benchmark_queries() -> dict[str, Graph]:
+    return {name: load_graph(data_path(name)) for name in QUERY_NAMES}
+
+
+def partition_example() -> tuple[CandidateTree, QueryPlan]:
+    """Hand-built candidate tree with two root candidates and 7 tree walks.
+
+    Query vertices 0..3: 0 is the root with children 1 and 2, vertex 3
+    hangs below 1, and (1, 2) is the only non-tree edge. Data vertex ids
+    run 1..10. Projecting the root part [1] keeps {3, 5} under vertex 1,
+    {6, 8} under vertex 2, and {9, 10} under vertex 3; the workload
+    counts at the root are 4 and 3.
+    """
+    plan = QueryPlan(parent=[None, 0, 0, 1], non_tree=[[], [2], [1], []], order=[0, 1, 2, 3])
+    tree = CandidateTree(
+        candidates=[[1, 2], [3, 4, 5], [6, 7, 8], [9, 10]],
+        groups={
+            (0, 1): {1: [3, 5], 2: [4]},
+            (0, 2): {1: [6, 8], 2: [6, 7, 8]},
+            (1, 3): {3: [9], 4: [9], 5: [10]},
+            (1, 2): {3: [6], 4: [7], 5: [8]},
+            (2, 1): {6: [3], 7: [4], 8: [5]},
+        },
+    )
+    return tree, plan
+
+
+def random_connected_query(
+    n: int, extra_edges: int, labels: list[int], seed: int | random.Random
+) -> Graph:
+    """Connected query: random spanning tree plus extra non-tree edges.
+
+    labels supplies the alphabet to draw vertex labels from (typically
+    the labels present in a data graph, so candidates can exist).
+    """
+    if n < 2:
+        raise ValueError("query needs at least 2 vertices")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    missing = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    rng.shuffle(missing)
+    edges.update(missing[: min(extra_edges, len(missing))])
+    vlabels = [rng.choice(labels) for _ in range(n)]
+    return Graph.from_edges(vlabels, edges)
 
 
 def make_instance(seed: int, *, max_data=60, min_data=10, max_query=7, min_query=3):
@@ -298,7 +380,7 @@ def partition_calls(tree, plan, config):
 
     The recursion calls the module attribute, which is replaced while
     this runs, so the calls hold the root, every chunk and every tree a
-    skip passes on.
+    skip or a singleton C(u) passes on.
     """
     original = submatch.partition.partition_tree
     emitted, calls = [], []
@@ -313,6 +395,19 @@ def partition_calls(tree, plan, config):
     finally:
         submatch.partition.partition_tree = original
     return emitted, calls
+
+
+def tree_metrics(tree: CandidateTree) -> tuple[int, int]:
+    """Recompute (size_bytes, max_degree) from the stored lists, as the check of the carried ones."""
+    size = BASE_HEADER_BYTES
+    for cand in tree.candidates:
+        size += LIST_HEADER_BYTES + ENTRY_BYTES * len(cand)
+    max_degree = 0
+    for lists in tree.groups.values():
+        for lst in lists.values():
+            size += LIST_HEADER_BYTES + ENTRY_BYTES * len(lst)
+            max_degree = max(max_degree, len(lst))
+    return size, max_degree
 
 
 def carries_its_facts(tree, root) -> bool:
@@ -611,6 +706,34 @@ def reference_pipeline_enumerate(
         buffer_stats.append((buffer.max_occupancy, capacity))
     matches.sort()
     return matches, model
+
+
+def _round_fill(outputs: int, edge_tasks: int, max_latency: float) -> float:
+    stages = (4 if outputs else 0) + (2 if edge_tasks else 0)
+    return stages * (max_latency + 1.0)
+
+
+def pipeline_fill_slack(trace: Iterable[RoundTrace], model: CycleModel) -> float:
+    """Total pipeline fill overhead: active stages times max latency per round."""
+    max_latency = max(model.latencies)
+    return sum(_round_fill(r.outputs, r.edge_tasks, max_latency) for r in trace)
+
+
+def simulate_dataflow_schedule(trace: Iterable[RoundTrace], variant: str, model: CycleModel) -> float:
+    """Event-style makespan of a recorded run under a stage schedule.
+
+    The check of submatch.cycle_estimate's closed forms. Each round
+    issues its items as kernel._issue_cycles counts them and pays a
+    fill of its active stages times the largest latency. Makespan is
+    never less than the closed-form estimate minus the fill slack for
+    the same trace.
+    """
+    flavor = kernel._flavor(variant)
+    max_latency = max(model.latencies)
+    total = 0.0
+    for r in trace:
+        total += kernel._issue_cycles(flavor, r.outputs, r.edge_tasks) + _round_fill(r.outputs, r.edge_tasks, max_latency)
+    return total
 
 
 def reference_powerlaw_graph(n, exponent, num_labels, seed, avg_degree=8.0):

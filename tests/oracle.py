@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph
+from submatch import Graph
 
 MAX_QUERY_VERTICES = 8
 MAX_DATA_VERTICES = 200

@@ -14,7 +14,6 @@ from submatch import (
     PartitionConfig,
     SchedulerState,
     UnsplittableTreeError,
-    brute_force_tree_walks,
     build_candidate_tree,
     build_query_plan,
     cycle_estimate,
@@ -22,15 +21,21 @@ from submatch import (
     host_match,
     partition_tree,
     pipeline_enumerate,
-    pipeline_fill_slack,
     run_job,
-    simulate_dataflow_schedule,
-    tree_metrics,
 )
-from submatch import fixtures
 
 import helpers
-from helpers import ResultBuffer, _Pending, generate_batch, validate_edges, validate_visited
+from helpers import (
+    ResultBuffer,
+    _Pending,
+    generate_batch,
+    pipeline_fill_slack,
+    simulate_dataflow_schedule,
+    tree_metrics,
+    validate_edges,
+    validate_visited,
+)
+from oracle import brute_force_tree_walks
 
 VARIANTS = ("basic", "task", "sep")
 CAPACITIES = (1, 8, 1024)
@@ -63,7 +68,7 @@ def family():
 
 def test_criterion_1_worked_example_fidelity():
     started = time.perf_counter()
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     assert tree.candidates == [[0, 1], [3, 5], [2, 4, 6], [8, 9]]
@@ -74,7 +79,7 @@ def test_criterion_1_worked_example_fidelity():
     assert found == [(0, 3, 2, 8), (1, 5, 4, 9)]
 
     # the projected-batch example: two partials expanding the third vertex
-    example_tree, example_plan = fixtures.partition_example()
+    example_tree, example_plan = helpers.partition_example()
     part = helpers.reference_project_tree(example_tree, example_plan, 0, [1])
     buf = ResultBuffer(3, 1024)
     buf.push(_Pending((1, 3), 0), 2)
@@ -134,7 +139,7 @@ def test_criterion_3_partition_soundness():
 
 def test_criterion_4_workload_dp_correctness():
     started = time.perf_counter()
-    example_tree, example_plan = fixtures.partition_example()
+    example_tree, example_plan = helpers.partition_example()
     assert estimate_workload(example_tree, example_plan) == 7
     assert brute_force_tree_walks(example_tree, example_plan) == 7
     count = 0
@@ -191,8 +196,8 @@ def test_criterion_6_cycle_model_ordering_and_bounds():
 
 def test_criterion_7_event_simulation_consistency():
     started = time.perf_counter()
-    graph = fixtures.benchmark_graph()
-    for name, query in fixtures.benchmark_queries().items():
+    graph = helpers.benchmark_graph()
+    for name, query in helpers.benchmark_queries().items():
         plan = build_query_plan(query, graph)
         tree = build_candidate_tree(graph, query, plan)
         trace: list = []
@@ -252,7 +257,7 @@ def test_memory_latency_scaling_note():
     # wall-clock speedups are not reproducible here; the slow-memory mode
     # is represented only as a latency multiplier and checked qualitatively
     started = time.perf_counter()
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     trace: list = []

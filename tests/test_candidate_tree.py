@@ -9,7 +9,6 @@ from submatch import (
     PartitionConfig,
     QueryPlan,
     SchedulerState,
-    brute_force_tree_walks,
     build_candidate_tree,
     build_query_plan,
     candidates_by_local_features,
@@ -19,12 +18,12 @@ from submatch import (
     partition_tree,
     pipeline_enumerate,
     run_job,
-    tree_metrics,
 )
 from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, CandidateTree, start_candidates
-from submatch import fixtures
 
 import helpers
+from helpers import tree_metrics
+from oracle import brute_force_tree_walks
 
 WORKED_GOLDEN_DUMP = """\
 C(0): 0 1
@@ -47,7 +46,7 @@ N[2->3][6]: 9
 
 
 def worked_tree():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     plan = build_query_plan(query, data)
     return build_candidate_tree(data, query, plan), plan
 
@@ -71,7 +70,7 @@ def test_worked_metrics_max_degree():
 
 
 def test_absent_label_empties_all_candidate_sets():
-    data = fixtures.worked_data()
+    data = helpers.worked_data()
     # same shape as the bundled query but one label the data never uses
     query = Graph.from_edges([0, 9, 2, 3], [(0, 1), (0, 2), (1, 2), (2, 3)])
     plan = build_query_plan(query, data)
@@ -159,7 +158,7 @@ def test_adjacency_entries_are_candidates_and_data_edges():
 
 def test_workload_fixture_totals_seven():
     # the plan from its three given tables derives the rest
-    tree, _ = fixtures.partition_example()
+    tree, _ = helpers.partition_example()
     plan = QueryPlan([None, 0, 0, 1], [[], [2], [1], []], [0, 1, 2, 3])
     assert (plan.root, plan.children, plan.bfs_order) == (0, ((1, 2), (3,), (), ()), (0, 1, 2, 3))
     assert estimate_workload(tree, plan) == brute_force_tree_walks(tree, plan) == 7
@@ -215,7 +214,7 @@ def test_metrics_of_empty_tree():
 def test_a_tree_built_from_its_sets_and_groups_is_the_builders_tree():
     # the constructor derives size and degree, so a tree made directly is
     # budgeted, split and port-checked as the built one is
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     direct = CandidateTree(tree.candidates, tree.groups)
     assert (direct.size_bytes, direct.max_degree) == (tree.size_bytes, tree.max_degree) == (260, 3)
     assert direct == tree
@@ -238,9 +237,9 @@ def test_rebuilding_a_tree_from_its_sets_and_groups_derives_the_same_facts():
 def test_stored_lists_are_sorted_nonempty_and_within_candidates():
     # the invariant projections rely on to share and restrict stored lists
     trees = [tree for _, _, _, tree, _ in helpers.built_instances(20, 24_000, max_data=40)]
-    data = fixtures.benchmark_graph()
+    data = helpers.benchmark_graph()
     for name in ("q3", "q7", "q8"):
-        query = fixtures.benchmark_queries()[name]
+        query = helpers.benchmark_queries()[name]
         trees.append(build_candidate_tree(data, query, build_query_plan(query, data)))
     for tree in trees:
         for (a, b), lists in tree.groups.items():
@@ -253,14 +252,14 @@ def test_stored_lists_are_sorted_nonempty_and_within_candidates():
 def test_index_equals_naive_fixpoint_reference():
     # maximality as well as soundness: refinement keeps every candidate
     # the naive fixpoint keeps, and every group is adj ∩ target, keys ascending
-    data = fixtures.worked_data()
+    data = helpers.worked_data()
     instances = [
-        (data, fixtures.worked_query()),
+        (data, helpers.worked_query()),
         (data, Graph.from_edges([2], [])),
         (data, Graph.from_edges([0, 9, 2, 3], [(0, 1), (0, 2), (1, 2), (2, 3)])),
     ]
-    bench = fixtures.benchmark_graph()
-    instances += [(bench, query) for _, query in sorted(fixtures.benchmark_queries().items())]
+    bench = helpers.benchmark_graph()
+    instances += [(bench, query) for _, query in sorted(helpers.benchmark_queries().items())]
     instances += [(data, query) for data, query, _, _ in helpers.solvable_instances(40, 25_000, max_data=50)]
     for data, query in instances:
         plan = build_query_plan(query, data)
@@ -274,9 +273,9 @@ def test_neighbour_label_prefilter_shrinks_start_sets_and_keeps_the_index():
     # equality with the reference alone would also hold with a no-op
     # filter: the pre-filter must remove local candidates on some bundled
     # query, and never one that the refined index keeps
-    data = fixtures.benchmark_graph()
+    data = helpers.benchmark_graph()
     shrunk = []
-    for name, query in sorted(fixtures.benchmark_queries().items()):
+    for name, query in sorted(helpers.benchmark_queries().items()):
         plan = build_query_plan(query, data)
         tree = build_candidate_tree(data, query, plan)
         start = start_candidates(data, query)
@@ -292,8 +291,8 @@ def test_index_on_a_shared_graph_equals_the_index_on_a_fresh_one():
     # no state leaks between jobs: each bundled query's tree, built after
     # the other eight have filled the graph's neighbour-label rows,
     # equals its tree on an unused copy of the graph
-    bench = fixtures.benchmark_graph()
-    queries = sorted(fixtures.benchmark_queries().items())
+    bench = helpers.benchmark_graph()
+    queries = sorted(helpers.benchmark_queries().items())
     for name, query in queries:
         shared, fresh = (Graph(bench.labels, bench.adj) for _ in range(2))
         for other_name, other in queries:
@@ -314,8 +313,8 @@ def test_index_build_reuses_the_plans_local_filter(monkeypatch):
 
     monkeypatch.setattr(submatch.plan, "candidates_by_local_features", counted)
     monkeypatch.setattr(submatch.candidate_tree, "candidates_by_local_features", counted)
-    data = fixtures.benchmark_graph()
-    for name, query in sorted(fixtures.benchmark_queries().items()):
+    data = helpers.benchmark_graph()
+    for name, query in sorted(helpers.benchmark_queries().items()):
         calls.clear()
         run_job(data, query, PartitionConfig(), SchedulerState(), "share")
         assert sorted(calls) == list(range(query.num_vertices)), name

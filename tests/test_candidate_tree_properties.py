@@ -8,9 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from submatch import Graph, build_candidate_tree, build_query_plan, random_connected_query
+from submatch import Graph, build_candidate_tree, build_query_plan
 
 import helpers
+from helpers import random_connected_query
 
 
 def relabelled(graph, stride, shift):

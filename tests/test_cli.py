@@ -21,6 +21,8 @@ from submatch import (
 from submatch import cli
 from submatch.cli import main
 
+import helpers
+
 
 @pytest.fixture(scope="module")
 def worked_paths():
@@ -30,7 +32,7 @@ def worked_paths():
 @pytest.fixture(scope="module")
 def bench_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("bench") / "bench.graph"
-    save_graph(fixtures.benchmark_graph(), path)
+    save_graph(helpers.benchmark_graph(), path)
     return str(path)
 
 
@@ -222,7 +224,7 @@ def test_compare_runs_each_distinct_job_once_and_prices_it_per_variant(capsys, b
         (v, str(float(d)), k) for v, d, k in itertools.product(variants, deltas, ks)
     ]
 
-    data, query = fixtures.benchmark_graph(), fixtures.benchmark_queries()["q1"]
+    data, query = helpers.benchmark_graph(), helpers.benchmark_queries()["q1"]
     wall_ms = {}
     for row in rows:
         delta = float(row["delta"]) if row["variant"] == "share" else 0.0
@@ -307,11 +309,12 @@ def test_gen_rejects_both_models(capsys, tmp_path):
     assert code == 1
 
 
-def test_oracle_subcommand_counts(capsys, worked_paths):
+def test_oracle_is_a_usage_error(capsys, worked_paths):
     data, query = worked_paths
-    code, out = run_cli(capsys, "oracle", "--data", data, "--query", query)
-    assert code == 0
-    assert json.loads(out)["embeddings"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--data", data, "--query", query])
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
 
 def test_oracle_hidden_from_help():

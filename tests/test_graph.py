@@ -18,7 +18,6 @@ from submatch import (
     run_job,
     save_graph,
 )
-from submatch import fixtures
 from submatch.candidate_tree import start_candidates
 from submatch.graph import paused_collector
 
@@ -26,7 +25,7 @@ import helpers
 
 
 def test_worked_data_graph_loads_with_expected_shape():
-    g = fixtures.worked_data()
+    g = helpers.worked_data()
     assert g.num_vertices == 10
     assert g.num_edges == 12
     assert g.labels == (0, 0, 2, 1, 2, 1, 2, 3, 3, 3)
@@ -118,12 +117,12 @@ def test_comments_and_blank_lines_are_ignored(tmp_path):
 
 
 def test_worked_root_candidates_match_worked_example():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     assert candidates_by_local_features(data, query, 0) == [0, 1]
 
 
 def test_absent_label_gives_empty_candidates():
-    data = fixtures.worked_data()
+    data = helpers.worked_data()
     query = Graph.from_edges([7, 0], [(0, 1)])
     assert candidates_by_local_features(data, query, 0) == []
 
@@ -163,7 +162,7 @@ def test_every_oracle_embedding_passes_local_filter():
 def test_label_index_filter_equals_full_scan_for_every_label_and_degree():
     # every label (the last two absent) and every degree up to one past the maximum
     rng = random.Random(31)
-    bench = fixtures.benchmark_graph()
+    bench = helpers.benchmark_graph()
     graphs = [Graph(bench.labels, bench.adj)]  # a fresh object: the fixture is shared
     graphs += [random_graph(rng.randint(1, 40), rng.uniform(0.05, 0.5), 4, rng) for _ in range(20)]
     for data in graphs:
@@ -191,7 +190,7 @@ def mask_labels(graph, mask):
 
 def test_neighbour_labels_match_brute_force_sets():
     rng = random.Random(41)
-    graphs = [fixtures.worked_data()]
+    graphs = [helpers.worked_data()]
     graphs += [random_graph(rng.randint(1, 40), rng.uniform(0, 0.5), rng.randint(1, 6), rng) for _ in range(20)]
     # labels 64 and above, and an isolated vertex (6) whose mask is 0
     graphs.append(Graph.from_edges([0, 63, 64, 65, 200, 64, 7], [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)]))
@@ -231,7 +230,7 @@ def assert_label_rows_match_brute_force(graph, labels):
 
 def test_neighbours_by_label_rows_match_brute_force():
     rng = random.Random(43)
-    graphs = [Graph(g.labels, g.adj) for g in (fixtures.worked_data(), fixtures.benchmark_graph())]  # unshared copies
+    graphs = [Graph(g.labels, g.adj) for g in (helpers.worked_data(), helpers.benchmark_graph())]  # unshared copies
     graphs += [random_graph(rng.randint(1, 40), rng.uniform(0, 0.5), rng.randint(1, 6), rng) for _ in range(20)]
     # labels 64 and above, and an isolated vertex (6) with no row
     graphs.append(Graph.from_edges([0, 63, 64, 65, 200, 64, 7], [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)]))
@@ -245,14 +244,14 @@ def test_neighbours_by_label_rows_match_brute_force():
 
 
 def test_neighbours_by_label_is_built_on_first_use_and_leaves_equality_alone():
-    worked = fixtures.worked_data()  # shared by other tests, so take unused copies
+    worked = helpers.worked_data()  # shared by other tests, so take unused copies
     data, fresh = (Graph(worked.labels, worked.adj) for _ in range(2))
     before = hash(data)
     assert "neighbours_by_label" not in data.__dict__
-    expected, _ = run_job(data, fixtures.worked_query(), PartitionConfig(), SchedulerState(), "share")
+    expected, _ = run_job(data, helpers.worked_query(), PartitionConfig(), SchedulerState(), "share")
     assert "neighbours_by_label" in data.__dict__ and data.neighbours_by_label
     assert data == fresh and hash(data) == before == hash(fresh)
-    assert run_job(fresh, fixtures.worked_query(), PartitionConfig(), SchedulerState(), "share")[0] == expected
+    assert run_job(fresh, helpers.worked_query(), PartitionConfig(), SchedulerState(), "share")[0] == expected
     # the index refers to no graph, so a used graph is freed by reference counting alone
     gone = weakref.ref(data)
     was_enabled = gc.isenabled()
@@ -375,7 +374,7 @@ def test_from_edges_names_the_first_of_random_defects():
 
 def test_edges_equals_the_filtered_rows():
     rng = random.Random(29)
-    graphs = [Graph.from_edges([], []), Graph.from_edges([0, 0, 0], [(2, 0)]), fixtures.worked_data()]
+    graphs = [Graph.from_edges([], []), Graph.from_edges([0, 0, 0], [(2, 0)]), helpers.worked_data()]
     graphs += [random_graph(rng.randint(1, 40), rng.uniform(0, 0.5), 3, rng) for _ in range(30)]
     for g in graphs:
         assert g.edges() == [(a, b) for a in range(g.num_vertices) for b in g.adj[a] if a < b]

@@ -9,9 +9,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from submatch import PartitionConfig, SchedulerState, UnsplittableTreeError, build_candidate_tree, build_query_plan, run_job
-from submatch.oracle import brute_force_embeddings
 
 import helpers
+from oracle import brute_force_embeddings
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

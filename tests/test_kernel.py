@@ -22,7 +22,7 @@ from helpers import ResultBuffer, VisitedTask, _Pending, generate_batch, synchro
 
 
 def partition_a():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     return helpers.reference_project_tree(tree, plan, 0, [1]), plan
 
 
@@ -215,11 +215,11 @@ def test_buffer_bulk_extend_checks_bound_once():
 
 
 def _kernel_cases():
-    yield "worked", fixtures.worked_data(), fixtures.worked_query()
+    yield "worked", helpers.worked_data(), helpers.worked_query()
     for i, (data, query, _, _) in enumerate(helpers.solvable_instances(20, 36_000, max_data=40)):
         yield f"random{i}", data, query
-    data = fixtures.benchmark_graph()
-    for name, query in fixtures.benchmark_queries().items():
+    data = helpers.benchmark_graph()
+    for name, query in helpers.benchmark_queries().items():
         yield name, data, query
 
 
@@ -231,7 +231,7 @@ def _run_kernel(enumerate_fn, tree, plan, capacity):
 
 @functools.lru_cache(maxsize=None)
 def _kernel_trees():
-    trees = [("partition", *fixtures.partition_example()), ("partition_a", *partition_a())]
+    trees = [("partition", *helpers.partition_example()), ("partition_a", *partition_a())]
     for name, data, query in _kernel_cases():
         plan = build_query_plan(query, data)
         trees.append((name, build_candidate_tree(data, query, plan), plan))
@@ -302,7 +302,7 @@ def _assert_equal_to_staged_reference(tree, plan, capacities):
 
 def test_free_tail_with_empty_rows_equals_staged_reference():
     # a tree-query projection short of its fixpoint: root candidates keep no row toward the cut tail vertex
-    data, query = fixtures.benchmark_graph(), fixtures.benchmark_queries()["q3"]
+    data, query = helpers.benchmark_graph(), helpers.benchmark_queries()["q3"]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     u = plan.order[-1]
@@ -350,8 +350,8 @@ def _walks(tree, plan):
 
 
 def test_only_queries_with_shared_candidates_check_repeats():
-    data = fixtures.benchmark_graph()
-    for name, query in fixtures.benchmark_queries().items():
+    data = helpers.benchmark_graph()
+    for name, query in helpers.benchmark_queries().items():
         plan = build_query_plan(query, data)
         tree = build_candidate_tree(data, query, plan)
         cands = [set(tree.candidates[u]) for u in plan.order]
@@ -388,7 +388,7 @@ def test_shared_candidate_runs_the_visited_check_however_the_tree_is_built():
 
 
 def test_port_limit_precondition_enforced():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     with pytest.raises(ValueError):
         pipeline_enumerate(tree, plan, 1024, CycleModel(), port_limit=tree.max_degree - 1)
     matches, _ = pipeline_enumerate(tree, plan, 1024, CycleModel(), port_limit=tree.max_degree)
@@ -406,7 +406,7 @@ def test_counters_match_trace_totals():
 
 def test_cycle_estimate_zero_counters():
     model = CycleModel()
-    for variant in ("serial", "basic", "task", "sep"):
+    for variant in ("basic", "task", "sep"):
         assert cycle_estimate(model, variant, 1024) == 0
 
 
@@ -415,10 +415,11 @@ def test_cycle_estimate_frozen_example():
     model = CycleModel((5.0, 5.0, 5.0, 5.0, 5.0, 5.0), results_generated=100, edge_tasks_generated=100)
     n, m, l_f, l_t, cap = 100, 100, 20.0, 10.0, 1000
     assert model.per_result_latency == l_f and model.per_edge_task_latency == l_t
-    assert cycle_estimate(model, "serial", cap) == n * l_f + m * l_t == 3000
     assert cycle_estimate(model, "basic", cap) == (n * l_f + m * l_t) / cap + 4 * n + 2 * m == 603
     assert cycle_estimate(model, "task", cap) == 2 * n + max(n, m) == 300
     assert cycle_estimate(model, "sep", cap) == n + max(n, m) == 200
+    with pytest.raises(ValueError, match="unknown variant 'serial'"):
+        cycle_estimate(model, "serial", cap)  # not a pipeline variant
 
 
 def test_variant_ordering_for_any_counters():

@@ -8,22 +8,19 @@ from submatch import (
     Graph,
     PartitionConfig,
     SchedulerState,
-    brute_force_embeddings,
-    brute_force_tree_walks,
     build_candidate_tree,
     build_query_plan,
     estimate_workload,
     random_graph,
     run_job,
 )
-from submatch.oracle import OracleGuardError
-from submatch import fixtures
 
 import helpers
+from oracle import OracleGuardError, brute_force_embeddings, brute_force_tree_walks
 
 
 def test_worked_embeddings():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     plan = build_query_plan(query, data)
     assert brute_force_embeddings(query, data, plan.order) == [(0, 3, 2, 8), (1, 5, 4, 9)]
 
@@ -90,12 +87,12 @@ def test_guards_refuse_oversized_inputs():
 
 
 def test_tree_walks_fixture_is_seven():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     assert brute_force_tree_walks(tree, plan) == 7
 
 
 def test_tree_walks_singleton_lists_counts_roots():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     sub = helpers.reference_project_tree(tree, plan, 0, [2])  # all lists below the root are short
     assert brute_force_tree_walks(sub, plan) == estimate_workload(sub, plan) == 3
 
@@ -107,7 +104,7 @@ def test_tree_walks_match_dp_on_random_trees():
 
 
 def test_order_must_be_permutation():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     with pytest.raises(ValueError):
         brute_force_embeddings(query, data, [0, 0, 1, 2])
 
@@ -126,7 +123,7 @@ def _networkx_graph(graph):
 def test_jobs_agree_with_networkx_vf2_on_the_benchmark_graph(name):
     # default budgets and delta 0.1: q2, q7 and q8 route trees to the host side
     isomorphism = pytest.importorskip("networkx.algorithms.isomorphism")
-    data, query = fixtures.benchmark_graph(), fixtures.benchmark_queries()[name]
+    data, query = helpers.benchmark_graph(), helpers.benchmark_queries()[name]
     embeddings, stats = run_job(data, query, PartitionConfig(), SchedulerState(0.1), "share")
     assert stats.host_trees > 0 or name not in ("q2", "q7", "q8")
     order = build_query_plan(query, data).order

@@ -11,32 +11,31 @@ from submatch import (
     partition_factor,
     partition_tree,
     project_tree,
-    tree_metrics,
     within_budgets,
 )
 from submatch import Graph
-from submatch import fixtures
-from submatch.oracle import brute_force_embeddings
 import submatch.partition
 
 import helpers
+from helpers import tree_metrics
+from oracle import brute_force_embeddings
 
 
 def test_factor_ratio_rule():
-    tree, _ = fixtures.partition_example()
+    tree, _ = helpers.partition_example()
     # size exactly twice the budget, degree within its budget
     config = PartitionConfig(size_budget=-(-tree.size_bytes // 2), degree_budget=16)
     assert partition_factor(tree, config, 0) == 2
 
 
 def test_factor_is_one_within_budgets():
-    tree, _ = fixtures.partition_example()
+    tree, _ = helpers.partition_example()
     config = PartitionConfig()
     assert partition_factor(tree, config, 0) == 1
 
 
 def test_factor_fixed_k_overrides_the_ratio_up_to_the_candidates():
-    tree, _ = fixtures.partition_example()
+    tree, _ = helpers.partition_example()
     assert len(tree.candidates[0]) == 2 and len(tree.candidates[2]) == 3
     assert [partition_factor(tree, PartitionConfig(fixed_k=k), u) for k in (2, 3, 5) for u in (0, 2)] == [2, 2, 2, 3, 2, 3]
 
@@ -61,7 +60,7 @@ def test_factor_matches_direct_formula_on_random_budgets():
 
 
 def test_project_fixture_reaches_example_sets():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     part_a = helpers.reference_project_tree(tree, plan, 0, [1])
     assert part_a.candidates == [[1], [3, 5], [6, 8], [9, 10]]
     part_b = helpers.reference_project_tree(tree, plan, 0, [2])
@@ -71,10 +70,10 @@ def test_project_fixture_reaches_example_sets():
 
 
 def test_project_full_part_is_identity():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     assert helpers.reference_project_tree(tree, plan, 0, tree.candidates[0]) == tree
     assert project_tree(tree, 0, set(tree.candidates[0])) == tree
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     qplan = build_query_plan(query, data)
     qtree = build_candidate_tree(data, query, qplan)
     assert helpers.reference_project_tree(qtree, qplan, qplan.root, qtree.candidates[qplan.root]) == qtree
@@ -132,7 +131,7 @@ def test_project_handles_child_before_parent_order():
 
 
 def test_partition_noop_when_within_budgets():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     emitted = []
     count = partition_tree(tree, plan, 0, PartitionConfig(), emitted.append)
     assert count == 1 and emitted == [tree]
@@ -205,7 +204,7 @@ def test_unsplittable_chain_reports_size_budget():
 
 
 def test_empty_tree_over_budget_emits_nothing():
-    data = fixtures.worked_data()
+    data = helpers.worked_data()
     query = Graph.from_edges([0, 9, 2, 3], [(0, 1), (0, 2), (1, 2), (2, 3)])
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
@@ -215,7 +214,7 @@ def test_empty_tree_over_budget_emits_nothing():
 
 
 def test_fixed_k_splits_into_k_parts():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     config = PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2)
     parts = collect_partitions(tree, plan, config)
     assert len(parts) == 2
@@ -235,7 +234,7 @@ def test_config_validation():
 
 
 def test_within_budgets_matches_metrics():
-    tree, _ = fixtures.partition_example()
+    tree, _ = helpers.partition_example()
     assert within_budgets(tree, PartitionConfig())
     assert not within_budgets(tree, PartitionConfig(size_budget=tree.size_bytes - 1))
 
@@ -259,7 +258,7 @@ def assert_partitions_match_reference(tree, plan, config, skipped=None):
 
 
 def test_partitions_match_reference_on_fixtures():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     for config in (
         PartitionConfig(size_budget=tree.size_bytes - 1),
         PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2),
@@ -267,7 +266,7 @@ def test_partitions_match_reference_on_fixtures():
         PartitionConfig(degree_budget=1),
     ):
         assert assert_partitions_match_reference(tree, plan, config) >= 2
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     qplan = build_query_plan(query, data)
     qtree = build_candidate_tree(data, query, qplan)
     for budget in range(40, qtree.size_bytes, 8):
@@ -278,8 +277,8 @@ def test_partitions_match_reference_on_fixtures():
 
 @pytest.mark.parametrize("name", ["q0", "q2", "q3", "q7", "q8"])
 def test_partitions_match_reference_on_benchmark_queries(name):
-    data = fixtures.benchmark_graph()
-    query = fixtures.benchmark_queries()[name]
+    data = helpers.benchmark_graph()
+    query = helpers.benchmark_queries()[name]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     skipped = []
@@ -326,8 +325,8 @@ def assert_refined_partitions_sound(tree, plan, config, expected):
 
 @pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8"])
 def test_refined_partitions_on_benchmark_queries(name):
-    data = fixtures.benchmark_graph()
-    query = fixtures.benchmark_queries()[name]
+    data = helpers.benchmark_graph()
+    query = helpers.benchmark_queries()[name]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     assert_refined_partitions_sound(tree, plan, PartitionConfig(), helpers.reference_tree_matches(tree, plan))
@@ -406,17 +405,52 @@ def test_skipped_vertex_has_no_chunk_within_degree_budget(monkeypatch):
                     skipped = submatch.partition.skips(parent, plan, index, config)
                     assert skipped == helpers.reference_skips(parent, plan, index, config)
                     decided += 1
-            # Only a skip passes the same tree object on, at the next order position.
+            # Only a skip or a singleton C(u) passes the same tree object on, at the next order position.
             for (parent, index), (child, child_index) in zip(calls, calls[1:]):
                 if child is not parent:
                     continue
                 assert child_index == index + 1
                 u = plan.order[index]
+                if len(parent.candidates[u]) == 1:
+                    continue
                 assert submatch.partition.skips(parent, plan, index, config)
                 for v in parent.candidates[u]:
                     assert helpers.reference_project_tree(parent, plan, u, [v]).max_degree > config.degree_budget
                 skips += 1
     assert skips >= 100 and decided > 2 * skips
+
+
+def test_singleton_vertex_passes_its_tree_on_unprojected(monkeypatch):
+    """An over-budget tree whose C(u) is one candidate goes on to index + 1 as the same object.
+
+    The partition example cut to root part [1] has lists of length 2,
+    over a degree budget of 1, and is not skipped at the root: Z(0)
+    holds every vertex. No chunk is projected at the root, and the
+    emitted trees are the reference splitter's.
+    """
+    example, plan = helpers.partition_example()
+    tree = project_tree(example, 0, {1})
+    config = PartitionConfig(degree_budget=1)
+    assert tree.candidates[0] == [1] and not within_budgets(tree, config)
+    assert not submatch.partition.skips(tree, plan, 0, config)
+    original_partition, original_project = submatch.partition.partition_tree, submatch.partition.project_tree
+    calls, projected = [], []
+
+    def recording(tree, plan, index, config, sink):
+        calls.append((tree, index))
+        return original_partition(tree, plan, index, config, sink)
+
+    def projecting(tree, u, part_set):
+        projected.append(u)
+        return original_project(tree, u, part_set)
+
+    monkeypatch.setattr(submatch.partition, "partition_tree", recording)
+    monkeypatch.setattr(submatch.partition, "project_tree", projecting)
+    emitted = []
+    assert recording(tree, plan, 0, config, emitted.append) == 2
+    assert calls[1][0] is tree and calls[1][1] == 1
+    assert projected and plan.order[0] not in projected
+    assert emitted == helpers.reference_partitions(tree, plan, 0, config)
 
 
 def test_skip_rule_on_child_before_parent_order():
@@ -478,7 +512,7 @@ def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
         return sub
 
     def check(parent, sub):
-        assert sub is not parent  # only a skip passes its tree on unchanged
+        assert sub is not parent  # only a skip or a singleton C(u) passes its tree on unchanged
         same = [len(new) == len(old) for new, old in zip(sub.candidates, parent.candidates)]
         for w, unchanged in enumerate(same):
             if unchanged:
@@ -501,7 +535,7 @@ def assert_projections_share_unchanged(monkeypatch, tree, plan, config):
 
 
 def test_projections_share_unchanged_groups_and_rows_on_fixture(monkeypatch):
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     total = {"groups": 0, "rows": 0, "chunks": 0}
     for config in (
         PartitionConfig(size_budget=tree.size_bytes - 1),
@@ -518,8 +552,8 @@ def test_projections_share_unchanged_groups_and_rows_on_fixture(monkeypatch):
 
 @pytest.mark.parametrize("name", ["q3", "q7", "q8"])
 def test_projections_share_unchanged_groups_and_rows_on_benchmark_queries(monkeypatch, name):
-    data = fixtures.benchmark_graph()
-    query = fixtures.benchmark_queries()[name]
+    data = helpers.benchmark_graph()
+    query = helpers.benchmark_queries()[name]
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     # Refined chunks of q7 and q8 under the default budgets leave no target whole (q7)

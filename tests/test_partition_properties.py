@@ -9,11 +9,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from submatch import PartitionConfig, UnsplittableTreeError, build_candidate_tree, build_query_plan
-from submatch.oracle import brute_force_embeddings
 from submatch.partition import project_tree, skips
 import submatch.partition
 
 import helpers
+from oracle import brute_force_embeddings
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

