@@ -16,10 +16,10 @@ import math
 import sys
 
 from .graph import GraphFormatError, load_graph, save_graph
-from .kernel import DEFAULT_CAPACITY, DEFAULT_LATENCIES, CycleModel, cycle_estimate
+from .kernel import DEFAULT_CAPACITY, DEFAULT_LATENCIES, CycleModel
 from .partition import PartitionConfig, UnsplittableTreeError
 from .randgraph import powerlaw_graph, random_graph
-from .scheduler import JOB_VARIANTS, SchedulerState, run_job
+from .scheduler import JOB_VARIANTS, JobStats, SchedulerState, run_job
 
 COMPARE_FIELDS = ("variant", "delta", "k", "embeddings", "partitions", "cycles", "wall_ms")
 
@@ -109,28 +109,37 @@ def _load(path: str, role: str):
         raise CliError("format", f"{role}: {exc}", getattr(exc, "line", None))
 
 
-def _config_from(args, fixed_k: int | None) -> PartitionConfig:
+def _built_from(args, deltas: list[float], fixed_ks: list[int | None]) -> tuple[list, list, CycleModel]:
+    """Each delta's SchedulerState, each k's PartitionConfig and the CycleModel, before any job runs.
+
+    The library objects check the values; their ValueError is a config error.
+    """
+    if args.capacity < 1:
+        raise CliError("config", "--no must be >= 1")
     try:
-        return PartitionConfig(
-            size_budget=args.delta_s,
-            degree_budget=args.delta_d,
-            port_limit=args.port_max,
-            fixed_k=fixed_k,
-        )
+        states = [SchedulerState(delta) for delta in deltas]
+        configs = [
+            PartitionConfig(size_budget=args.delta_s, degree_budget=args.delta_d, port_limit=args.port_max, fixed_k=k)
+            for k in fixed_ks
+        ]
+        return states, configs, CycleModel(args.l_consts).scaled(args.dram_ratio)
     except ValueError as exc:
         raise CliError("config", str(exc))
 
 
-def _model_from(args) -> CycleModel:
-    try:
-        model = CycleModel(tuple(args.l_consts))
-        if args.dram_ratio != 1.0:
-            if not 1.0 <= args.dram_ratio < math.inf:
-                raise ValueError("dram-ratio must be finite and >= 1")
-            model = model.scaled(args.dram_ratio)
-        return model
-    except ValueError as exc:
-        raise CliError("config", str(exc))
+def _job(jobs: dict, data, query, config, state, variant, model, capacity, trace=False) -> JobStats:
+    """Stats of the job a `variant` report or row reads, run once per effective delta and config in `jobs`.
+
+    Delta applies under share only, and variants differ only in pricing.
+    """
+    key = (state.delta if variant == "share" else 0.0, config)
+    if key not in jobs:
+        try:
+            _, jobs[key] = run_job(data, query, config, SchedulerState(key[0]), variant, capacity=capacity,
+                                   model=CycleModel(model.latencies), collect_trace=trace)
+        except (UnsplittableTreeError, ValueError) as exc:
+            raise CliError("run", str(exc))
+    return jobs[key]
 
 
 def _check_cycles(*cycles: float) -> None:
@@ -153,21 +162,10 @@ def _write_trace(path: str, traces) -> None:
 def _cmd_run(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
-    _check_delta(args.delta)
-    _check_capacity(args.capacity)
-    config = _config_from(args, _check_k(args.fixed_k))
-    model = _model_from(args)
-    delta = args.delta if args.variant == "share" else 0.0
-    state = SchedulerState(delta=delta)
+    (state,), (config,), model = _built_from(args, [args.delta], [args.fixed_k])
     if args.trace:
         _write_trace(args.trace, ())  # an unwritable path fails here, before the job
-    try:
-        _, stats = run_job(
-            data, query, config, state, args.variant,
-            capacity=args.capacity, model=model, collect_trace=bool(args.trace),
-        )
-    except (UnsplittableTreeError, ValueError) as exc:
-        raise CliError("run", str(exc))
+    stats = _job({}, data, query, config, state, args.variant, model, args.capacity, bool(args.trace))
     _check_cycles(stats.cycles_basic, stats.cycles_task, stats.cycles_sep)
     if args.trace:
         _write_trace(args.trace, stats.traces)
@@ -179,72 +177,38 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _check_delta(delta: float) -> float:
-    if not 0.0 <= delta <= 1.0:
-        raise CliError("config", "delta must lie in [0, 1]")
-    return delta
-
-
-def _check_k(k: int | None) -> int | None:
-    if k is not None and k < 2:
-        raise CliError("config", "k must be >= 2")
-    return k
-
-
-def _check_capacity(capacity: int) -> None:
-    if capacity < 1:
-        raise CliError("config", "--no must be >= 1")
-
-
-def _compare_grid(args) -> tuple[list[str], list[float], list[tuple[str, PartitionConfig]]]:
-    """Parse and check every compare value, configs included, before any job runs."""
+def _cmd_compare(args) -> int:
+    data = _load(args.data, "data")
+    query = _load(args.query, "query")
+    # every value is parsed and built into its state, config and model before the header
     variants = _split_list(args.variant)
     for variant in variants:
         if variant not in JOB_VARIANTS:
             raise CliError("config", f"unknown variant {variant!r}")
-    _check_capacity(args.capacity)
     try:
-        deltas = [_check_delta(_float(text)) for text in _split_list(args.delta)]
-        ks = [(text, _check_k(None if text == "auto" else _int(text))) for text in _split_list(args.fixed_k)]
+        deltas = [_float(text) for text in _split_list(args.delta)]
+        k_texts = _split_list(args.fixed_k)
+        fixed_ks = [None if text == "auto" else _int(text) for text in k_texts]
     except ValueError as exc:
         raise CliError("config", f"bad --delta or --k value: {exc}")
-    for flag, values in (("--variant", variants), ("--delta", deltas), ("--k", ks)):
+    for flag, values in (("--variant", variants), ("--delta", deltas), ("--k", k_texts)):
         if not values:
             raise CliError("config", f"{flag} lists no value")
-    return variants, deltas, [(text, _config_from(args, fixed_k)) for text, fixed_k in ks]
-
-
-def _cmd_compare(args) -> int:
-    data = _load(args.data, "data")
-    query = _load(args.query, "query")
-    variants, deltas, configs = _compare_grid(args)
-    _model_from(args)  # checked before the header, like the grid
+    states, configs, model = _built_from(args, deltas, fixed_ks)
 
     writer = csv.writer(sys.stdout)
     writer.writerow(COMPARE_FIELDS)
-    # Variants differ only in pricing, so rows with the same effective delta
-    # and k share one job; jobs maps that pair to the job's stats and model.
-    jobs = {}
+    jobs: dict = {}
     for variant in variants:
-        for delta in deltas:
-            for k_text, config in configs:
-                share = delta if variant == "share" else 0.0
-                key = (share, config.fixed_k)
-                if key not in jobs:
-                    model = _model_from(args)
-                    try:
-                        _, stats = run_job(
-                            data, query, config, SchedulerState(share), variant, capacity=args.capacity, model=model
-                        )
-                    except (UnsplittableTreeError, ValueError) as exc:
-                        raise CliError("run", str(exc))
-                    jobs[key] = stats, model
-                stats, model = jobs[key]
-                cycles = cycle_estimate(model, variant, args.capacity)
+        for state in states:
+            for k_text, config in zip(k_texts, configs):
+                stats = _job(jobs, data, query, config, state, variant, model, args.capacity)
+                cycles = getattr(stats, f"cycles_{'sep' if variant == 'share' else variant}")
                 _check_cycles(cycles)
-                writer.writerow(
-                    [variant, delta, k_text, stats.embeddings, stats.partitions, round(cycles), round(stats.wall_ms, 3)]
-                )
+                writer.writerow([
+                    variant, state.delta, k_text, stats.embeddings, stats.partitions, round(cycles),
+                    round(stats.wall_ms, 3),
+                ])
     return 0
 
 

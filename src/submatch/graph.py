@@ -6,8 +6,9 @@ The on-disk format is line oriented::
     v <id> <label> <degree>      one line per vertex, ids dense 0..n-1
     e <src> <dst>                src < dst, each undirected edge once
 
-Lines starting with ``#`` are comments and may appear anywhere. Query
-graphs and data graphs share the format.
+Lines starting with ``#`` are comments and may appear anywhere; ``v``
+and ``e`` records may come in any order after the header. Query graphs
+and data graphs share the format.
 """
 
 from __future__ import annotations
@@ -262,7 +263,9 @@ def load_graph(path) -> Graph:
 
     Raises GraphFormatError carrying the offending line number for
     malformed lines, duplicate vertices, unknown-vertex or duplicate
-    edges, self-loops, id gaps, and degree mismatches.
+    edges, self-loops, id gaps, and degree mismatches. Records may come
+    in any order after the header: an edge's endpoints are checked
+    against the header's id range, and every id in it must be declared.
     """
     header: tuple[int, int] | None = None
     vertices: dict[int, tuple[int, int, int]] = {}  # id -> (label, declared degree, line)
@@ -315,13 +318,8 @@ def load_graph(path) -> Graph:
                         a, b = parse(parts[1]), parse(parts[2])
                     except ValueError:
                         raise GraphFormatError("malformed edge line, endpoints must be integers", lineno)
-                    if a == b:
-                        raise GraphFormatError(f"self-loop at vertex {a}", lineno)
                     if a > b:
                         raise GraphFormatError(f"edge ({a}, {b}) must be written src < dst", lineno)
-                    for end in (a, b):
-                        if end not in vertices:
-                            raise GraphFormatError(f"edge references unknown vertex {end}", lineno)
                     edges.append((a, b))
                     edge_lines.append(lineno)
                 else:
@@ -338,8 +336,8 @@ def load_graph(path) -> Graph:
 
         graph = Graph.from_edges([vertices[v][0] for v in range(header[0])], edges)
     except GraphFormatError:
-        # Graph.from_edges finds repeated edges in bulk once the file is
-        # read, so a repeat among the edges read so far precedes the error.
+        # Graph.from_edges finds self-loops, unknown endpoints and repeats in
+        # bulk once the file is read, so such an edge read so far precedes the error.
         defect = _first_defect(header[0] if header else 0, edges)
         if defect is None:
             raise

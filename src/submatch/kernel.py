@@ -53,7 +53,8 @@ so which one runs changes neither the matches nor their order.
 The three pipeline variants (basic, task, sep) find the same matches
 in the same rounds, so the matcher takes no variant. They exist only in
 the accounting: cycle_estimate prices one run's counters under each,
-and the variants differ only in how they count stage overlap.
+and the variants differ only in how they count stage overlap. The
+CLI's CPU-sharing variant, share, is priced as sep by compare alone.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ DEFAULT_CAPACITY = 1024
 # Post-filter chunk length above which an input's extensions are built by
 # zip instead of a comprehension (see pipeline_enumerate).
 _ZIP_CUTOVER = 16
-
-
-def _flavor(variant: str) -> str:
-    if variant == "share":
-        return "sep"
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return variant
 
 
 @dataclass
@@ -114,7 +107,9 @@ class CycleModel:
         return sum(self.latencies[4:])
 
     def scaled(self, ratio: float) -> "CycleModel":
-        """Copy with all latencies multiplied (models slower memory)."""
+        """Copy with all latencies multiplied (models slower memory, so ratio >= 1)."""
+        if not 1.0 <= ratio < math.inf:
+            raise ValueError("dram-ratio must be finite and >= 1")
         return CycleModel(tuple(l * ratio for l in self.latencies))
 
 
@@ -335,7 +330,7 @@ def _tail_rounds(lengths: Sequence[Sequence[int]], capacity: int) -> tuple[list[
             r += 1
 
 
-def _issue_cycles(flavor: str, n: int, m: int) -> int:
+def _issue_cycles(variant: str, n: int, m: int) -> int:
     """Cycles to issue n results and m edge tasks, one item per stage per cycle.
 
     basic runs the four per-result and two edge-task stages back to
@@ -343,9 +338,9 @@ def _issue_cycles(flavor: str, n: int, m: int) -> int:
     stream beside collection; sep also overlaps collection with
     expansion, leaving the expansion stream plus the bottleneck stream.
     """
-    if flavor == "basic":
+    if variant == "basic":
         return 4 * n + 2 * m
-    if flavor == "task":
+    if variant == "task":
         return 2 * n + max(n, m)
     return n + max(n, m)
 
@@ -360,9 +355,10 @@ def cycle_estimate(model: CycleModel, variant: str, capacity: int = DEFAULT_CAPA
     """
     n = model.results_generated
     m = model.edge_tasks_generated
-    flavor = _flavor(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    if flavor == "basic":
-        return (n * model.per_result_latency + m * model.per_edge_task_latency) / capacity + _issue_cycles(flavor, n, m)
-    return _issue_cycles(flavor, n, m)
+    if variant == "basic":
+        return (n * model.per_result_latency + m * model.per_edge_task_latency) / capacity + _issue_cycles(variant, n, m)
+    return _issue_cycles(variant, n, m)

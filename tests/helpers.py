@@ -728,11 +728,12 @@ def simulate_dataflow_schedule(trace: Iterable[RoundTrace], variant: str, model:
     never less than the closed-form estimate minus the fill slack for
     the same trace.
     """
-    flavor = kernel._flavor(variant)
+    if variant not in kernel.VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     max_latency = max(model.latencies)
     total = 0.0
     for r in trace:
-        total += kernel._issue_cycles(flavor, r.outputs, r.edge_tasks) + _round_fill(r.outputs, r.edge_tasks, max_latency)
+        total += kernel._issue_cycles(variant, r.outputs, r.edge_tasks) + _round_fill(r.outputs, r.edge_tasks, max_latency)
     return total
 
 

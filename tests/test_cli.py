@@ -233,7 +233,8 @@ def test_compare_runs_each_distinct_job_once_and_prices_it_per_variant(capsys, b
         model = CycleModel()
         config = PartitionConfig(size_budget=3000, fixed_k=k)
         _, stats = run_job(data, query, config, SchedulerState(delta), row["variant"], model=model)
-        expected = [stats.embeddings, stats.partitions, round(cycle_estimate(model, row["variant"], 1024))]
+        priced = "sep" if row["variant"] == "share" else row["variant"]  # share is priced as sep
+        expected = [stats.embeddings, stats.partitions, round(cycle_estimate(model, priced, 1024))]
         assert [int(row[f]) for f in ("embeddings", "partitions", "cycles")] == expected
     assert len(wall_ms) == 4
 
@@ -438,6 +439,23 @@ def test_bad_budget_or_capacity_is_config_error_before_any_output(capsys, worked
     code, out = run_cli(capsys, command, "--data", data, "--query", query, "--json", *flags)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "config"  # the whole output: no report or CSV header
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("run", ["--k", "1"], "fixed_k must be >= 2 when set"),
+        ("compare", ["--k", "auto,1"], "fixed_k must be >= 2 when set"),
+        ("run", ["--variant", "basic", "--delta", "2"], "delta must lie in [0, 1]"),
+        ("compare", ["--dram-ratio", "0.5"], "dram-ratio must be finite and >= 1"),
+    ],
+)
+def test_option_values_are_checked_by_the_objects_they_build(capsys, worked_paths, command, flags, message):
+    """PartitionConfig, SchedulerState and CycleModel.scaled check the values; the CLI reports their message."""
+    data, query = worked_paths
+    code, out = run_cli(capsys, command, "--data", data, "--query", query, "--json", *flags)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "config", "message": message}}  # the whole output
 
 
 def test_run_unwritable_trace_path_is_io_error(capsys, worked_paths, tmp_path):

@@ -110,6 +110,26 @@ def test_repeated_edge_is_reported_before_a_later_defect(tmp_path, header, later
     assert err.value.line == 5
 
 
+def test_records_may_come_in_any_order_after_the_header(tmp_path):
+    path, canonical = tmp_path / "edges_first.graph", tmp_path / "canonical.graph"
+    path.write_text("t 3 2\nv 0 0 1\ne 0 1\ne 1 2\nv 2 0 1\nv 1 1 2\n")
+    canonical.write_text("t 3 2\nv 0 0 1\nv 1 1 2\nv 2 0 1\ne 0 1\ne 1 2\n")
+    assert load_graph(path) == load_graph(canonical)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("t 3 2\ne 0 1\ne 1 3\nv 0 0 1\nv 1 0 2\nv 2 0 1\n", 3), ("t 3 2\nv 0 0 1\nv 1 0 2\nv 2 0 1\ne 0 1\ne 1 3\n", 6)],
+)
+def test_edge_endpoints_are_checked_against_the_header_range(tmp_path, body, line):
+    path = tmp_path / "bad.graph"
+    path.write_text(body)
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == f"line {line}: edge (1, 3) references unknown vertex"
+    assert err.value.line == line
+
+
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     path = tmp_path / "c.graph"
     path.write_text("# header\n\nt 2 1\n# vertices\nv 0 0 1\nv 1 0 1\ne 0 1\n")

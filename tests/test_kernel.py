@@ -445,6 +445,13 @@ def test_model_rejects_non_finite_latencies(bad):
         CycleModel().scaled(bad)
 
 
+@pytest.mark.parametrize("ratio", [0.5, math.nan, math.inf])
+def test_scaling_rejects_faster_or_non_finite_memory(ratio):
+    """Latencies of 4 halved stay >= 1, but would model memory faster than the default."""
+    with pytest.raises(ValueError, match="dram-ratio must be finite and >= 1"):
+        CycleModel((4.0,) * 6).scaled(ratio)
+
+
 def test_model_validation_and_scaling():
     with pytest.raises(ValueError):
         CycleModel((1.0,))
