@@ -6,7 +6,7 @@ routes the pieces between a host side and a batched dataflow pipeline
 (both run the pipeline's loop; only the kernel side is costed),
 enumerates all embeddings exactly, and reports closed-form cycle-cost
 estimates for the pipeline. The pipeline variants (basic, task, sep)
-only price a run: one run's counters give all three estimates.
+only price a run: one run's task counts give all three estimates.
 """
 
 from .candidate_tree import (

@@ -114,20 +114,18 @@ def _built_from(args, deltas: list[float], fixed_ks: list[int | None]) -> tuple[
 
     The library objects check the values; their ValueError is a config error.
     """
-    if args.capacity < 1:
-        raise CliError("config", "--no must be >= 1")
     try:
         states = [SchedulerState(delta) for delta in deltas]
         configs = [
             PartitionConfig(size_budget=args.delta_s, degree_budget=args.delta_d, port_limit=args.port_max, fixed_k=k)
             for k in fixed_ks
         ]
-        return states, configs, CycleModel(args.l_consts).scaled(args.dram_ratio)
+        return states, configs, CycleModel(args.l_consts, args.capacity).scaled(args.dram_ratio)
     except ValueError as exc:
         raise CliError("config", str(exc))
 
 
-def _job(jobs: dict, data, query, config, state, variant, model, capacity, trace=False) -> JobStats:
+def _job(jobs: dict, data, query, config, state, variant, model, trace=False) -> JobStats:
     """Stats of the job a `variant` report or row reads, run once per effective delta and config in `jobs`.
 
     Delta applies under share only, and variants differ only in pricing.
@@ -135,8 +133,7 @@ def _job(jobs: dict, data, query, config, state, variant, model, capacity, trace
     key = (state.delta if variant == "share" else 0.0, config)
     if key not in jobs:
         try:
-            _, jobs[key] = run_job(data, query, config, SchedulerState(key[0]), variant, capacity=capacity,
-                                   model=CycleModel(model.latencies), collect_trace=trace)
+            _, jobs[key] = run_job(data, query, config, SchedulerState(key[0]), variant, model=model, collect_trace=trace)
         except (UnsplittableTreeError, ValueError) as exc:
             raise CliError("run", str(exc))
     return jobs[key]
@@ -165,7 +162,7 @@ def _cmd_run(args) -> int:
     (state,), (config,), model = _built_from(args, [args.delta], [args.fixed_k])
     if args.trace:
         _write_trace(args.trace, ())  # an unwritable path fails here, before the job
-    stats = _job({}, data, query, config, state, args.variant, model, args.capacity, bool(args.trace))
+    stats = _job({}, data, query, config, state, args.variant, model, bool(args.trace))
     _check_cycles(stats.cycles_basic, stats.cycles_task, stats.cycles_sep)
     if args.trace:
         _write_trace(args.trace, stats.traces)
@@ -202,7 +199,7 @@ def _cmd_compare(args) -> int:
     for variant in variants:
         for state in states:
             for k_text, config in zip(k_texts, configs):
-                stats = _job(jobs, data, query, config, state, variant, model, args.capacity)
+                stats = _job(jobs, data, query, config, state, variant, model)
                 cycles = getattr(stats, f"cycles_{'sep' if variant == 'share' else variant}")
                 _check_cycles(cycles)
                 writer.writerow([

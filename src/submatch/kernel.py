@@ -6,13 +6,14 @@ the new mappings (visited check against the source prefix, edge check
 against stored non-tree lists), and files survivors back into the buffer
 or into the match set. Per round at most `capacity` new partials are
 produced, and expanding deepest-first keeps every buffer level within
-that same bound.
+that same bound. Both the bound and the stage latencies belong to the
+frozen CycleModel a run reads; the run's task counts are returned.
 
 pipeline_enumerate runs each round as one pass over the inputs it
 admits and takes the round's task counts from closed forms. The test
 suite keeps a staged model of the same rounds, with per-task records
 and bit vectors, as its reference (tests/helpers.py): it gives the
-same matches, counters, trace and buffer peaks.
+same matches, task counts, trace and buffer peaks.
 
 Matches come out strictly increasing with no sort. Candidate lists are
 sorted and every level is FIFO, so each level holds its partials in
@@ -35,7 +36,7 @@ appended as one itertools.product, built in C, when p would be filed.
 The product walks the sorted rows lexicographically and p's answers
 all precede a later partial's, so the list stays increasing. The rounds
 that would have built them are replayed from the rows' lengths alone
-(_tail_rounds), so the trace, counters and buffer peak are those of the
+(_tail_rounds), so the trace, task counts and buffer peak are those of the
 round-by-round run, and the modelled cycles cannot move.
 
 An input's surviving extensions are built as partial + (v,) per
@@ -52,7 +53,7 @@ so which one runs changes neither the matches nor their order.
 
 The three pipeline variants (basic, task, sep) find the same matches
 in the same rounds, so the matcher takes no variant. They exist only in
-the accounting: cycle_estimate prices one run's counters under each,
+the accounting: cycle_estimate prices one run's task counts under each,
 and the variants differ only in how they count stage overlap. The
 CLI's CPU-sharing variant, share, is priced as sep by compare alone.
 """
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product, repeat
 from typing import NamedTuple, Sequence
 
@@ -79,23 +80,26 @@ DEFAULT_CAPACITY = 1024
 _ZIP_CUTOVER = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleModel:
-    """Per-stage latency constants and the run's task counters.
+    """The modelled pipeline: per-stage latency constants and the per-round output bound.
 
-    results_generated counts every expanded partial (valid or not);
-    edge_tasks_generated counts every emitted edge-validation task.
+    capacity (N_o) bounds each round's outputs and is also every buffer
+    level's size. The model is a frozen value, so one model can price
+    any number of runs; a run's task counts are returned, not kept here.
     """
 
     latencies: tuple[float, ...] = DEFAULT_LATENCIES
-    results_generated: int = 0
-    edge_tasks_generated: int = 0
+    capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
+        object.__setattr__(self, "latencies", tuple(self.latencies))
         if len(self.latencies) != 6:
             raise ValueError("expected six stage latencies")
         if not all(1 <= l < math.inf for l in self.latencies):
             raise ValueError("stage latencies must be finite and >= 1")
+        if self.capacity < 1:
+            raise ValueError("capacity must be >= 1")
 
     @property
     def per_result_latency(self) -> float:
@@ -110,7 +114,7 @@ class CycleModel:
         """Copy with all latencies multiplied (models slower memory, so ratio >= 1)."""
         if not 1.0 <= ratio < math.inf:
             raise ValueError("dram-ratio must be finite and >= 1")
-        return CycleModel(tuple(l * ratio for l in self.latencies))
+        return replace(self, latencies=tuple(l * ratio for l in self.latencies))
 
 
 class RoundTrace(NamedTuple):
@@ -129,18 +133,18 @@ class BufferOverflowError(RuntimeError):
 def pipeline_enumerate(
     tree: CandidateTree,
     plan: QueryPlan,
-    capacity: int = DEFAULT_CAPACITY,
-    model: CycleModel | None = None,
+    model: CycleModel = CycleModel(),
     *,
     port_limit: int | None = None,
     trace: list[RoundTrace] | None = None,
     buffer_stats: list[tuple[int, int]] | None = None,
-) -> tuple[list[tuple[int, ...]], CycleModel]:
+) -> tuple[list[tuple[int, ...]], int, int]:
     """Enumerate every embedding of the tree's search space.
 
-    Root candidates are streamed into level 1 at most `capacity` at a
-    time, and only once everything deeper has drained, so no level ever
-    exceeds `capacity`; filing past it raises BufferOverflowError. Each
+    `capacity` is model.capacity. Root candidates are streamed into
+    level 1 at most `capacity` at a time, and only once everything
+    deeper has drained, so no level ever exceeds `capacity`; filing
+    past it raises BufferOverflowError. Each
     round pops inputs FIFO from the deepest non-empty level until the
     next one could take the round past `capacity` outputs; an input
     whose list alone is longer expands its first `capacity` candidates
@@ -156,21 +160,19 @@ def pipeline_enumerate(
     task per output and earlier non-tree neighbor. With disjoint
     candidate sets, partials that reach the plan's free tail get their
     answers as one product each, and the tail's rounds are replayed from
-    row lengths (see the module docstring). Counters on `model`
-    accumulate across calls, which lets one model aggregate a whole
-    partitioned job. When given, `buffer_stats` receives one (peak
-    level occupancy, capacity) pair.
+    row lengths (see the module docstring). The frozen model is only
+    read: the run returns its matches, the results it generated (every
+    expanded partial, valid or not) and the edge tasks it generated.
+    When given, `buffer_stats` receives one (peak level occupancy,
+    capacity) pair.
     A 1-vertex query runs no round: its root candidates are the matches.
     Matches are returned strictly increasing without a sort (see the
     module docstring).
     """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    if model is None:
-        model = CycleModel()
     if port_limit is not None and tree.max_degree > port_limit:
         raise ValueError(f"tree degree {tree.max_degree} exceeds port limit {port_limit}")
 
+    capacity = model.capacity
     order_length = plan.num_vertices
     # Buffer levels 1..order_length-1 (0 is unused). Only a level's front
     # entry can be a partly expanded input; front_offset is its resume
@@ -181,6 +183,7 @@ def pipeline_enumerate(
     roots = tree.candidates[plan.root]
     matches: list[tuple[int, ...]] = []
     cursor = 0
+    results_generated = edge_tasks_generated = 0
 
     # Per depth: parent position, tree-edge lists, earlier non-tree groups.
     stages: list = [None]
@@ -228,8 +231,8 @@ def pipeline_enumerate(
             front_offset[depth] = offset
 
             edge_tasks = outputs * len(checks)
-            model.results_generated += outputs
-            model.edge_tasks_generated += edge_tasks
+            results_generated += outputs
+            edge_tasks_generated += edge_tasks
             if trace is not None:
                 trace.append(RoundTrace(round_no, depth, outputs, outputs, edge_tasks, len(survivors)))
             round_no += 1
@@ -250,7 +253,7 @@ def pipeline_enumerate(
                 matches += product(*[(v,) for v in partial], *rows)
                 lengths.append(list(map(len, rows)))
             rounds, tail_peak = _tail_rounds(lengths, capacity)
-            model.results_generated += sum(out for _, out in rounds)
+            results_generated += sum(out for _, out in rounds)
             if trace is not None:
                 trace += [RoundTrace(round_no + i, tail + r, out, out, 0, out) for i, (r, out) in enumerate(rounds)]
             round_no += len(rounds)
@@ -267,7 +270,7 @@ def pipeline_enumerate(
 
     if buffer_stats is not None:
         buffer_stats.append((peak, capacity))
-    return matches, model
+    return matches, results_generated, edge_tasks_generated
 
 
 def _tail_rounds(lengths: Sequence[Sequence[int]], capacity: int) -> tuple[list[tuple[int, int]], int]:
@@ -345,20 +348,17 @@ def _issue_cycles(variant: str, n: int, m: int) -> int:
     return n + max(n, m)
 
 
-def cycle_estimate(model: CycleModel, variant: str, capacity: int = DEFAULT_CAPACITY) -> float:
-    """Closed-form cycle cost of one run under the given pipeline variant.
+def cycle_estimate(model: CycleModel, variant: str, results: int, edge_tasks: int) -> float:
+    """Closed-form cycle cost of one run's task counts under the given pipeline variant.
 
-    basic: stages are pipelined within a round but run one after
-    another. task: the expand and visited-check stages overlap, then
-    edge work and collection. sep: duplicated task generators let all
-    stages overlap.
+    basic: stages are pipelined within a round (at most model.capacity
+    results) but run one after another. task: the expand and
+    visited-check stages overlap, then edge work and collection. sep:
+    duplicated task generators let all stages overlap.
     """
-    n = model.results_generated
-    m = model.edge_tasks_generated
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
+    n, m = results, edge_tasks
     if variant == "basic":
-        return (n * model.per_result_latency + m * model.per_edge_task_latency) / capacity + _issue_cycles(variant, n, m)
+        return (n * model.per_result_latency + m * model.per_edge_task_latency) / model.capacity + _issue_cycles(variant, n, m)
     return _issue_cycles(variant, n, m)

@@ -4,7 +4,7 @@ Each partitioned tree is routed by its estimated workload: the host side
 takes it only while the host's cumulative share would stay below the
 configured fraction of all routed work. Every tree is matched by the
 kernel's loop as soon as it is routed; only kernel-routed trees count
-towards the job's cycle model, so routing is accounting alone.
+towards the job's task counts and cycles, so routing is accounting alone.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from itertools import chain
 from . import kernel
 from .candidate_tree import CandidateTree, build_candidate_tree, estimate_workload
 from .graph import Graph, paused_collector
-from .kernel import (
-    DEFAULT_CAPACITY,
-    CycleModel,
-    RoundTrace,
-    cycle_estimate,
-    pipeline_enumerate,
-)
+from .kernel import CycleModel, RoundTrace, cycle_estimate, pipeline_enumerate
 from .partition import PartitionConfig, partition_tree
 from .plan import QueryPlan, build_query_plan
 
@@ -57,7 +51,7 @@ def route_tree(state: SchedulerState, workload: int) -> str:
 
 
 def host_match(tree: CandidateTree, plan: QueryPlan) -> list[tuple[int, ...]]:
-    """Match one host-routed tree: the kernel's loop under a throwaway CycleModel.
+    """Match one host-routed tree with the kernel's loop; its task counts are dropped.
 
     Calls kernel.pipeline_enumerate rather than this module's attribute,
     so whatever wraps the latter sees kernel-routed trees only. Results
@@ -107,8 +101,7 @@ def run_job(
     state: SchedulerState,
     variant: str = "share",
     *,
-    capacity: int = DEFAULT_CAPACITY,
-    model: CycleModel | None = None,
+    model: CycleModel = CycleModel(),
     collect_trace: bool = False,
 ) -> tuple[list[tuple[int, ...]], JobStats]:
     """Plan, build, partition, route, match on both sides, and merge.
@@ -119,10 +112,12 @@ def run_job(
     single run is returned as it is (no copy), and only several runs
     are merged and sorted. `state` supplies the share threshold; the
     job is routed and reported from zero totals and leaves `state` as
-    it was. The stats price the job's one run under every pipeline
-    variant. `variant` is checked against JOB_VARIANTS and otherwise
-    unused; it stays positional only because the benchmark's job list
-    (perfbench/bench.py) passes it, until that list stops doing so.
+    it was. The stats sum the task counts the kernel-routed calls
+    return and price them under every pipeline variant; `model` is only
+    read, so one model serves any number of jobs. `variant` is checked
+    against JOB_VARIANTS and otherwise unused; it stays positional only
+    because the benchmark's job list (perfbench/bench.py) passes it,
+    until that list stops doing so.
 
     The cyclic garbage collector is paused for the whole job by the
     shared graph.paused_collector, which turns it back on afterwards
@@ -138,20 +133,22 @@ def run_job(
     start = time.perf_counter()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    if model is None:
-        model = CycleModel()
     state = SchedulerState(state.delta)
 
     runs: list[list[tuple[int, ...]]] = []  # non-empty sorted embedding lists
     routing_log: list[tuple[int, str]] = []
     traces: list[RoundTrace] = [] if collect_trace else None  # type: ignore[assignment]
+    results_generated = edge_tasks_generated = 0  # kernel-routed trees only
 
     def dispatch(part: CandidateTree) -> None:
+        nonlocal results_generated, edge_tasks_generated
         workload = estimate_workload(part, plan)
         side = route_tree(state, workload)
         routing_log.append((workload, side))
         if side == "kernel":
-            found, _ = pipeline_enumerate(part, plan, capacity, model, port_limit=config.port_limit, trace=traces)
+            found, results, edge_tasks = pipeline_enumerate(part, plan, model, port_limit=config.port_limit, trace=traces)
+            results_generated += results
+            edge_tasks_generated += edge_tasks
         else:
             found = host_match(part, plan)
         if found:
@@ -167,14 +164,14 @@ def run_job(
         partitions=partitions,
         w_c=state.w_c,
         w_f=state.w_f,
-        cycles_basic=cycle_estimate(model, "basic", capacity),
-        cycles_task=cycle_estimate(model, "task", capacity),
-        cycles_sep=cycle_estimate(model, "sep", capacity),
+        cycles_basic=cycle_estimate(model, "basic", results_generated, edge_tasks_generated),
+        cycles_task=cycle_estimate(model, "task", results_generated, edge_tasks_generated),
+        cycles_sep=cycle_estimate(model, "sep", results_generated, edge_tasks_generated),
         wall_ms=wall_ms,
         host_trees=len(routing_log) - kernel_trees,
         kernel_trees=kernel_trees,
-        results_generated=model.results_generated,
-        edge_tasks_generated=model.edge_tasks_generated,
+        results_generated=results_generated,
+        edge_tasks_generated=edge_tasks_generated,
         routing_log=routing_log,
         traces=traces if collect_trace else [],
     )

@@ -33,7 +33,7 @@ import submatch.partition
 from submatch import kernel
 from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES
 from submatch.fixtures import QUERY_NAMES, data_path
-from submatch.kernel import DEFAULT_CAPACITY, BufferOverflowError, CycleModel, RoundTrace
+from submatch.kernel import BufferOverflowError, CycleModel, RoundTrace
 
 from oracle import brute_force_embeddings
 
@@ -655,8 +655,7 @@ def synchronize(batch: TaskBatch, buffer: ResultBuffer, matches: list, order_len
 def reference_pipeline_enumerate(
     tree,
     plan,
-    capacity=DEFAULT_CAPACITY,
-    model=None,
+    model=CycleModel(),
     *,
     port_limit=None,
     trace=None,
@@ -665,20 +664,21 @@ def reference_pipeline_enumerate(
     """Stage-by-stage driver: generate_batch, both validators, synchronize.
 
     The test reference for submatch.pipeline_enumerate, which runs each
-    round as one pass instead; both must give == matches, counters,
-    traces and buffer peaks. Needs a query of at least two vertices.
+    round as one pass instead; both take the same arguments and must
+    give == matches, task counts, traces and buffer peaks. Needs a query
+    of at least two vertices.
     """
-    if model is None:
-        model = CycleModel()
     if port_limit is not None and tree.max_degree > port_limit:
         raise ValueError(f"tree degree {tree.max_degree} exceeds port limit {port_limit}")
 
+    capacity = model.capacity
     order_length = plan.num_vertices
     buffer = ResultBuffer(order_length - 1, capacity)
     roots = tree.candidates[plan.root]
     cursor = 0
     matches = []
     round_no = 0
+    results_generated = edge_tasks_generated = 0
 
     while True:
         depth = buffer.deepest_nonempty()
@@ -694,8 +694,8 @@ def reference_pipeline_enumerate(
         batch.visited_bits = validate_visited(batch.visited_tasks, batch.sources)
         batch.edge_bits = validate_edges(tree, batch.edge_tasks, len(batch.outputs))
         accepted = synchronize(batch, buffer, matches, order_length)
-        model.results_generated += len(batch.outputs)
-        model.edge_tasks_generated += len(batch.edge_tasks)
+        results_generated += len(batch.outputs)
+        edge_tasks_generated += len(batch.edge_tasks)
         if trace is not None:
             trace.append(
                 RoundTrace(round_no, depth, len(batch.outputs), len(batch.visited_tasks), len(batch.edge_tasks), accepted)
@@ -705,7 +705,7 @@ def reference_pipeline_enumerate(
     if buffer_stats is not None:
         buffer_stats.append((buffer.max_occupancy, capacity))
     matches.sort()
-    return matches, model
+    return matches, results_generated, edge_tasks_generated
 
 
 def _round_fill(outputs: int, edge_tasks: int, max_latency: float) -> float:

@@ -59,7 +59,7 @@ def family():
         stats: list[tuple[int, int]] = []
         outcomes = []
         for capacity in CAPACITIES:
-            found, _ = pipeline_enumerate(tree, plan, capacity, CycleModel(), buffer_stats=stats)
+            found, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity), buffer_stats=stats)
             outcomes.append(found)
         hosted = host_match(tree, plan)
         runs.append((expected, outcomes, hosted, stats))
@@ -75,7 +75,7 @@ def test_criterion_1_worked_example_fidelity():
     assert tree.groups[(1, 2)][5] == [4, 6]
     assert tree.groups[(2, 3)][2] == [8]
 
-    found, _ = pipeline_enumerate(tree, plan, 1024, CycleModel())
+    found, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=1024))
     assert found == [(0, 3, 2, 8), (1, 5, 4, 9)]
 
     # the projected-batch example: two partials expanding the third vertex
@@ -170,22 +170,21 @@ def test_criterion_6_cycle_model_ordering_and_bounds():
         n = rng.randint(0, 10**6)
         m = rng.randint(0, 10**6)
         lat = tuple(float(rng.randint(1, 32)) for _ in range(6))
-        model = CycleModel(lat, results_generated=n, edge_tasks_generated=m)
         # any capacity preserves the variant ordering
-        cap_any = rng.choice([1, 8, 1024, 10**6])
-        basic = cycle_estimate(model, "basic", cap_any)
-        task = cycle_estimate(model, "task", cap_any)
-        sep = cycle_estimate(model, "sep", cap_any)
+        model = CycleModel(lat, rng.choice([1, 8, 1024, 10**6]))
+        basic = cycle_estimate(model, "basic", n, m)
+        task = cycle_estimate(model, "task", n, m)
+        sep = cycle_estimate(model, "sep", n, m)
         assert sep <= task <= basic
         # the improvement bounds hold in the intended regime, where the
         # per-round fill term is negligible next to the issue terms
         denom = 4 * n + 2 * m
         if denom:
             fill_ratio = (n * model.per_result_latency + m * model.per_edge_task_latency) / denom
-            cap = max(1, int(fill_ratio * rng.uniform(1e10, 1e12)))
-            basic = cycle_estimate(model, "basic", cap)
-            task = cycle_estimate(model, "task", cap)
-            sep = cycle_estimate(model, "sep", cap)
+            model = CycleModel(lat, max(1, int(fill_ratio * rng.uniform(1e10, 1e12))))
+            basic = cycle_estimate(model, "basic", n, m)
+            task = cycle_estimate(model, "task", n, m)
+            sep = cycle_estimate(model, "sep", n, m)
             assert sep <= task <= basic
             if basic:
                 assert 1.0 - task / basic <= 0.5 + eps
@@ -201,14 +200,14 @@ def test_criterion_7_event_simulation_consistency():
         plan = build_query_plan(query, graph)
         tree = build_candidate_tree(graph, query, plan)
         trace: list = []
-        model = CycleModel()
-        pipeline_enumerate(tree, plan, 1024, model, trace=trace)
+        model = CycleModel(capacity=1024)
+        _, results, edge_tasks = pipeline_enumerate(tree, plan, model, trace=trace)
         slack = pipeline_fill_slack(trace, model)
         makespans = {}
         for variant in VARIANTS:
             event = simulate_dataflow_schedule(trace, variant, model)
             makespans[variant] = event
-            closed = cycle_estimate(model, variant, 1024)
+            closed = cycle_estimate(model, variant, results, edge_tasks)
             assert closed > 0, f"{name} produced no work"
             assert abs((event - slack) - closed) <= 0.15 * closed, (
                 f"{name}/{variant}: event {event} - slack {slack} vs closed {closed}"
@@ -261,16 +260,12 @@ def test_memory_latency_scaling_note():
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     trace: list = []
-    model = CycleModel()
-    pipeline_enumerate(tree, plan, 8, model, trace=trace)
+    model = CycleModel(capacity=8)
+    _, results, edge_tasks = pipeline_enumerate(tree, plan, model, trace=trace)
     previous = -1.0
     for ratio in (1.0, 2.0, 4.0, 7.0, 8.0):
-        scaled = CycleModel(
-            tuple(l * ratio for l in model.latencies),
-            results_generated=model.results_generated,
-            edge_tasks_generated=model.edge_tasks_generated,
-        )
-        cycles = cycle_estimate(scaled, "basic", 8) + simulate_dataflow_schedule(trace, "basic", scaled)
+        scaled = model.scaled(ratio)
+        cycles = cycle_estimate(scaled, "basic", results, edge_tasks) + simulate_dataflow_schedule(trace, "basic", scaled)
         assert cycles > previous
         previous = cycles
     report("note", "slow-memory ratio scales modeled cycles monotonically", started)

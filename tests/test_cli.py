@@ -8,16 +8,7 @@ import tracemalloc
 
 import pytest
 
-from submatch import (
-    CycleModel,
-    PartitionConfig,
-    SchedulerState,
-    cycle_estimate,
-    fixtures,
-    load_graph,
-    run_job,
-    save_graph,
-)
+from submatch import PartitionConfig, SchedulerState, fixtures, load_graph, run_job, save_graph
 from submatch import cli
 from submatch.cli import main
 
@@ -230,11 +221,10 @@ def test_compare_runs_each_distinct_job_once_and_prices_it_per_variant(capsys, b
         delta = float(row["delta"]) if row["variant"] == "share" else 0.0
         k = None if row["k"] == "auto" else int(row["k"])
         assert wall_ms.setdefault((delta, k), row["wall_ms"]) == row["wall_ms"]  # rows sharing a job share wall_ms
-        model = CycleModel()
         config = PartitionConfig(size_budget=3000, fixed_k=k)
-        _, stats = run_job(data, query, config, SchedulerState(delta), row["variant"], model=model)
+        _, stats = run_job(data, query, config, SchedulerState(delta), row["variant"])
         priced = "sep" if row["variant"] == "share" else row["variant"]  # share is priced as sep
-        expected = [stats.embeddings, stats.partitions, round(cycle_estimate(model, priced, 1024))]
+        expected = [stats.embeddings, stats.partitions, round(getattr(stats, f"cycles_{priced}"))]
         assert [int(row[f]) for f in ("embeddings", "partitions", "cycles")] == expected
     assert len(wall_ms) == 4
 
@@ -448,10 +438,11 @@ def test_bad_budget_or_capacity_is_config_error_before_any_output(capsys, worked
         ("compare", ["--k", "auto,1"], "fixed_k must be >= 2 when set"),
         ("run", ["--variant", "basic", "--delta", "2"], "delta must lie in [0, 1]"),
         ("compare", ["--dram-ratio", "0.5"], "dram-ratio must be finite and >= 1"),
+        ("run", ["--no", "0"], "capacity must be >= 1"),
     ],
 )
 def test_option_values_are_checked_by_the_objects_they_build(capsys, worked_paths, command, flags, message):
-    """PartitionConfig, SchedulerState and CycleModel.scaled check the values; the CLI reports their message."""
+    """PartitionConfig, SchedulerState and CycleModel check the values; the CLI reports their message."""
     data, query = worked_paths
     code, out = run_cli(capsys, command, "--data", data, "--query", query, "--json", *flags)
     assert code == 1

@@ -8,7 +8,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from submatch import PartitionConfig, SchedulerState, UnsplittableTreeError, build_candidate_tree, build_query_plan, run_job
+from submatch import (
+    CycleModel,
+    PartitionConfig,
+    SchedulerState,
+    UnsplittableTreeError,
+    build_candidate_tree,
+    build_query_plan,
+    run_job,
+)
 
 import helpers
 from oracle import brute_force_embeddings
@@ -39,7 +47,7 @@ def test_run_job_answers_the_oracle_whatever_the_share(seed, size_share, degree_
     runs = []
     for share in (delta, 0.0, 1.0):
         try:
-            runs.append(run_job(data, query, config, SchedulerState(share), "share", capacity=capacity))
+            runs.append(run_job(data, query, config, SchedulerState(share), "share", model=CycleModel(capacity=capacity)))
         except UnsplittableTreeError:
             assume(False)
     expected = brute_force_embeddings(query, data, plan.order)

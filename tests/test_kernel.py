@@ -68,7 +68,7 @@ def test_task_counts_recount_on_random_batches():
     for data, query, plan, _ in helpers.solvable_instances(8, 30_000, max_data=35):
         tree = build_candidate_tree(data, query, plan)
         trace = []
-        pipeline_enumerate(tree, plan, 16, CycleModel(), trace=trace)
+        pipeline_enumerate(tree, plan, CycleModel(capacity=16), trace=trace)
         for row in trace:
             assert row.visited_tasks == row.outputs
             u = plan.order[row.depth]
@@ -101,9 +101,9 @@ def test_oversized_candidate_list_splits_with_continuation():
     batch = generate_batch(buf, 1, tree, plan, 2)
     assert batch.outputs == [(0, 5)]
     assert buf.deepest_nonempty() is None
-    matches, model = pipeline_enumerate(tree, plan, 2, CycleModel())
+    matches, results, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=2))
     assert matches == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
-    assert model.results_generated == 5
+    assert results == 5
 
 
 def test_visited_validator_flags_revisits():
@@ -167,17 +167,17 @@ def test_chain_query_single_root_no_edge_tasks():
     query = Graph.from_edges([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    matches, model = pipeline_enumerate(tree, plan, 1024, CycleModel())
+    matches, results, edge_tasks = pipeline_enumerate(tree, plan, CycleModel(capacity=1024))
     assert len(matches) == 1
-    assert model.edge_tasks_generated == 0
-    assert model.results_generated == 3
+    assert edge_tasks == 0
+    assert results == 3
 
 
 def test_capacities_agree_with_oracle():
     for data, query, plan, expected in helpers.solvable_instances(12, 33_000, max_data=40):
         tree = build_candidate_tree(data, query, plan)
         for capacity in (1, 8, 1024):
-            found, _ = pipeline_enumerate(tree, plan, capacity, CycleModel())
+            found, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity))
             assert found == expected
 
 
@@ -186,7 +186,7 @@ def test_buffer_bound_holds_even_at_capacity_one():
         tree = build_candidate_tree(data, query, plan)
         for capacity in (1, 2, 7):
             buffer_stats = []
-            matches, _ = pipeline_enumerate(tree, plan, capacity, CycleModel(), buffer_stats=buffer_stats)
+            matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity), buffer_stats=buffer_stats)
             assert matches == expected
             [(peak, bound)] = buffer_stats
             assert bound == capacity and peak <= capacity
@@ -225,8 +225,7 @@ def _kernel_cases():
 
 def _run_kernel(enumerate_fn, tree, plan, capacity):
     trace, buffer_stats = [], []
-    matches, model = enumerate_fn(tree, plan, capacity, CycleModel(), trace=trace, buffer_stats=buffer_stats)
-    return matches, model.results_generated, model.edge_tasks_generated, trace, buffer_stats
+    return *enumerate_fn(tree, plan, CycleModel(capacity=capacity), trace=trace, buffer_stats=buffer_stats), trace, buffer_stats
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,14 +320,14 @@ def test_free_tail_lists_longer_than_capacity_equal_staged_reference():
     tree = build_candidate_tree(data, query, plan)
     assert plan.tail_start == 1 and tree.max_degree == 7
     _assert_equal_to_staged_reference(tree, plan, (1, 2, 3, 6, 8))
-    assert len(pipeline_enumerate(tree, plan, 3)[0]) == 35
+    assert len(pipeline_enumerate(tree, plan, CycleModel(capacity=3))[0]) == 35
 
 
 def test_matches_come_out_strictly_increasing_without_a_sort():
     for name, tree, plan in _kernel_trees():
         expected = helpers.reference_tree_matches(tree, plan)
         for capacity in (1, 2, 8, 1024):
-            matches, _ = pipeline_enumerate(tree, plan, capacity)
+            matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity))
             assert all(a < b for a, b in zip(matches, matches[1:])), (name, capacity)
             assert matches == expected, (name, capacity)
 
@@ -364,7 +363,7 @@ def test_only_queries_with_shared_candidates_check_repeats():
         walks = _walks(tree, plan)
         assert any(len(set(w)) < len(w) for w in walks)
         for capacity in (1, 2, 8, 1024):
-            matches, _ = pipeline_enumerate(tree, plan, capacity)
+            matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity))
             assert matches == [w for w in walks if len(set(w)) == len(w)], capacity
 
 
@@ -383,15 +382,15 @@ def test_shared_candidate_runs_the_visited_check_however_the_tree_is_built():
     tree = CandidateTree([[1], [2, 3], [2, 3]], {(0, 1): {1: [2, 3]}, (0, 2): {1: [2, 3]}})
     assert not tree.disjoint
     for capacity in (1, 2, 1024):
-        matches, _ = pipeline_enumerate(tree, plan, capacity)
+        matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity))
         assert matches == [(1, 2, 3), (1, 3, 2)], capacity
 
 
 def test_port_limit_precondition_enforced():
     tree, plan = helpers.partition_example()
     with pytest.raises(ValueError):
-        pipeline_enumerate(tree, plan, 1024, CycleModel(), port_limit=tree.max_degree - 1)
-    matches, _ = pipeline_enumerate(tree, plan, 1024, CycleModel(), port_limit=tree.max_degree)
+        pipeline_enumerate(tree, plan, CycleModel(capacity=1024), port_limit=tree.max_degree - 1)
+    matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=1024), port_limit=tree.max_degree)
     assert len(matches) == 3
 
 
@@ -399,41 +398,38 @@ def test_counters_match_trace_totals():
     for data, query, plan, _ in helpers.solvable_instances(6, 35_000, max_data=35):
         tree = build_candidate_tree(data, query, plan)
         trace = []
-        _, model = pipeline_enumerate(tree, plan, 16, CycleModel(), trace=trace)
-        assert model.results_generated == sum(r.outputs for r in trace)
-        assert model.edge_tasks_generated == sum(r.edge_tasks for r in trace)
+        _, results, edge_tasks = pipeline_enumerate(tree, plan, CycleModel(capacity=16), trace=trace)
+        assert results == sum(r.outputs for r in trace)
+        assert edge_tasks == sum(r.edge_tasks for r in trace)
 
 
 def test_cycle_estimate_zero_counters():
-    model = CycleModel()
+    model = CycleModel(capacity=1024)
     for variant in ("basic", "task", "sep"):
-        assert cycle_estimate(model, variant, 1024) == 0
+        assert cycle_estimate(model, variant, 0, 0) == 0
 
 
 def test_cycle_estimate_frozen_example():
     # second, independent evaluation of the closed forms
-    model = CycleModel((5.0, 5.0, 5.0, 5.0, 5.0, 5.0), results_generated=100, edge_tasks_generated=100)
     n, m, l_f, l_t, cap = 100, 100, 20.0, 10.0, 1000
+    model = CycleModel((5.0, 5.0, 5.0, 5.0, 5.0, 5.0), cap)
     assert model.per_result_latency == l_f and model.per_edge_task_latency == l_t
-    assert cycle_estimate(model, "basic", cap) == (n * l_f + m * l_t) / cap + 4 * n + 2 * m == 603
-    assert cycle_estimate(model, "task", cap) == 2 * n + max(n, m) == 300
-    assert cycle_estimate(model, "sep", cap) == n + max(n, m) == 200
+    assert cycle_estimate(model, "basic", n, m) == (n * l_f + m * l_t) / cap + 4 * n + 2 * m == 603
+    assert cycle_estimate(model, "task", n, m) == 2 * n + max(n, m) == 300
+    assert cycle_estimate(model, "sep", n, m) == n + max(n, m) == 200
     with pytest.raises(ValueError, match="unknown variant 'serial'"):
-        cycle_estimate(model, "serial", cap)  # not a pipeline variant
+        cycle_estimate(model, "serial", n, m)  # not a pipeline variant
 
 
 def test_variant_ordering_for_any_counters():
     rng = random.Random(71)
     for _ in range(300):
-        model = CycleModel(
-            tuple(float(rng.randint(1, 32)) for _ in range(6)),
-            results_generated=rng.randint(0, 10**6),
-            edge_tasks_generated=rng.randint(0, 10**6),
-        )
-        cap = rng.choice([1, 8, 1024, 10**6])
-        basic = cycle_estimate(model, "basic", cap)
-        task = cycle_estimate(model, "task", cap)
-        sep = cycle_estimate(model, "sep", cap)
+        latencies = tuple(float(rng.randint(1, 32)) for _ in range(6))
+        n, m = rng.randint(0, 10**6), rng.randint(0, 10**6)
+        model = CycleModel(latencies, rng.choice([1, 8, 1024, 10**6]))
+        basic = cycle_estimate(model, "basic", n, m)
+        task = cycle_estimate(model, "task", n, m)
+        sep = cycle_estimate(model, "sep", n, m)
         assert sep <= task <= basic
 
 
@@ -457,5 +453,9 @@ def test_model_validation_and_scaling():
         CycleModel((1.0,))
     with pytest.raises(ValueError):
         CycleModel((0.5, 1, 1, 1, 1, 1))
+    for capacity in (0, -3):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            CycleModel(capacity=capacity)
     scaled = CycleModel().scaled(7.0)
     assert scaled.latencies == tuple(7.0 * l for l in CycleModel().latencies)
+    assert CycleModel((4.0,) * 6, 8).scaled(7.0).capacity == 8

@@ -53,8 +53,7 @@ def tail_instances(draw):
 
 def run(enumerate_fn, tree, plan, capacity):
     trace, buffer_stats = [], []
-    matches, model = enumerate_fn(tree, plan, capacity, CycleModel(), trace=trace, buffer_stats=buffer_stats)
-    return matches, model.results_generated, model.edge_tasks_generated, trace, buffer_stats
+    return *enumerate_fn(tree, plan, CycleModel(capacity=capacity), trace=trace, buffer_stats=buffer_stats), trace, buffer_stats
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -117,10 +117,12 @@ def test_single_vertex_query_matches_each_label_class(tmp_path, capsys):
         tree = build_candidate_tree(data, query, plan)
         assert host_match(tree, plan) == expected
         trace, buffer_stats = [], []
-        found, model = pipeline_enumerate(tree, plan, 2, CycleModel(), trace=trace, buffer_stats=buffer_stats)
+        found, results, edge_tasks = pipeline_enumerate(
+            tree, plan, CycleModel(capacity=2), trace=trace, buffer_stats=buffer_stats
+        )
         assert found == expected
         assert trace == [] and buffer_stats == [(0, 2)]
-        assert model.results_generated == model.edge_tasks_generated == 0
+        assert results == edge_tasks == 0
 
         for config, delta in ((PartitionConfig(), 0.1), (split, 0.0), (split, 0.5)):
             embeddings, stats = run_job(data, query, config, SchedulerState(delta), "share")

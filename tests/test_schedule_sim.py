@@ -12,8 +12,9 @@ def worked_trace():
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     trace = []
-    _, model = pipeline_enumerate(tree, plan, 1024, CycleModel(), trace=trace)
-    return trace, model
+    model = CycleModel(capacity=1024)
+    _, *counts = pipeline_enumerate(tree, plan, model, trace=trace)
+    return trace, model, counts
 
 
 def test_single_round_dominant_stage_sets_makespan():
@@ -34,7 +35,7 @@ def test_edge_heavy_trace_approaches_edge_task_count():
 
 
 def test_worked_trace_orders_variants():
-    trace, model = worked_trace()
+    trace, model, _ = worked_trace()
     basic = simulate_dataflow_schedule(trace, "basic", model)
     task = simulate_dataflow_schedule(trace, "task", model)
     sep = simulate_dataflow_schedule(trace, "sep", model)
@@ -42,11 +43,11 @@ def test_worked_trace_orders_variants():
 
 
 def test_worked_event_model_matches_closed_forms_after_slack():
-    trace, model = worked_trace()
+    trace, model, counts = worked_trace()
     slack = pipeline_fill_slack(trace, model)
     for variant in ("basic", "task", "sep"):
         event = simulate_dataflow_schedule(trace, variant, model) - slack
-        closed = cycle_estimate(model, variant, 1024)
+        closed = cycle_estimate(model, variant, *counts)
         assert abs(event - closed) <= 0.15 * closed
 
 
@@ -55,24 +56,20 @@ def test_makespan_never_below_estimate_minus_slack():
         tree = build_candidate_tree(data, query, plan)
         for capacity in (8, 1024):
             trace = []
-            model = CycleModel()
-            pipeline_enumerate(tree, plan, capacity, model, trace=trace)
+            model = CycleModel(capacity=capacity)
+            _, *counts = pipeline_enumerate(tree, plan, model, trace=trace)
             slack = pipeline_fill_slack(trace, model)
             for variant in ("basic", "task", "sep"):
                 makespan = simulate_dataflow_schedule(trace, variant, model)
-                assert makespan >= cycle_estimate(model, variant, capacity) - slack - 1e-9
+                assert makespan >= cycle_estimate(model, variant, *counts) - slack - 1e-9
 
 
 def test_memory_ratio_scales_cycles_monotonically():
-    trace, model = worked_trace()
+    trace, model, counts = worked_trace()
     prev_basic, prev_event = 0.0, 0.0
     for ratio in (1.0, 2.0, 7.0, 8.0):
-        scaled = CycleModel(
-            tuple(l * ratio for l in model.latencies),
-            results_generated=model.results_generated,
-            edge_tasks_generated=model.edge_tasks_generated,
-        )
-        basic = cycle_estimate(scaled, "basic", 1024)
+        scaled = model.scaled(ratio)
+        basic = cycle_estimate(scaled, "basic", *counts)
         event = simulate_dataflow_schedule(trace, "basic", scaled)
         assert basic > prev_basic and event > prev_event
         prev_basic, prev_event = basic, event

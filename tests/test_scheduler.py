@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 
@@ -15,6 +16,7 @@ from submatch import (
     cycle_estimate,
     estimate_workload,
     host_match,
+    pipeline_enumerate,
     route_tree,
     run_job,
 )
@@ -215,15 +217,30 @@ def test_run_job_pauses_gc_and_leaves_it_as_found(monkeypatch, enabled):
     assert paused == [True, True, True]
 
 
+def test_one_model_serves_every_job_alike():
+    """A CycleModel is a frozen value, so jobs and kernel runs that share one report their own counts."""
+    data, query = helpers.worked_data(), helpers.worked_query()
+    model = CycleModel()
+    first, second = (run_job(data, query, PartitionConfig(), SchedulerState(), "share", model=model)[1] for _ in "ab")
+    assert (second.results_generated, second.cycles_sep) == (first.results_generated, first.cycles_sep) == (7, 14)
+    assert dataclasses.replace(second, wall_ms=0.0) == dataclasses.replace(first, wall_ms=0.0)
+
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    assert pipeline_enumerate(tree, plan, model)[1:] == pipeline_enumerate(tree, plan, model)[1:] == (7, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.capacity = 2
+
+
 def test_run_job_returns_a_single_run_without_copying(monkeypatch):
     data, query = helpers.worked_data(), helpers.worked_query()
     runs = []
     real_enumerate = scheduler.pipeline_enumerate
 
     def enumerate_and_keep(*args, **kwargs):
-        found, model = real_enumerate(*args, **kwargs)
+        found, *counts = real_enumerate(*args, **kwargs)
         runs.append(found)
-        return found, model
+        return found, *counts
 
     monkeypatch.setattr(scheduler, "pipeline_enumerate", enumerate_and_keep)
     embeddings, stats = run_job(data, query, PartitionConfig(), SchedulerState(0.0), "share")
@@ -258,12 +275,11 @@ def test_each_side_matches_exactly_the_trees_routed_to_it(monkeypatch):
     assert embeddings == expected
 
     # host trees add nothing to any counter or cycle
-    model = CycleModel()
+    results = edge_tasks = 0
     for part in kernel_parts:
-        real_enumerate(part, plan, model=model)
-    assert (stats.results_generated, stats.edge_tasks_generated) == (
-        model.results_generated,
-        model.edge_tasks_generated,
-    )
+        _, part_results, part_edge_tasks = real_enumerate(part, plan)
+        results += part_results
+        edge_tasks += part_edge_tasks
+    assert (stats.results_generated, stats.edge_tasks_generated) == (results, edge_tasks)
     for variant in ("basic", "task", "sep"):
-        assert getattr(stats, f"cycles_{variant}") == cycle_estimate(model, variant), variant
+        assert getattr(stats, f"cycles_{variant}") == cycle_estimate(CycleModel(), variant, results, edge_tasks), variant
