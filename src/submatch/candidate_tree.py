@@ -25,7 +25,8 @@ which on a tree is the fixpoint, then the non-tree arcs. An arc that
 shrinks C(u) queues again every arc into u but the one back from x,
 until no set shrinks (arc consistency). The partition chunks are
 refined by the same routine over a tree's stored lists
-(partition.project_tree, reading CandidateTree.arcs). The query is
+(partition.project_tree, revising CandidateTree.sets over
+CandidateTree.arcs). The query is
 connected, so when a set empties every set would, and the routine
 stops there. Each set is then sorted once, and every stored list is
 built once from the final sets, as the members of the target set among
@@ -80,19 +81,22 @@ class CandidateTree:
     Trees are immutable once built: nothing changes a candidate list, an
     adjacency group or a stored list afterwards, so a partition chunk
     shares the unchanged ones with its parent instead of copying them.
-    The constructor derives the rest: group_metrics, every group's
-    (bytes, longest list), and disjoint, whether the candidate sets are
-    pairwise disjoint (the kernel then runs no visited check), unless
-    passed in (a partition chunk measures only the groups it cuts and
-    inherits disjoint); then size_bytes and max_degree, summed from
-    group_metrics. arcs, arc_fixpoint's table, is built on first use.
-    tree_metrics in tests/helpers.py is the from-scratch check.
+    The constructor derives the rest unless passed in: group_metrics,
+    every group's (bytes, longest list), disjoint, whether the candidate
+    sets are pairwise disjoint (the kernel then runs no visited check),
+    and sets, each candidate list as the set arc_fixpoint revises (a
+    partition chunk measures only the groups it cuts, inherits disjoint
+    and passes its revised sets, as the builder does); then size_bytes
+    and max_degree, summed from group_metrics. arcs, arc_fixpoint's
+    table, is built on first use. tree_metrics in tests/helpers.py is
+    the from-scratch check.
     """
 
     candidates: list[list[int]]
     groups: Groups
     group_metrics: dict[tuple[int, int], tuple[int, int]] | None = field(default=None, compare=False, repr=False)
     disjoint: bool | None = field(default=None, compare=False, repr=False)
+    sets: list[set[int]] | None = field(default=None, compare=False, repr=False)
     size_bytes: int = field(init=False, compare=False)
     max_degree: int = field(init=False, compare=False)
 
@@ -100,6 +104,8 @@ class CandidateTree:
         candidates = self.candidates
         if self.group_metrics is None:
             self.group_metrics = {key: measure_group(lists) for key, lists in self.groups.items()}
+        if self.sets is None:
+            self.sets = list(map(set, candidates))
         if self.disjoint is None:
             self.disjoint = len(set().union(*candidates)) == sum(map(len, candidates))
         metrics = self.group_metrics.values()
@@ -156,13 +162,13 @@ def start_candidates(data: Graph, query: Graph, plan: QueryPlan | None = None) -
 def arc_fixpoint(sets: list, support: list[dict], arcs) -> bool:
     """Take `sets` to their arc-consistency fixpoint, starting from `arcs`.
 
-    An arc (x, y) keeps each v in sets[x] whose row toward y meets
-    sets[y]. ``support[x][y]`` is ``(rows, keyed)`` for every query
-    neighbour y of x: when keyed, ``rows[v]`` is v's row toward y; when
-    not, x is a tree child of y, and v's partners are the w in sets[y]
-    with v in ``rows[w]``. Every candidate looked up must have a row
-    (label rows fill on lookup; a tree at its fixpoint stores one for
-    every candidate), and sets[y] of every queued arc must be a set.
+    Every entry of `sets` is a set. An arc (x, y) keeps each v in
+    sets[x] whose row toward y meets sets[y]. ``support[x][y]`` is
+    ``(rows, keyed)`` for every query neighbour y of x: when keyed,
+    ``rows[v]`` is v's row toward y; when not, x is a tree child of y,
+    and sets[x] is intersected with the stream of the rows of sets[y].
+    Every candidate looked up must have a row (label rows fill on
+    lookup; a tree at its fixpoint stores one for every candidate).
     Arcs are checked first in, first out. When sets[x] shrinks it is
     replaced by the kept set, and every arc into x is queued again
     except the one back to y: rows read one symmetric relation both
@@ -171,24 +177,25 @@ def arc_fixpoint(sets: list, support: list[dict], arcs) -> bool:
     """
     queue = deque(arcs)
     queued = set(queue)
+    pop, push, mark, unmark = queue.popleft, queue.append, queued.add, queued.discard
     while queue:
-        arc = queue.popleft()
-        queued.discard(arc)
+        arc = pop()
+        unmark(arc)
         x, y = arc
         rows, keyed = support[x][y]
         cand_x, cand_y = sets[x], sets[y]
         if keyed:
             keep = {v for v in cand_x if not cand_y.isdisjoint(rows[v])}
         else:
-            keep = set(chain.from_iterable(map(rows.__getitem__, cand_y))).intersection(cand_x)
+            keep = cand_x.intersection(chain.from_iterable(map(rows.__getitem__, cand_y)))
         if len(keep) < len(cand_x):
             if not keep:
                 return False
             sets[x] = keep
             for z in support[x]:
-                if z != y and (z, x) not in queued:
-                    queued.add((z, x))
-                    queue.append((z, x))
+                if z != y and (arc := (z, x)) not in queued:
+                    mark(arc)
+                    push(arc)
     return True
 
 
@@ -218,7 +225,7 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
 
     stored = [(plan.parent[u], u) for u in plan.bfs_order[1:]]
     stored += [(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]]
-    return CandidateTree(ordered, {(a, b): group(a, b) for a, b in stored})
+    return CandidateTree(ordered, {(a, b): group(a, b) for a, b in stored}, sets=cand)
 
 
 def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> int:

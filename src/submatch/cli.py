@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         kind, message, line = exc.kind, str(exc), exc.line
     except MemoryError:
-        kind, message, line = "memory", "out of memory; a job holds all its answers, so allow the process more memory", None
+        cause = "the graph is built whole before it is written" if args.command == "gen" else "a job holds all its answers"
+        kind, message, line = "memory", f"out of memory; {cause}, so allow the process more memory", None
     payload = {"error": {"type": kind, "message": message}}
     if line is not None:
         payload["error"]["line"] = line

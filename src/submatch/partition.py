@@ -35,19 +35,19 @@ Every vertex of a tree that exhausts the order was cut to a singleton
 into it was within the degree budget, and chunks only shorten lists),
 so only the size budget can still be violated there.
 
-Everything a chunk reads is carried by the tree (CandidateTree): its
-arc table, built once per tree and shared by the k sibling chunks and
-by a skip, and its per-group (bytes, longest list) metrics. So a chunk
-costs in proportion to what it restricts, not to the parent tree. A
-vertex whose set is unchanged keeps the parent's list object, and an
-adjacency group whose endpoints are both unchanged is shared by
-reference with its metrics entry (trees are immutable once built).
-Every other group is cut once, from the final sets, by one rule (a row
-that loses no target is kept whole, any other row is filtered) and
-measured as it is cut. The chunk is built from its sets, its groups,
-this metrics table and the parent's disjointness, so its constructor
-measures nothing again and only sums size_bytes and max_degree;
-tree_metrics in tests/helpers.py is the from-scratch check.
+Everything a chunk reads is carried by the tree (CandidateTree): the
+sets the fixpoint revises, its arc table (built once per tree, shared
+by the k sibling chunks and by a skip) and its per-group (bytes,
+longest list) metrics, so a chunk costs in proportion to what it
+restricts. Unchanged candidate lists and sets, and groups with both
+ends unchanged (with their metrics entries), are shared by reference
+(trees are immutable once built). Every other group is cut once, from
+the final sets, and returned with its measure. The cut reads the rows
+the fixpoint guarantees (each retained candidate has a stored row that
+keeps a partner), so it looks up and drops nothing in vain: a row that
+loses no target is kept whole, any other is filtered. The chunk's
+constructor only sums size_bytes and max_degree; tree_metrics in
+tests/helpers.py is the from-scratch check.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .candidate_tree import BASE_HEADER_BYTES, CandidateTree, arc_fixpoint, measure_group
+from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, CandidateTree, arc_fixpoint
 from .plan import QueryPlan
 
 
@@ -100,53 +100,50 @@ def partition_factor(tree: CandidateTree, config: PartitionConfig, u: int) -> in
     return max(1, min(k, len(tree.candidates[u])))
 
 
-def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None) -> dict[int, list[int]]:
-    """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged).
+def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None):
+    """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged), with its measure.
 
-    A row is shared whole when it loses no target and filtered otherwise
-    (stored rows are sorted, so filtered ones are too); empty rows are
-    dropped.
+    The chunk is at its fixpoint, so each retained source has a row that
+    keeps a target. With keep_b None the group is the parent's rows of
+    cand_a; otherwise a row that loses no target is shared whole and any
+    other is filtered (stored rows are sorted, so filtered ones are too).
     """
-    new: dict[int, list[int]] = {}
-    for v in lists if cand_a is None else cand_a:
-        row = lists.get(v)
-        if row and keep_b is not None and not keep_b.issuperset(row):
-            row = [x for x in row if x in keep_b]
-        if row:
-            new[v] = row
-    return new
+    if keep_b is None:
+        new = {v: lists[v] for v in cand_a}
+    else:
+        has = keep_b.__contains__
+        rows = lists.items() if cand_a is None else zip(cand_a, map(lists.__getitem__, cand_a))
+        new = {v: row if keep_b.issuperset(row) else list(filter(has, row)) for v, row in rows}
+    lengths = list(map(len, new.values()))  # measure_group's (bytes, longest); a cut group is never empty
+    return new, (LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths))
 
 
 def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTree | None:
     """The projection onto part, taken to its fixpoint: the tree with C(u) cut to part_set.
 
-    A candidate v of x is kept while its stored row toward each query
-    neighbour y meets C(y); a tree child's candidates are the reach of
-    its parent's retained rows. The tree is at its fixpoint, so
-    arc_fixpoint reads tree.arcs from the arcs into u. Returns None as
-    soon as a set empties, before any group is cut. Otherwise each group
-    with an end whose set shrank is cut once, from the final sets, and
-    measured; every other group is shared with its metrics entry, and
-    the chunk inherits the parent's disjointness: it only shrinks sets.
+    arc_fixpoint revises tree.sets over tree.arcs from the arcs into u
+    (the tree is at its fixpoint), and None is returned as soon as a set
+    empties, before any group is cut. Each group with an end whose set
+    shrank is then cut once by _restrict, which returns its measure; the
+    rest are shared with their metrics entries, and the chunk inherits
+    the parent's disjointness, since it only shrinks sets.
     """
-    sets = list(tree.candidates)
+    sets = list(tree.sets)
     if len(part_set) < len(sets[u]):
         sets[u] = part_set
         if not arc_fixpoint(sets, tree.arcs, [(x, u) for x in tree.arcs[u]]):
             return None
-    retained = {w: keep for w, keep in enumerate(sets) if keep is not tree.candidates[w]}
-    candidates = [sorted(keep) if w in retained else keep for w, keep in enumerate(sets)]
+    retained = {w: keep for w, (keep, old) in enumerate(zip(sets, tree.sets)) if keep is not old}
+    candidates = [sorted(retained[w]) if w in retained else old for w, old in enumerate(tree.candidates)]
     groups, metrics = {}, {}
     for key, lists in tree.groups.items():
         a, b = key
         keep_a, keep_b = retained.get(a), retained.get(b)
         if keep_a is None and keep_b is None:
-            groups[key] = lists
-            metrics[key] = tree.group_metrics[key]
+            groups[key], metrics[key] = lists, tree.group_metrics[key]
         else:
-            groups[key] = new = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
-            metrics[key] = measure_group(new)
-    return CandidateTree(candidates, groups, metrics, tree.disjoint)
+            groups[key], metrics[key] = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
+    return CandidateTree(candidates, groups, metrics, tree.disjoint, sets)
 
 
 def skips(tree: CandidateTree, plan: QueryPlan, index: int, config: PartitionConfig) -> bool:
@@ -189,7 +186,7 @@ def partition_tree(
     UnsplittableTreeError if the order is exhausted while the tree is
     over the size budget, the one budget that can still fail there.
     """
-    if any(not c for c in tree.candidates):
+    if not all(tree.candidates):
         return 0
     if within_budgets(tree, config):
         sink(tree)
@@ -207,13 +204,7 @@ def partition_tree(
 
     k = partition_factor(tree, config, u)
     base, extra = divmod(len(cand), k)
-    emitted = 0
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        sub = project_tree(tree, u, set(cand[start : start + size]))
-        start += size
-        if sub is None:
-            continue
-        emitted += partition_tree(sub, plan, index + (len(sub.candidates[u]) == 1), config, sink)
-    return emitted
+    bounds = [i * base + min(i, extra) for i in range(k + 1)]
+    chunks = (project_tree(tree, u, set(cand[start:stop])) for start, stop in zip(bounds, bounds[1:]))
+    # each chunk is recursed into before the next one is made, as the sink's order requires
+    return sum(partition_tree(sub, plan, index + (len(sub.candidates[u]) == 1), config, sink) for sub in chunks if sub)

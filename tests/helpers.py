@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -416,11 +417,18 @@ def carries_its_facts(tree, root) -> bool:
     The fresh tree measures every group and tests disjointness by the
     union of the candidate sets; tree_metrics recounts (size_bytes,
     max_degree) from every list. A partition of `root` inherits
-    root.disjoint, which must hold whenever it is set.
+    root.disjoint, which must hold whenever it is set. Every group holds
+    a non-empty row for each candidate of its source vertex and only
+    candidates of its target vertex: the fixpoint the chunk cut relies on.
     """
     fresh = CandidateTree(tree.candidates, tree.groups)
+    cand = tree.candidates
     return (
         tree == fresh
+        and all(
+            sorted(lists) == cand[a] and all(lists.values()) and set(cand[b]).issuperset(chain.from_iterable(lists.values()))
+            for (a, b), lists in tree.groups.items()
+        )
         and tree.group_metrics == fresh.group_metrics
         and (tree.size_bytes, tree.max_degree) == (fresh.size_bytes, fresh.max_degree) == tree_metrics(tree)
         and tree.disjoint == root.disjoint

@@ -500,8 +500,28 @@ def test_out_of_memory_in_a_job_is_typed_error(capsys, worked_paths, monkeypatch
     assert code == 1
     if command == "run" or flags:
         err = json.loads(captured.out.splitlines()[-1])["error"]
-        assert err["type"] == "memory" and "out of memory" in err["message"]
+        assert err["type"] == "memory" and "out of memory; a job holds all its answers" in err["message"]
         assert captured.err == ""
     else:
-        assert captured.err.startswith("submatch: out of memory")
+        assert captured.err.startswith("submatch: out of memory; a job holds all its answers")
         assert captured.out.splitlines() == [",".join(cli.COMPARE_FIELDS)]  # the header only
+
+
+@pytest.mark.parametrize("model, flags", [("powerlaw_graph", ("--power-law", "2.5")), ("random_graph", ("--json",))])
+def test_out_of_memory_in_gen_names_the_graph(capsys, tmp_path, monkeypatch, model, flags):
+    """gen runs no job: its MemoryError names the graph it builds, as JSON under --json and on stderr otherwise."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"submatch.cli.{model}", exhausted)
+    out = tmp_path / "g.graph"
+    code = main(["gen", "--out", str(out), "--n", "10", *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and not out.exists()
+    message = "out of memory; the graph is built whole before it is written, so allow the process more memory"
+    if "--json" in flags:
+        assert json.loads(captured.out.splitlines()[-1])["error"] == {"type": "memory", "message": message}
+        assert captured.err == ""
+    else:
+        assert captured.out == "" and captured.err == f"submatch: {message}\n"

@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from submatch import PartitionConfig, UnsplittableTreeError, build_candidate_tree, build_query_plan
+from submatch.candidate_tree import measure_group
 from submatch.partition import project_tree, skips
 import submatch.partition
 
@@ -48,6 +49,27 @@ def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
         for e in embeddings:
             assert all(e[w] in chunk.candidates[w] for w in range(plan.num_vertices))
             assert all(e[b] in chunk.groups[(a, b)].get(e[a], ()) for a, b in chunk.groups)
+        tree = chunk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(1, 2), draw=st.data())
+def test_chunk_carries_the_measure_of_each_group(seed, depth, draw):
+    """A chunk's group_metrics equal measure_group of each of its groups, one and two levels down.
+
+    project_tree cuts a group and returns it with its measure, from rows
+    it reads without rechecking, so the carried measure is checked
+    against a fresh one of the group it stored.
+    """
+    data, query = helpers.make_instance(seed, max_data=30, max_query=6)
+    plan = build_query_plan(query, data)
+    tree = build_candidate_tree(data, query, plan)
+    assume(all(tree.candidates))
+    for _ in range(depth):
+        u = draw.draw(st.sampled_from(plan.order))
+        chunk = project_tree(tree, u, set(draw.draw(st.lists(st.sampled_from(tree.candidates[u]), min_size=1, unique=True))))
+        assume(chunk is not None)
+        assert chunk.group_metrics == {key: measure_group(lists) for key, lists in chunk.groups.items()}
         tree = chunk
 
 
