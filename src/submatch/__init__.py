@@ -12,7 +12,6 @@ only price a run: one run's task counts give all three estimates.
 from .candidate_tree import (
     CandidateTree,
     build_candidate_tree,
-    dump_tree,
     estimate_workload,
 )
 from .graph import Graph, GraphFormatError, candidates_by_local_features, graph_to_text, load_graph, save_graph
@@ -45,7 +44,6 @@ __all__ = [
     "build_query_plan",
     "candidates_by_local_features",
     "cycle_estimate",
-    "dump_tree",
     "estimate_workload",
     "graph_to_text",
     "host_match",

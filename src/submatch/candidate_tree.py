@@ -247,20 +247,3 @@ def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> int:
                     break
             counts[u][v] = value
     return sum(counts[plan.root].values())
-
-
-def dump_tree(tree: CandidateTree) -> str:
-    """Deterministic text dump used by golden-file tests.
-
-    One ``C(u): ...`` line per query vertex, then one ``N[a->b][v]: ...``
-    line per stored adjacency list, keys ascending.
-    """
-    lines = []
-    for u, cand in enumerate(tree.candidates):
-        lines.append(f"C({u}): {' '.join(map(str, cand))}".rstrip())
-    for a, b in sorted(tree.groups):
-        per_cand = tree.groups[(a, b)]
-        for v in sorted(per_cand):
-            if per_cand[v]:
-                lines.append(f"N[{a}->{b}][{v}]: {' '.join(map(str, per_cand[v]))}")
-    return "\n".join(lines) + "\n"

@@ -125,7 +125,7 @@ def _built_from(args, deltas: list[float], fixed_ks: list[int | None]) -> tuple[
         raise CliError("config", str(exc))
 
 
-def _job(jobs: dict, data, query, config, state, variant, model, trace=False) -> JobStats:
+def _job(jobs: dict, data, query, config, state, variant, model, trace=None) -> JobStats:
     """Stats of the job a `variant` report or row reads, run once per effective delta and config in `jobs`.
 
     Delta applies under share only, and variants differ only in pricing.
@@ -133,7 +133,7 @@ def _job(jobs: dict, data, query, config, state, variant, model, trace=False) ->
     key = (state.delta if variant == "share" else 0.0, config)
     if key not in jobs:
         try:
-            _, jobs[key] = run_job(data, query, config, SchedulerState(key[0]), variant, model=model, collect_trace=trace)
+            _, jobs[key] = run_job(data, query, config, SchedulerState(key[0]), variant, model=model, trace=trace)
         except (UnsplittableTreeError, ValueError) as exc:
             raise CliError("run", str(exc))
     return jobs[key]
@@ -160,12 +160,13 @@ def _cmd_run(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
     (state,), (config,), model = _built_from(args, [args.delta], [args.fixed_k])
+    trace = [] if args.trace else None
     if args.trace:
-        _write_trace(args.trace, ())  # an unwritable path fails here, before the job
-    stats = _job({}, data, query, config, state, args.variant, model, bool(args.trace))
+        _write_trace(args.trace, trace)  # an unwritable path fails here, before the job
+    stats = _job({}, data, query, config, state, args.variant, model, trace)
     _check_cycles(stats.cycles_basic, stats.cycles_task, stats.cycles_sep)
     if args.trace:
-        _write_trace(args.trace, stats.traces)
+        _write_trace(args.trace, trace)
     print(json.dumps(stats.to_report()))
     return 0
 

@@ -14,7 +14,7 @@ and data graphs share the format.
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce, wraps
@@ -139,11 +139,6 @@ class Graph:
         take 3.2 MiB and the label sets 1.4 MiB.
         """
         return _LabelIndex(self.adj, self.vertices_by_label)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        row = self.adj[a]
-        i = bisect_left(row, b)
-        return i < len(row) and row[i] == b
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (src, dst) with src < dst, sorted."""

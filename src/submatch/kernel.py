@@ -135,7 +135,6 @@ def pipeline_enumerate(
     plan: QueryPlan,
     model: CycleModel = CycleModel(),
     *,
-    port_limit: int | None = None,
     trace: list[RoundTrace] | None = None,
     buffer_stats: list[tuple[int, int]] | None = None,
 ) -> tuple[list[tuple[int, ...]], int, int]:
@@ -169,9 +168,6 @@ def pipeline_enumerate(
     Matches are returned strictly increasing without a sort (see the
     module docstring).
     """
-    if port_limit is not None and tree.max_degree > port_limit:
-        raise ValueError(f"tree degree {tree.max_degree} exceeds port limit {port_limit}")
-
     capacity = model.capacity
     order_length = plan.num_vertices
     # Buffer levels 1..order_length-1 (0 is unused). Only a level's front

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES, CandidateTree, arc_fixpoint
+from .candidate_tree import BASE_HEADER_BYTES, CandidateTree, arc_fixpoint, measure_group
 from .plan import QueryPlan
 
 
@@ -114,8 +114,7 @@ def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set
         has = keep_b.__contains__
         rows = lists.items() if cand_a is None else zip(cand_a, map(lists.__getitem__, cand_a))
         new = {v: row if keep_b.issuperset(row) else list(filter(has, row)) for v, row in rows}
-    lengths = list(map(len, new.values()))  # measure_group's (bytes, longest); a cut group is never empty
-    return new, (LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths))
+    return new, measure_group(new)
 
 
 def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTree | None:

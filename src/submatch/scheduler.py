@@ -1,16 +1,17 @@
 """Split matching work between the host side and the pipeline kernel.
 
 Each partitioned tree is routed by its estimated workload: the host side
-takes it only while the host's cumulative share would stay below the
-configured fraction of all routed work. Every tree is matched by the
-kernel's loop as soon as it is routed; only kernel-routed trees count
-towards the job's task counts and cycles, so routing is accounting alone.
+takes it only while the host's share of the work the job has routed so
+far would stay below the threshold a SchedulerState holds, its one
+field. Every tree is matched by the kernel's loop as soon as it is
+routed; only kernel-routed trees count towards the job's task counts
+and cycles, so routing is accounting alone.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from . import kernel
@@ -23,31 +24,25 @@ from .plan import QueryPlan, build_query_plan
 JOB_VARIANTS = ("basic", "task", "sep", "share")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerState:
-    """Routing accumulators: host share threshold and per-side workloads."""
+    """The host share threshold a job routes by."""
 
     delta: float = 0.1
-    w_c: int = 0
-    w_f: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
 
 
-def route_tree(state: SchedulerState, workload: int) -> str:
-    """Route one tree; returns "host" or "kernel" and updates the state.
+def route_tree(delta: float, w_c: int, w_f: int, workload: int) -> bool:
+    """Whether the host takes a tree of `workload`, after host and kernel totals w_c and w_f.
 
     Host wins only under the strict share test
     w_c + w < delta * (w_c + w_f + w), so delta=0 sends everything to
-    the kernel.
+    the kernel. The test changes nothing; the caller keeps the totals.
     """
-    if state.w_c + workload < state.delta * (state.w_c + state.w_f + workload):
-        state.w_c += workload
-        return "host"
-    state.w_f += workload
-    return "kernel"
+    return w_c + workload < delta * (w_c + w_f + workload)
 
 
 def host_match(tree: CandidateTree, plan: QueryPlan) -> list[tuple[int, ...]]:
@@ -62,7 +57,7 @@ def host_match(tree: CandidateTree, plan: QueryPlan) -> list[tuple[int, ...]]:
 
 @dataclass
 class JobStats:
-    """Aggregated statistics of one end-to-end matching job."""
+    """Aggregated statistics of one end-to-end matching job; w_c and w_f are its own routed totals."""
 
     embeddings: int
     partitions: int
@@ -76,8 +71,6 @@ class JobStats:
     kernel_trees: int = 0
     results_generated: int = 0
     edge_tasks_generated: int = 0
-    routing_log: list[tuple[int, str]] = field(default_factory=list)
-    traces: list[RoundTrace] = field(default_factory=list)
 
     def to_report(self) -> dict:
         """The stable external JSON schema, cycles at 1-cycle precision."""
@@ -102,7 +95,7 @@ def run_job(
     variant: str = "share",
     *,
     model: CycleModel = CycleModel(),
-    collect_trace: bool = False,
+    trace: list[RoundTrace] | None = None,
 ) -> tuple[list[tuple[int, ...]], JobStats]:
     """Plan, build, partition, route, match on both sides, and merge.
 
@@ -110,14 +103,15 @@ def run_job(
     independent of the share threshold and the partition budgets. Each
     side returns a sorted list; the non-empty ones are kept as runs, a
     single run is returned as it is (no copy), and only several runs
-    are merged and sorted. `state` supplies the share threshold; the
-    job is routed and reported from zero totals and leaves `state` as
-    it was. The stats sum the task counts the kernel-routed calls
-    return and price them under every pipeline variant; `model` is only
-    read, so one model serves any number of jobs. `variant` is checked
-    against JOB_VARIANTS and otherwise unused; it stays positional only
-    because the benchmark's job list (perfbench/bench.py) passes it,
-    until that list stops doing so.
+    are merged and sorted. `state` supplies the share threshold alone;
+    the host and kernel totals are the job's, kept from zero and
+    reported in its stats. The stats sum the task counts the
+    kernel-routed calls return and price them under every pipeline
+    variant; `model` is only read, so one model serves any number of
+    jobs, and a `trace` list receives every kernel-routed call's rounds.
+    `variant` is checked against JOB_VARIANTS and otherwise unused; it
+    stays positional only because the benchmark's job list
+    (perfbench/bench.py) passes it, until that list stops doing so.
 
     The cyclic garbage collector is paused for the whole job by the
     shared graph.paused_collector, which turns it back on afterwards
@@ -133,46 +127,41 @@ def run_job(
     start = time.perf_counter()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    state = SchedulerState(state.delta)
 
     runs: list[list[tuple[int, ...]]] = []  # non-empty sorted embedding lists
-    routing_log: list[tuple[int, str]] = []
-    traces: list[RoundTrace] = [] if collect_trace else None  # type: ignore[assignment]
-    results_generated = edge_tasks_generated = 0  # kernel-routed trees only
+    w_c = w_f = kernel_trees = results_generated = edge_tasks_generated = 0  # task counts: kernel side only
 
     def dispatch(part: CandidateTree) -> None:
-        nonlocal results_generated, edge_tasks_generated
+        nonlocal w_c, w_f, kernel_trees, results_generated, edge_tasks_generated
         workload = estimate_workload(part, plan)
-        side = route_tree(state, workload)
-        routing_log.append((workload, side))
-        if side == "kernel":
-            found, results, edge_tasks = pipeline_enumerate(part, plan, model, port_limit=config.port_limit, trace=traces)
+        if route_tree(state.delta, w_c, w_f, workload):
+            w_c += workload
+            found = host_match(part, plan)
+        else:
+            w_f += workload
+            kernel_trees += 1
+            found, results, edge_tasks = pipeline_enumerate(part, plan, model, trace=trace)
             results_generated += results
             edge_tasks_generated += edge_tasks
-        else:
-            found = host_match(part, plan)
         if found:
             runs.append(found)
 
     partitions = partition_tree(tree, plan, 0, config, dispatch)
-    kernel_trees = sum(side == "kernel" for _, side in routing_log)
 
     embeddings = runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = JobStats(
         embeddings=len(embeddings),
         partitions=partitions,
-        w_c=state.w_c,
-        w_f=state.w_f,
+        w_c=w_c,
+        w_f=w_f,
         cycles_basic=cycle_estimate(model, "basic", results_generated, edge_tasks_generated),
         cycles_task=cycle_estimate(model, "task", results_generated, edge_tasks_generated),
         cycles_sep=cycle_estimate(model, "sep", results_generated, edge_tasks_generated),
         wall_ms=wall_ms,
-        host_trees=len(routing_log) - kernel_trees,
+        host_trees=partitions - kernel_trees,
         kernel_trees=kernel_trees,
         results_generated=results_generated,
         edge_tasks_generated=edge_tasks_generated,
-        routing_log=routing_log,
-        traces=traces if collect_trace else [],
     )
     return embeddings, stats

@@ -5,22 +5,30 @@ reference_* function (and the staged kernel model it drives) is the
 expected value of the package function it names. The fixtures are the
 bundled worked pair, a hand-built candidate tree with known numbers and
 the deterministic 3000-vertex benchmark graph with its nine queries.
+routed_job and golden_entry read a job's routing and emitted trees from
+outside it, by wrapping the scheduler's module attributes for one job.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from bisect import bisect_left
 from collections import deque
 from itertools import chain
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
+import pytest
+
 from submatch import (
     CandidateTree,
     Graph,
     GraphFormatError,
+    PartitionConfig,
     QueryPlan,
+    SchedulerState,
     UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
@@ -31,6 +39,7 @@ from submatch import (
     within_budgets,
 )
 import submatch.partition
+import submatch.scheduler
 from submatch import kernel
 from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES
 from submatch.fixtures import QUERY_NAMES, data_path
@@ -70,6 +79,90 @@ def benchmark_graph() -> Graph:
 @lru_cache(maxsize=None)
 def benchmark_queries() -> dict[str, Graph]:
     return {name: load_graph(data_path(name)) for name in QUERY_NAMES}
+
+
+def has_edge(graph: Graph, a: int, b: int) -> bool:
+    row = graph.adj[a]
+    i = bisect_left(row, b)
+    return i < len(row) and row[i] == b
+
+
+def dump_tree(tree: CandidateTree) -> str:
+    """Deterministic text dump used by golden-file tests.
+
+    One ``C(u): ...`` line per query vertex, then one ``N[a->b][v]: ...``
+    line per stored adjacency list, keys ascending.
+    """
+    lines = []
+    for u, cand in enumerate(tree.candidates):
+        lines.append(f"C({u}): {' '.join(map(str, cand))}".rstrip())
+    for a, b in sorted(tree.groups):
+        per_cand = tree.groups[(a, b)]
+        for v in sorted(per_cand):
+            if per_cand[v]:
+                lines.append(f"N[{a}->{b}][{v}]: {' '.join(map(str, per_cand[v]))}")
+    return "\n".join(lines) + "\n"
+
+
+def routed_job(*args, **kwargs):
+    """run_job's (embeddings, stats) and the (workload, "host" or "kernel") of each tree it routed, in order.
+
+    route_tree is replaced on the scheduler module for the job's
+    duration, so the log is read from outside the job.
+    """
+    log = []
+    real = submatch.scheduler.route_tree
+
+    def route(delta, w_c, w_f, workload):
+        to_host = real(delta, w_c, w_f, workload)
+        log.append((workload, "host" if to_host else "kernel"))
+        return to_host
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(submatch.scheduler, "route_tree", route)
+        embeddings, stats = submatch.scheduler.run_job(*args, **kwargs)
+    return embeddings, stats, log
+
+
+# The job's counters that tests/golden/outputs.json pins, besides its trees.
+GOLDEN_STATS = (
+    "embeddings",
+    "partitions",
+    "results_generated",
+    "edge_tasks_generated",
+    "w_c",
+    "w_f",
+    "host_trees",
+    "kernel_trees",
+    "cycles_basic",
+    "cycles_task",
+    "cycles_sep",
+)
+
+
+def golden_entry(name: str) -> dict:
+    """What tests/golden/outputs.json records of one bundled query's job.
+
+    The job runs on the benchmark graph at default budgets and delta
+    0.1. Its emitted trees are read where the job costs each one
+    (scheduler.estimate_workload): their count, and sha256 over each
+    tree's dump_tree and (size_bytes, max_degree) in emission order.
+    """
+    digest, trees = hashlib.sha256(), 0
+    real = submatch.scheduler.estimate_workload
+
+    def costed(tree, plan):
+        nonlocal trees
+        trees += 1
+        digest.update(f"{dump_tree(tree)}{tree.size_bytes} {tree.max_degree}\n".encode())
+        return real(tree, plan)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(submatch.scheduler, "estimate_workload", costed)
+        _, stats = submatch.scheduler.run_job(
+            benchmark_graph(), benchmark_queries()[name], PartitionConfig(), SchedulerState(0.1), "share"
+        )
+    return {"trees": trees, "tree_sha256": digest.hexdigest(), **{field: getattr(stats, field) for field in GOLDEN_STATS}}
 
 
 def partition_example() -> tuple[CandidateTree, QueryPlan]:

@@ -50,7 +50,7 @@ def brute_force_embeddings(query: Graph, data: Graph, order: Sequence[int]) -> l
                 continue
             ok = True
             for j in range(i):
-                if query.has_edge(u, order[j]) and not data.has_edge(v, mapping[j]):
+                if order[j] in query.adj[u] and mapping[j] not in data.adj[v]:
                     ok = False
                     break
             if ok:

@@ -21,7 +21,6 @@ from submatch import (
     host_match,
     partition_tree,
     pipeline_enumerate,
-    run_job,
 )
 
 import helpers
@@ -227,13 +226,13 @@ def test_criterion_8_delta_invariance_and_share_sanity():
         try:
             for delta in deltas:
                 state = SchedulerState(delta=delta)
-                embeddings, stats = run_job(data, query, config, state, "share")
+                embeddings, stats, log = helpers.routed_job(data, query, config, state, "share")
                 results.append(embeddings)
                 total = stats.w_c + stats.w_f
                 if total:
                     # replay the routing decisions independently
                     w_c = w_f = 0
-                    for w, side in stats.routing_log:
+                    for w, side in log:
                         should_host = w_c + w < delta * (w_c + w_f + w)
                         assert side == ("host" if should_host else "kernel")
                         if side == "host":
@@ -241,7 +240,7 @@ def test_criterion_8_delta_invariance_and_share_sanity():
                         else:
                             w_f += w
                     assert (w_c, w_f) == (stats.w_c, stats.w_f)
-                    max_share = max(w for w, _ in stats.routing_log) / total
+                    max_share = max(w for w, _ in log) / total
                     assert stats.w_c / total <= delta + max_share + 1e-12
         except UnsplittableTreeError:
             continue

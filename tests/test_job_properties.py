@@ -15,7 +15,6 @@ from submatch import (
     UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
-    run_job,
 )
 
 import helpers
@@ -47,13 +46,15 @@ def test_run_job_answers_the_oracle_whatever_the_share(seed, size_share, degree_
     runs = []
     for share in (delta, 0.0, 1.0):
         try:
-            runs.append(run_job(data, query, config, SchedulerState(share), "share", model=CycleModel(capacity=capacity)))
+            runs.append(
+                helpers.routed_job(data, query, config, SchedulerState(share), "share", model=CycleModel(capacity=capacity))
+            )
         except UnsplittableTreeError:
             assume(False)
     expected = brute_force_embeddings(query, data, plan.order)
-    for embeddings, stats in runs:
+    for embeddings, stats, log in runs:
         assert embeddings == expected
         assert stats.embeddings == len(expected)
-        assert stats.partitions == runs[0][1].partitions == len(stats.routing_log)
-        assert [workload for workload, _ in stats.routing_log] == [workload for workload, _ in runs[0][1].routing_log]
+        assert stats.partitions == runs[0][1].partitions == len(log)
+        assert [workload for workload, _ in log] == [workload for workload, _ in runs[0][2]]
     assert runs[1][1].host_trees == 0

@@ -130,7 +130,7 @@ def test_edge_validator_matches_data_graph_oracle():
             bits = validate_edges(tree, batch.edge_tasks, len(batch.outputs))
             expected = [1] * len(batch.outputs)
             for t in batch.edge_tasks:
-                if not data.has_edge(t.neighbor_vertex, t.candidate):
+                if not helpers.has_edge(data, t.neighbor_vertex, t.candidate):
                     expected[t.output] = 0
             assert bits == expected
             batch.visited_bits = validate_visited(batch.visited_tasks, batch.sources)
@@ -384,14 +384,6 @@ def test_shared_candidate_runs_the_visited_check_however_the_tree_is_built():
     for capacity in (1, 2, 1024):
         matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity))
         assert matches == [(1, 2, 3), (1, 3, 2)], capacity
-
-
-def test_port_limit_precondition_enforced():
-    tree, plan = helpers.partition_example()
-    with pytest.raises(ValueError):
-        pipeline_enumerate(tree, plan, CycleModel(capacity=1024), port_limit=tree.max_degree - 1)
-    matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=1024), port_limit=tree.max_degree)
-    assert len(matches) == 3
 
 
 def test_counters_match_trace_totals():

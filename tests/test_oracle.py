@@ -1,6 +1,9 @@
 import functools
 import itertools
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from submatch import (
     build_candidate_tree,
     build_query_plan,
     estimate_workload,
+    powerlaw_graph,
     random_graph,
     run_job,
 )
@@ -43,7 +47,7 @@ def exhaustive_tuple_oracle(query, data, order):
             continue
         ok = True
         for i, j in itertools.combinations(range(len(order)), 2):
-            if query.has_edge(order[i], order[j]) and not data.has_edge(combo[i], combo[j]):
+            if helpers.has_edge(query, order[i], order[j]) and not helpers.has_edge(data, combo[i], combo[j]):
                 ok = False
                 break
         if ok:
@@ -137,3 +141,28 @@ def test_jobs_agree_with_networkx_vf2_on_the_benchmark_graph(name):
         image = {u: v for v, u in mapping.items()}
         expected.append(tuple(image[u] for u in order))
     assert embeddings == sorted(expected)
+
+
+def test_q3_count_at_30k_is_its_star_product():
+    """q3's reference count on the 30k bench graph, counted without the matcher.
+
+    q3 is a star whose labels are pairwise distinct, so every choice of
+    one neighbour per leaf label around a centre-label vertex is an
+    embedding, and no other mapping is: the count is the sum, over
+    centre-label vertices v, of the product of v's neighbour counts per
+    leaf label. VF2 is too slow for q3 at this scale.
+    """
+    query = helpers.benchmark_queries()["q3"]
+    centre = max(range(query.num_vertices), key=lambda u: len(query.adj[u]))
+    leaves = [u for u in range(query.num_vertices) if u != centre]
+    assert list(query.adj[centre]) == leaves and all(list(query.adj[u]) == [centre] for u in leaves)
+    assert len(set(query.labels)) == query.num_vertices
+    data = powerlaw_graph(30000, 2.5, 11, 1357, avg_degree=10.0)
+    leaf_labels = [query.labels[u] for u in leaves]
+    count = 0
+    for v, label in enumerate(data.labels):
+        if label == query.labels[centre]:
+            around = [data.labels[w] for w in data.adj[v]]
+            count += math.prod(around.count(leaf) for leaf in leaf_labels)
+    references = json.loads((Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
+    assert count == references["1357"]["30000"]["q3"][0] == 5_153_446

@@ -7,7 +7,6 @@ from submatch import (
     UnsplittableTreeError,
     build_candidate_tree,
     build_query_plan,
-    dump_tree,
     partition_factor,
     partition_tree,
     project_tree,
@@ -17,7 +16,7 @@ from submatch import Graph
 import submatch.partition
 
 import helpers
-from helpers import tree_metrics
+from helpers import dump_tree, tree_metrics
 from oracle import brute_force_embeddings
 
 

@@ -120,10 +120,13 @@ def test_exhausted_order_leaves_only_the_size_budget(seed, size_share, degree_bu
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     config = PartitionConfig(
-        size_budget=max(17, int(tree.size_bytes * size_share)), degree_budget=degree_budget, fixed_k=fixed_k
+        size_budget=max(17, int(tree.size_bytes * size_share)),
+        degree_budget=degree_budget,
+        port_limit=degree_budget,
+        fixed_k=fixed_k,
     )
     original = submatch.partition.partition_tree
-    exhausted = []
+    exhausted, emitted = [], []
 
     def recording(tree, plan, index, config, sink):
         if index == plan.num_vertices:
@@ -133,9 +136,11 @@ def test_exhausted_order_leaves_only_the_size_budget(seed, size_share, degree_bu
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(submatch.partition, "partition_tree", recording)
         try:
-            recording(tree, plan, 0, config, lambda part: None)
+            recording(tree, plan, 0, config, emitted.append)
         except UnsplittableTreeError as exc:
             last = exhausted[-1]
             assert last.size_bytes > config.size_budget
             assert str(exc).startswith(f"a tree of {last.size_bytes} bytes is over the size budget of {config.size_budget} bytes")
     assert all(t.max_degree <= config.degree_budget for t in exhausted)
+    # the kernel's port bound holds for every tree the splitter emits, at the tightest port limit allowed
+    assert all(t.max_degree <= config.port_limit for t in emitted)

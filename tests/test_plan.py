@@ -76,7 +76,7 @@ def test_order_is_connected_and_rooted():
         seen = set()
         for u in plan.order:
             if u != plan.root:
-                assert any(query.has_edge(u, w) for w in seen)
+                assert any(helpers.has_edge(query, u, w) for w in seen)
             p = plan.parent[u]
             if p is not None:
                 assert plan.position[p] < plan.position[u]

@@ -25,28 +25,36 @@ from submatch import scheduler
 import helpers
 
 
+def route_all(delta, workloads):
+    """Route each workload in turn, totals carried as run_job carries them: the (workload, side) log and (w_c, w_f)."""
+    log, w_c, w_f = [], 0, 0
+    for w in workloads:
+        if route_tree(delta, w_c, w_f, w):
+            log.append((w, "host"))
+            w_c += w
+        else:
+            log.append((w, "kernel"))
+            w_f += w
+    return log, (w_c, w_f)
+
+
 def test_delta_zero_routes_everything_to_kernel():
-    state = SchedulerState(delta=0.0)
-    for w in (0, 1, 7, 100):
-        assert route_tree(state, w) == "kernel"
-    assert state.w_c == 0 and state.w_f == 108
+    log, (w_c, w_f) = route_all(0.0, (0, 1, 7, 100))
+    assert all(side == "kernel" for _, side in log)
+    assert w_c == 0 and w_f == 108
 
 
 def test_first_tree_at_half_share_goes_to_kernel():
     # 7 < 0.5 * 7 is false, so the kernel takes the first tree
-    state = SchedulerState(delta=0.5)
-    assert route_tree(state, 7) == "kernel"
-    assert state.w_f == 7
+    log, (_, w_f) = route_all(0.5, [7])
+    assert log == [(7, "kernel")]
+    assert w_f == 7
 
 
 def test_share_stays_bounded_and_replays():
     rng = random.Random(101)
     for delta in (0.1, 0.3, 0.7):
-        state = SchedulerState(delta=delta)
-        log = []
-        for _ in range(100):
-            w = rng.randint(1, 50)
-            log.append((w, route_tree(state, w)))
+        log, totals = route_all(delta, [rng.randint(1, 50) for _ in range(100)])
         # replay the decision sequence independently
         w_c = w_f = 0
         for w, side in log:
@@ -56,7 +64,7 @@ def test_share_stays_bounded_and_replays():
                 w_c += w
             else:
                 w_f += w
-        assert (state.w_c, state.w_f) == (w_c, w_f)
+        assert totals == (w_c, w_f)
         total = w_c + w_f
         max_w = max(w for w, _ in log)
         assert w_c / total <= delta + max_w / total + 1e-12
@@ -65,6 +73,13 @@ def test_share_stays_bounded_and_replays():
 def test_state_validates_delta():
     with pytest.raises(ValueError):
         SchedulerState(delta=1.5)
+
+
+def test_state_is_the_threshold_alone():
+    state = SchedulerState(0.25)
+    assert [f.name for f in dataclasses.fields(state)] == ["delta"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.delta = 0.5
 
 
 def test_host_match_worked():
@@ -116,11 +131,11 @@ def test_run_job_merges_host_and_kernel_sides():
         config = PartitionConfig(size_budget=max(150, tree.size_bytes // 3), degree_budget=8)
         state = SchedulerState(delta=0.5)
         try:
-            embeddings, stats = run_job(data, query, config, state, "share")
+            embeddings, stats, log = helpers.routed_job(data, query, config, state, "share")
         except UnsplittableTreeError:
             continue
         assert embeddings == expected
-        assert stats.w_c + stats.w_f == sum(w for w, _ in stats.routing_log)
+        assert stats.w_c + stats.w_f == sum(w for w, _ in log)
         if stats.partitions > 2:
             assert stats.host_trees > 0
             merged += 1
@@ -176,16 +191,16 @@ def test_reused_state_reports_like_a_fresh_one():
     query = helpers.benchmark_queries()["q8"]
     reused = SchedulerState(delta=0.1)
     runs = [
-        run_job(data, query, PartitionConfig(), state, "share")[1]
+        helpers.routed_job(data, query, PartitionConfig(), state, "share")[1:]
         for state in (reused, reused, SchedulerState(delta=0.1))
     ]
     views = [
-        ({k: v for k, v in stats.to_report().items() if k != "wall_ms"}, stats.host_trees, stats.routing_log)
-        for stats in runs
+        ({k: v for k, v in stats.to_report().items() if k != "wall_ms"}, stats.host_trees, log)
+        for stats, log in runs
     ]
     assert views[0] == views[1] == views[2]
-    assert runs[0].host_trees > 0 and runs[0].kernel_trees > 0
-    assert (reused.w_c, reused.w_f) == (0, 0) and reused == SchedulerState(delta=0.1)
+    assert runs[0][0].host_trees > 0 and runs[0][0].kernel_trees > 0
+    assert reused == SchedulerState(delta=0.1)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -266,12 +281,10 @@ def test_each_side_matches_exactly_the_trees_routed_to_it(monkeypatch):
 
     monkeypatch.setattr(scheduler, "pipeline_enumerate", enumerate_and_keep)
     monkeypatch.setattr(scheduler, "host_match", host_and_keep)
-    embeddings, stats = run_job(data, query, PartitionConfig(), SchedulerState(0.1), "share")
+    embeddings, stats, log = helpers.routed_job(data, query, PartitionConfig(), SchedulerState(0.1), "share")
     assert (stats.host_trees, stats.kernel_trees) == (19, 36)
     assert (len(kernel_parts), len(host_parts)) == (stats.kernel_trees, stats.host_trees)
-    assert [estimate_workload(part, plan) for part in host_parts] == [
-        w for w, side in stats.routing_log if side == "host"
-    ]
+    assert [estimate_workload(part, plan) for part in host_parts] == [w for w, side in log if side == "host"]
     assert embeddings == expected
 
     # host trees add nothing to any counter or cycle
