@@ -25,16 +25,16 @@ which on a tree is the fixpoint, then the non-tree arcs. An arc that
 shrinks C(u) queues again every arc into u but the one back from x,
 until no set shrinks (arc consistency). The partition chunks are
 refined by the same routine over a tree's stored lists
-(partition.project_tree, revising CandidateTree.sets over
+(partition.project_tree, revising CandidateTree.candidates over
 CandidateTree.arcs). The query is
 connected, so when a set empties every set would, and the routine
-stops there. Each set is then sorted once, and every stored list is
-built once from the final sets, as the members of the target set among
-the source candidate's data neighbours, so each is non-empty, sorted
-and holds only candidates of its target vertex by construction, and
-every candidate has a stored partner toward each of its query
-neighbours. The tree's constructor measures each group and proves the
-sets disjoint or not, once per index.
+stops there. Every stored list is built once from the final sets,
+walking each source set in ascending order, as the members of the
+target set among the source candidate's data neighbours, so each is
+non-empty, sorted and holds only candidates of its target vertex by
+construction, and every candidate has a stored partner toward each of
+its query neighbours. The tree's constructor measures each group and
+proves the sets disjoint or not, once per index.
 
 Both the rule and the lists read the data graph only through its
 neighbour-label index (Graph.neighbours_by_label): C(x) holds only
@@ -71,32 +71,31 @@ ArcTable = list[dict[int, tuple[dict[int, list[int]], bool]]]
 class CandidateTree:
     """Candidate sets plus one adjacency group per stored query arc.
 
-    groups is keyed by directed query arc (a, b) and maps each candidate
-    of a to its sorted candidates of b: every tree edge is stored parent
-    to child, every non-tree edge in both directions. Every stored list
-    is non-empty, sorted ascending, keyed by a candidate of its source
-    vertex, and holds only candidates of its target vertex. Only
-    candidates and groups are compared.
+    candidates[u] is the set C(u) that arc_fixpoint revises, sorted
+    only where order is part of the algorithm. groups is keyed by
+    directed query arc (a, b) and maps each candidate of a to its sorted
+    candidates of b: every tree edge is stored parent to child, every
+    non-tree edge in both directions. Every stored list is non-empty,
+    sorted ascending, keyed by a candidate of its source vertex, and
+    holds only candidates of its target vertex. Only candidates and
+    groups are compared.
 
-    Trees are immutable once built: nothing changes a candidate list, an
+    Trees are immutable once built: nothing changes a candidate set, an
     adjacency group or a stored list afterwards, so a partition chunk
     shares the unchanged ones with its parent instead of copying them.
     The constructor derives the rest unless passed in: group_metrics,
-    every group's (bytes, longest list), disjoint, whether the candidate
-    sets are pairwise disjoint (the kernel then runs no visited check),
-    and sets, each candidate list as the set arc_fixpoint revises (a
-    partition chunk measures only the groups it cuts, inherits disjoint
-    and passes its revised sets, as the builder does); then size_bytes
-    and max_degree, summed from group_metrics. arcs, arc_fixpoint's
-    table, is built on first use. tree_metrics in tests/helpers.py is
-    the from-scratch check.
+    every group's (bytes, longest list), and disjoint, whether the
+    candidate sets are pairwise disjoint (the kernel then runs no
+    visited check); a partition chunk measures only the groups it cuts
+    and inherits disjoint. Then it sums size_bytes and max_degree from
+    group_metrics. arcs, arc_fixpoint's table, is built on first use.
+    tree_metrics in tests/helpers.py is the from-scratch check.
     """
 
-    candidates: list[list[int]]
+    candidates: list[set[int]]
     groups: Groups
     group_metrics: dict[tuple[int, int], tuple[int, int]] | None = field(default=None, compare=False, repr=False)
     disjoint: bool | None = field(default=None, compare=False, repr=False)
-    sets: list[set[int]] | None = field(default=None, compare=False, repr=False)
     size_bytes: int = field(init=False, compare=False)
     max_degree: int = field(init=False, compare=False)
 
@@ -104,8 +103,6 @@ class CandidateTree:
         candidates = self.candidates
         if self.group_metrics is None:
             self.group_metrics = {key: measure_group(lists) for key, lists in self.groups.items()}
-        if self.sets is None:
-            self.sets = list(map(set, candidates))
         if self.disjoint is None:
             self.disjoint = len(set().union(*candidates)) == sum(map(len, candidates))
         metrics = self.group_metrics.values()
@@ -215,17 +212,15 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
         # the query is connected, so one empty set empties them all
         cand = [set() for _ in cand]
 
-    ordered = [sorted(c) for c in cand]
-
     def group(a: int, b: int) -> dict[int, list[int]]:
         # C(b) holds only vertices of b's label, so its partners of v are
         # the ones among v's ascending label-b row, already in order.
         has, rows = cand[b].__contains__, by_label[labels[b]]
-        return {v: row for v in ordered[a] if (row := list(filter(has, rows[v])))}
+        return {v: row for v in sorted(cand[a]) if (row := list(filter(has, rows[v])))}
 
     stored = [(plan.parent[u], u) for u in plan.bfs_order[1:]]
     stored += [(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]]
-    return CandidateTree(ordered, {(a, b): group(a, b) for a, b in stored}, sets=cand)
+    return CandidateTree(cand, {(a, b): group(a, b) for a, b in stored})
 
 
 def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> int:

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one query end to end")
     _add_config_flags(run_p)
-    run_p.add_argument("--variant", default="share", choices=JOB_VARIANTS)
     run_p.add_argument("--delta", type=_float, default=0.1, help="host workload share in [0,1]")
     run_p.add_argument("--k", dest="fixed_k", type=_int, default=None, help="fix the partition factor (>= 2)")
     run_p.add_argument("--trace", help="write the per-round kernel trace CSV here")
@@ -163,7 +162,7 @@ def _cmd_run(args) -> int:
     trace = [] if args.trace else None
     if args.trace:
         _write_trace(args.trace, trace)  # an unwritable path fails here, before the job
-    stats = _job({}, data, query, config, state, args.variant, model, trace)
+    stats = _job({}, data, query, config, state, "share", model, trace)
     _check_cycles(stats.cycles_basic, stats.cycles_task, stats.cycles_sep)
     if args.trace:
         _write_trace(args.trace, trace)

@@ -15,11 +15,12 @@ suite keeps a staged model of the same rounds, with per-task records
 and bit vectors, as its reference (tests/helpers.py): it gives the
 same matches, task counts, trace and buffer peaks.
 
-Matches come out strictly increasing with no sort. Candidate lists are
-sorted and every level is FIFO, so each level holds its partials in
+Matches come out strictly increasing with no sort. Stored lists are
+sorted, roots stream in ascending order (the root set is sorted once
+per call) and every level is FIFO, so each level holds its partials in
 increasing order; a level is refilled only once every deeper level has
-drained, and roots stream in ascending order, so all extensions of one
-partial are filed before any extension of a later one. The visited
+drained, so all extensions of one partial are filed before any
+extension of a later one. The visited
 check runs only when the tree is not known to have pairwise disjoint
 candidate sets (CandidateTree.disjoint, proved once per index and
 inherited by every partition chunk): every stored list holds
@@ -140,10 +141,10 @@ def pipeline_enumerate(
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """Enumerate every embedding of the tree's search space.
 
-    `capacity` is model.capacity. Root candidates are streamed into
-    level 1 at most `capacity` at a time, and only once everything
-    deeper has drained, so no level ever exceeds `capacity`; filing
-    past it raises BufferOverflowError. Each
+    `capacity` is model.capacity. Root candidates are streamed in
+    ascending order into level 1 at most `capacity` at a time, and only
+    once everything deeper has drained, so no level ever exceeds
+    `capacity`; filing past it raises BufferOverflowError. Each
     round pops inputs FIFO from the deepest non-empty level until the
     next one could take the round past `capacity` outputs; an input
     whose list alone is longer expands its first `capacity` candidates
@@ -176,7 +177,7 @@ def pipeline_enumerate(
     levels: list[deque[tuple[int, ...]]] = [deque() for _ in range(order_length)]
     front_offset = [0] * order_length
     peak = 0
-    roots = tree.candidates[plan.root]
+    roots = sorted(tree.candidates[plan.root])
     matches: list[tuple[int, ...]] = []
     cursor = 0
     results_generated = edge_tasks_generated = 0

@@ -1,11 +1,11 @@
 """Recursive splitting of a candidate tree under size and degree budgets.
 
-A tree over budget at the current matching-order vertex u has C(u) cut
-into k even contiguous chunks, and every chunk is made by one routine,
-project_tree: the projection of the parent onto its part of C(u),
-taken to its arc-consistency fixpoint by the index build's own routine,
-candidate_tree.arc_fixpoint, over the parent's stored groups, started
-from the arcs into u. A candidate is kept only if its row toward every
+A tree over budget at the current matching-order vertex u has C(u),
+in ascending order, cut into k even contiguous chunks, and every chunk
+is made by one routine, project_tree: the projection of the parent onto
+its part of C(u), taken to its arc-consistency fixpoint by the index
+build's own routine, candidate_tree.arc_fixpoint, over the parent's
+stored groups, started from the arcs into u. A candidate is kept only if its row toward every
 query neighbour still holds a partner. Cutting C(u) leaves candidates
 of other vertices, before u in the order as well as after it, with no
 partner; most chunks of a cyclic query lose a whole set that way and
@@ -36,18 +36,18 @@ into it was within the degree budget, and chunks only shorten lists),
 so only the size budget can still be violated there.
 
 Everything a chunk reads is carried by the tree (CandidateTree): the
-sets the fixpoint revises, its arc table (built once per tree, shared
-by the k sibling chunks and by a skip) and its per-group (bytes,
-longest list) metrics, so a chunk costs in proportion to what it
-restricts. Unchanged candidate lists and sets, and groups with both
-ends unchanged (with their metrics entries), are shared by reference
-(trees are immutable once built). Every other group is cut once, from
-the final sets, and returned with its measure. The cut reads the rows
-the fixpoint guarantees (each retained candidate has a stored row that
-keeps a partner), so it looks up and drops nothing in vain: a row that
-loses no target is kept whole, any other is filtered. The chunk's
-constructor only sums size_bytes and max_degree; tree_metrics in
-tests/helpers.py is the from-scratch check.
+candidate sets the fixpoint revises, its arc table (built once per
+tree, shared by the k sibling chunks and by a skip) and its per-group
+(bytes, longest list) metrics, so a chunk costs in proportion to what
+it restricts. The fixpoint's final sets are the chunk's own; unchanged
+sets, and groups with both ends unchanged (with their metrics entries),
+are shared by reference (trees are immutable once built). Every other
+group is cut once, from the final sets, and returned with its measure.
+The cut reads the rows the fixpoint guarantees (each retained candidate
+has a stored row that keeps a partner), so it looks up and drops
+nothing in vain: a row that loses no target is kept whole, any other is
+filtered. The chunk's constructor only sums size_bytes and max_degree;
+tree_metrics in tests/helpers.py is the from-scratch check.
 """
 
 from __future__ import annotations
@@ -100,19 +100,19 @@ def partition_factor(tree: CandidateTree, config: PartitionConfig, u: int) -> in
     return max(1, min(k, len(tree.candidates[u])))
 
 
-def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set[int] | None):
-    """One adjacency group cut to the retained sources cand_a and targets keep_b (None: unchanged), with its measure.
+def _restrict(lists: dict[int, list[int]], keep_a: set[int] | None, keep_b: set[int] | None):
+    """One adjacency group cut to the retained source set keep_a and target set keep_b (None: unchanged), with its measure.
 
     The chunk is at its fixpoint, so each retained source has a row that
     keeps a target. With keep_b None the group is the parent's rows of
-    cand_a; otherwise a row that loses no target is shared whole and any
+    keep_a; otherwise a row that loses no target is shared whole and any
     other is filtered (stored rows are sorted, so filtered ones are too).
     """
     if keep_b is None:
-        new = {v: lists[v] for v in cand_a}
+        new = {v: lists[v] for v in keep_a}
     else:
         has = keep_b.__contains__
-        rows = lists.items() if cand_a is None else zip(cand_a, map(lists.__getitem__, cand_a))
+        rows = lists.items() if keep_a is None else zip(keep_a, map(lists.__getitem__, keep_a))
         new = {v: row if keep_b.issuperset(row) else list(filter(has, row)) for v, row in rows}
     return new, measure_group(new)
 
@@ -120,20 +120,20 @@ def _restrict(lists: dict[int, list[int]], cand_a: list[int] | None, keep_b: set
 def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTree | None:
     """The projection onto part, taken to its fixpoint: the tree with C(u) cut to part_set.
 
-    arc_fixpoint revises tree.sets over tree.arcs from the arcs into u
-    (the tree is at its fixpoint), and None is returned as soon as a set
-    empties, before any group is cut. Each group with an end whose set
-    shrank is then cut once by _restrict, which returns its measure; the
-    rest are shared with their metrics entries, and the chunk inherits
-    the parent's disjointness, since it only shrinks sets.
+    arc_fixpoint revises a copy of tree.candidates over tree.arcs from
+    the arcs into u (the tree is at its fixpoint), and None is returned
+    as soon as a set empties, before any group is cut. The final sets
+    are the chunk's candidates. Each group with an end whose set shrank
+    is then cut once by _restrict, which returns its measure; the rest
+    are shared with their metrics entries, and the chunk inherits the
+    parent's disjointness, since it only shrinks sets.
     """
-    sets = list(tree.sets)
+    sets = list(tree.candidates)
     if len(part_set) < len(sets[u]):
         sets[u] = part_set
         if not arc_fixpoint(sets, tree.arcs, [(x, u) for x in tree.arcs[u]]):
             return None
-    retained = {w: keep for w, (keep, old) in enumerate(zip(sets, tree.sets)) if keep is not old}
-    candidates = [sorted(retained[w]) if w in retained else old for w, old in enumerate(tree.candidates)]
+    retained = {w: keep for w, (keep, old) in enumerate(zip(sets, tree.candidates)) if keep is not old}
     groups, metrics = {}, {}
     for key, lists in tree.groups.items():
         a, b = key
@@ -141,8 +141,8 @@ def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTr
         if keep_a is None and keep_b is None:
             groups[key], metrics[key] = lists, tree.group_metrics[key]
         else:
-            groups[key], metrics[key] = _restrict(lists, None if keep_a is None else candidates[a], keep_b)
-    return CandidateTree(candidates, groups, metrics, tree.disjoint, sets)
+            groups[key], metrics[key] = _restrict(lists, keep_a, keep_b)
+    return CandidateTree(sets, groups, metrics, tree.disjoint)
 
 
 def skips(tree: CandidateTree, plan: QueryPlan, index: int, config: PartitionConfig) -> bool:
@@ -197,10 +197,10 @@ def partition_tree(
         )
 
     u = plan.order[index]
-    cand = tree.candidates[u]
-    if len(cand) == 1 or skips(tree, plan, index, config):
+    if len(tree.candidates[u]) == 1 or skips(tree, plan, index, config):
         return partition_tree(tree, plan, index + 1, config, sink)
 
+    cand = sorted(tree.candidates[u])
     k = partition_factor(tree, config, u)
     base, extra = divmod(len(cand), k)
     bounds = [i * base + min(i, extra) for i in range(k + 1)]

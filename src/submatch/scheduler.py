@@ -67,10 +67,10 @@ class JobStats:
     cycles_task: float
     cycles_sep: float
     wall_ms: float
-    host_trees: int = 0
-    kernel_trees: int = 0
-    results_generated: int = 0
-    edge_tasks_generated: int = 0
+    host_trees: int
+    kernel_trees: int
+    results_generated: int
+    edge_tasks_generated: int
 
     def to_report(self) -> dict:
         """The stable external JSON schema, cycles at 1-cycle precision."""

@@ -90,12 +90,13 @@ def has_edge(graph: Graph, a: int, b: int) -> bool:
 def dump_tree(tree: CandidateTree) -> str:
     """Deterministic text dump used by golden-file tests.
 
-    One ``C(u): ...`` line per query vertex, then one ``N[a->b][v]: ...``
-    line per stored adjacency list, keys ascending.
+    One ``C(u): ...`` line per query vertex, its candidates ascending,
+    then one ``N[a->b][v]: ...`` line per stored adjacency list, keys
+    ascending.
     """
     lines = []
     for u, cand in enumerate(tree.candidates):
-        lines.append(f"C({u}): {' '.join(map(str, cand))}".rstrip())
+        lines.append(f"C({u}): {' '.join(map(str, sorted(cand)))}".rstrip())
     for a, b in sorted(tree.groups):
         per_cand = tree.groups[(a, b)]
         for v in sorted(per_cand):
@@ -140,13 +141,13 @@ GOLDEN_STATS = (
 )
 
 
-def golden_entry(name: str) -> dict:
-    """What tests/golden/outputs.json records of one bundled query's job.
+def golden_entry(data: Graph, name: str) -> dict:
+    """What the golden files under tests/golden/ record of one bundled query's job on `data`.
 
-    The job runs on the benchmark graph at default budgets and delta
-    0.1. Its emitted trees are read where the job costs each one
-    (scheduler.estimate_workload): their count, and sha256 over each
-    tree's dump_tree and (size_bytes, max_degree) in emission order.
+    The job runs at default budgets and delta 0.1. Its emitted trees are
+    read where the job costs each one (scheduler.estimate_workload):
+    their count, and sha256 over each tree's dump_tree and (size_bytes,
+    max_degree) in emission order.
     """
     digest, trees = hashlib.sha256(), 0
     real = submatch.scheduler.estimate_workload
@@ -160,7 +161,7 @@ def golden_entry(name: str) -> dict:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(submatch.scheduler, "estimate_workload", costed)
         _, stats = submatch.scheduler.run_job(
-            benchmark_graph(), benchmark_queries()[name], PartitionConfig(), SchedulerState(0.1), "share"
+            data, benchmark_queries()[name], PartitionConfig(), SchedulerState(0.1), "share"
         )
     return {"trees": trees, "tree_sha256": digest.hexdigest(), **{field: getattr(stats, field) for field in GOLDEN_STATS}}
 
@@ -176,7 +177,7 @@ def partition_example() -> tuple[CandidateTree, QueryPlan]:
     """
     plan = QueryPlan(parent=[None, 0, 0, 1], non_tree=[[], [2], [1], []], order=[0, 1, 2, 3])
     tree = CandidateTree(
-        candidates=[[1, 2], [3, 4, 5], [6, 7, 8], [9, 10]],
+        candidates=[{1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10}],
         groups={
             (0, 1): {1: [3, 5], 2: [4]},
             (0, 2): {1: [6, 8], 2: [6, 7, 8]},
@@ -184,6 +185,21 @@ def partition_example() -> tuple[CandidateTree, QueryPlan]:
             (1, 2): {3: [6], 4: [7], 5: [8]},
             (2, 1): {6: [3], 7: [4], 8: [5]},
         },
+    )
+    return tree, plan
+
+
+def hash_order_example() -> tuple[CandidateTree, QueryPlan]:
+    """Hand-built path tree 0-1-2 whose root set {1, 33, 64} iterates as 64, 1, 33.
+
+    CPython places small ints by value modulo the table size, so the set
+    iterates out of ascending order. Its matches, ascending, are
+    (1, 2, 4), (1, 2, 5), (33, 2, 4), (33, 2, 5), (33, 3, 5), (64, 3, 5).
+    """
+    plan = QueryPlan(parent=[None, 0, 1], non_tree=[[], [], []], order=[0, 1, 2])
+    tree = CandidateTree(
+        candidates=[{1, 33, 64}, {2, 3}, {4, 5}],
+        groups={(0, 1): {1: [2], 33: [2, 3], 64: [3]}, (1, 2): {2: [4, 5], 3: [5]}},
     )
     return tree, plan
 
@@ -318,7 +334,7 @@ def reference_candidate_tree(data, query, plan):
     for a, b in tree_edges + non_tree_edges:
         rows = {v: sorted(set(data.adj[v]) & cand[b]) for v in cand[a]}
         groups[(a, b)] = {v: row for v, row in rows.items() if row}
-    return CandidateTree([sorted(c) for c in cand], groups)
+    return CandidateTree(cand, groups)
 
 
 def _earlier_links(plan, w):
@@ -356,7 +372,7 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
         raise ValueError("part must be non-empty")
     pos_u = plan.position[u]
     part_set = set(part)
-    if not part_set <= set(tree.candidates[u]):
+    if not part_set <= tree.candidates[u]:
         raise ValueError("part must be a subset of the candidates of u")
 
     retained = [set(tree.candidates[w]) if plan.position[w] < pos_u else set() for w in range(plan.num_vertices)]
@@ -373,7 +389,7 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
             else:
                 for v_from in retained[w_from]:
                     linked.update(lists.get(v_from, ()))
-        retained[w] = linked & set(tree.candidates[w])
+        retained[w] = linked & tree.candidates[w]
 
     groups = {}
     for (a, b), lists in tree.groups.items():
@@ -386,7 +402,7 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
             if new_row:
                 new_lists[v] = new_row
         groups[(a, b)] = new_lists
-    return CandidateTree([sorted(retained[w]) for w in range(plan.num_vertices)], groups)
+    return CandidateTree(retained, groups)
 
 
 def reference_refine_tree(tree):
@@ -418,7 +434,7 @@ def reference_refine_tree(tree):
     for (a, b), lists in groups.items():
         rows = {v: [x for x in row if x in cand[b]] for v, row in lists.items() if v in cand[a]}
         out[(a, b)] = {v: row for v, row in rows.items() if row}
-    return CandidateTree([sorted(c) for c in cand], out)
+    return CandidateTree(cand, out)
 
 
 def reference_skips(tree, plan, index, config):
@@ -456,7 +472,7 @@ def reference_partitions(tree, plan, index, config, skipped=None):
         if skipped is not None:
             skipped.append(u)
         return reference_partitions(tree, plan, index + 1, config, skipped)
-    cand = tree.candidates[u]
+    cand = sorted(tree.candidates[u])
     k = partition_factor(tree, config, u)
     base, extra = divmod(len(cand), k)
     out = []
@@ -519,7 +535,7 @@ def carries_its_facts(tree, root) -> bool:
     return (
         tree == fresh
         and all(
-            sorted(lists) == cand[a] and all(lists.values()) and set(cand[b]).issuperset(chain.from_iterable(lists.values()))
+            lists.keys() == cand[a] and all(lists.values()) and cand[b].issuperset(chain.from_iterable(lists.values()))
             for (a, b), lists in tree.groups.items()
         )
         and tree.group_metrics == fresh.group_metrics
@@ -758,7 +774,6 @@ def reference_pipeline_enumerate(
     plan,
     model=CycleModel(),
     *,
-    port_limit=None,
     trace=None,
     buffer_stats=None,
 ):
@@ -769,13 +784,10 @@ def reference_pipeline_enumerate(
     give == matches, task counts, traces and buffer peaks. Needs a query
     of at least two vertices.
     """
-    if port_limit is not None and tree.max_degree > port_limit:
-        raise ValueError(f"tree degree {tree.max_degree} exceeds port limit {port_limit}")
-
     capacity = model.capacity
     order_length = plan.num_vertices
     buffer = ResultBuffer(order_length - 1, capacity)
-    roots = tree.candidates[plan.root]
+    roots = sorted(tree.candidates[plan.root])
     cursor = 0
     matches = []
     round_no = 0

@@ -70,7 +70,7 @@ def test_criterion_1_worked_example_fidelity():
     data, query = helpers.worked_data(), helpers.worked_query()
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
-    assert tree.candidates == [[0, 1], [3, 5], [2, 4, 6], [8, 9]]
+    assert tree.candidates == [{0, 1}, {3, 5}, {2, 4, 6}, {8, 9}]
     assert tree.groups[(1, 2)][5] == [4, 6]
     assert tree.groups[(2, 3)][2] == [8]
 

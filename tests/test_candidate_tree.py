@@ -49,7 +49,7 @@ def worked_tree():
 
 def test_worked_tree_reproduces_worked_example_sets():
     tree, _ = worked_tree()
-    assert tree.candidates == [[0, 1], [3, 5], [2, 4, 6], [8, 9]]
+    assert tree.candidates == [{0, 1}, {3, 5}, {2, 4, 6}, {8, 9}]
     assert tree.groups[(0, 1)] == {0: [3], 1: [5]}
     assert tree.groups[(1, 2)][5] == [4, 6]
     assert tree.groups[(2, 3)][2] == [8]
@@ -84,7 +84,7 @@ def test_refinement_that_empties_one_set_empties_every_set():
     plan = build_query_plan(query, data)
     assert start_candidates(data, query, plan) == [{0}, {1}, {4}, {5}]
     tree = build_candidate_tree(data, query, plan)
-    assert tree.candidates == [[], [], [], []]
+    assert tree.candidates == [set(), set(), set(), set()]
     assert all(not lists for lists in tree.groups.values())
     assert tree == helpers.reference_candidate_tree(data, query, plan)
 
@@ -100,7 +100,7 @@ def test_soundness_every_oracle_embedding_stays_in_candidates():
 def assert_refined_fixpoint(tree, plan):
     """Re-running refinement must remove nothing: no empty child list,
     no candidate without a surviving parent link, no stale entries."""
-    cand_sets = [set(c) for c in tree.candidates]
+    cand_sets = tree.candidates
     for u in range(plan.num_vertices):
         for c in plan.children[u]:
             lists = tree.groups.get((u, c), {})
@@ -135,8 +135,8 @@ def test_refinement_drops_candidates_orphaned_by_sibling_subtrees():
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     assert_refined_fixpoint(tree, plan)
-    assert tree.candidates[1] == [4]
-    assert tree.candidates[2] == [5]
+    assert tree.candidates[1] == {4}
+    assert tree.candidates[2] == {5}
 
 
 def test_adjacency_entries_are_candidates_and_data_edges():
@@ -201,7 +201,7 @@ def test_metrics_recount_matches_cached_and_independent_formula():
 
 
 def test_metrics_of_empty_tree():
-    empty = CandidateTree([[], []], {(0, 1): {}})
+    empty = CandidateTree([set(), set()], {(0, 1): {}})
     size, degree = tree_metrics(empty)
     assert degree == 0
     assert size == BASE_HEADER_BYTES + 2 * LIST_HEADER_BYTES
@@ -237,7 +237,7 @@ def test_stored_lists_are_sorted_nonempty_and_within_candidates():
         trees.append(build_candidate_tree(data, query, build_query_plan(query, data)))
     for tree in trees:
         for (a, b), lists in tree.groups.items():
-            cand_a, cand_b = set(tree.candidates[a]), set(tree.candidates[b])
+            cand_a, cand_b = tree.candidates[a], tree.candidates[b]
             for v, row in lists.items():
                 assert v in cand_a
                 assert row and row == sorted(set(row)) and set(row) <= cand_b
@@ -275,7 +275,7 @@ def test_neighbour_label_prefilter_shrinks_start_sets_and_keeps_the_index():
         start = start_candidates(data, query)
         for u in range(query.num_vertices):
             local = set(candidates_by_local_features(data, query, u))
-            assert set(tree.candidates[u]) <= start[u] <= local
+            assert tree.candidates[u] <= start[u] <= local
             if start[u] < local:
                 shrunk.append((name, u))
     assert shrunk

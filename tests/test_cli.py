@@ -66,16 +66,6 @@ def test_run_absent_label_query_reports_no_partitions(capsys, worked_paths, tmp_
     assert (report["partitions"], report["embeddings"]) == (0, 0)
 
 
-def test_run_variants_agree(capsys, worked_paths):
-    data, query = worked_paths
-    counts = set()
-    for variant in ("basic", "task", "sep"):
-        code, out = run_cli(capsys, "run", "--data", data, "--query", query, "--variant", variant)
-        assert code == 0
-        counts.add(json.loads(out)["embeddings"])
-    assert counts == {2}
-
-
 def test_run_parse_error_is_machine_readable(capsys, tmp_path, worked_paths):
     bad = tmp_path / "bad.graph"
     bad.write_text("t 2 1\nv 0 0 1\nv 1 0 1\ne 1 1\n")
@@ -144,6 +134,15 @@ def test_compare_rejects_trace_as_a_usage_error(capsys, worked_paths, tmp_path):
     assert exc.value.code == 2
     assert "unrecognized arguments: --trace" in capsys.readouterr().err
     assert not trace_path.exists()
+
+
+def test_run_rejects_variant_as_a_usage_error(capsys, worked_paths):
+    # run reports all three variants' cycles, so it takes no variant; compare keeps --variant
+    data, query = worked_paths
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--data", data, "--query", query, "--variant", "basic"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -436,7 +435,7 @@ def test_bad_budget_or_capacity_is_config_error_before_any_output(capsys, worked
     [
         ("run", ["--k", "1"], "fixed_k must be >= 2 when set"),
         ("compare", ["--k", "auto,1"], "fixed_k must be >= 2 when set"),
-        ("run", ["--variant", "basic", "--delta", "2"], "delta must lie in [0, 1]"),
+        ("run", ["--delta", "2"], "delta must lie in [0, 1]"),
         ("compare", ["--dram-ratio", "0.5"], "dram-ratio must be finite and >= 1"),
         ("run", ["--no", "0"], "capacity must be >= 1"),
     ],

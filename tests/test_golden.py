@@ -24,4 +24,4 @@ def test_golden_file_covers_every_bundled_query():
 
 @pytest.mark.parametrize("name", QUERY_NAMES)
 def test_job_outputs_match_the_golden_file(name):
-    assert helpers.golden_entry(name) == GOLDEN[name]
+    assert helpers.golden_entry(helpers.benchmark_graph(), name) == GOLDEN[name]

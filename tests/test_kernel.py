@@ -15,6 +15,7 @@ from submatch import (
 )
 from submatch import kernel
 from submatch.kernel import BufferOverflowError
+from submatch.scheduler import host_match
 from submatch import fixtures
 
 import helpers
@@ -305,9 +306,9 @@ def test_free_tail_with_empty_rows_equals_staged_reference():
     plan = build_query_plan(query, data)
     tree = build_candidate_tree(data, query, plan)
     u = plan.order[-1]
-    chunk = helpers.reference_project_tree(tree, plan, u, tree.candidates[u][:1])
+    chunk = helpers.reference_project_tree(tree, plan, u, sorted(tree.candidates[u])[:1])
     assert plan.tail_start == 1
-    assert set(chunk.groups[(plan.root, u)]) < set(chunk.candidates[plan.root])
+    assert chunk.groups[(plan.root, u)].keys() < chunk.candidates[plan.root]
     _assert_equal_to_staged_reference(chunk, plan, (1, 2, 5, 1024))
 
 
@@ -332,9 +333,21 @@ def test_matches_come_out_strictly_increasing_without_a_sort():
             assert matches == expected, (name, capacity)
 
 
+def test_root_set_out_of_order_gives_increasing_matches():
+    # the kernel streams the root set ascending, so no answer sort is needed
+    tree, plan = helpers.hash_order_example()
+    assert list(tree.candidates[plan.root]) == [64, 1, 33]
+    expected = [(1, 2, 4), (1, 2, 5), (33, 2, 4), (33, 2, 5), (33, 3, 5), (64, 3, 5)]
+    for capacity in (1, 2, 4, 1024):
+        fused = _run_kernel(pipeline_enumerate, tree, plan, capacity)
+        assert fused == _run_kernel(helpers.reference_pipeline_enumerate, tree, plan, capacity), capacity
+        assert fused[0] == expected, capacity
+    assert host_match(tree, plan) == expected
+
+
 def _walks(tree, plan):
-    """Order-aligned walks through the stored lists passing every non-tree row; vertices may repeat."""
-    walks = [(v,) for v in tree.candidates[plan.root]]
+    """Order-aligned walks through the stored lists passing every non-tree row, ascending; vertices may repeat."""
+    walks = [(v,) for v in sorted(tree.candidates[plan.root])]
     for u in plan.order[1:]:
         parent = plan.parent[u]
         lists = tree.groups.get((parent, u), {})
@@ -353,7 +366,7 @@ def test_only_queries_with_shared_candidates_check_repeats():
     for name, query in helpers.benchmark_queries().items():
         plan = build_query_plan(query, data)
         tree = build_candidate_tree(data, query, plan)
-        cands = [set(tree.candidates[u]) for u in plan.order]
+        cands = [tree.candidates[u] for u in plan.order]
         shared = [(i, j) for j in range(len(cands)) for i in range(j) if cands[i] & cands[j]]
         if name != "q8":
             assert not shared, name  # distinct labels: disjoint candidate sets, no visited check runs
@@ -379,7 +392,7 @@ def test_shared_candidate_runs_the_visited_check_however_the_tree_is_built():
 
     plan = QueryPlan([None, 0, 0], [[], [], []], [0, 1, 2])
     assert plan.tail_start == 1
-    tree = CandidateTree([[1], [2, 3], [2, 3]], {(0, 1): {1: [2, 3]}, (0, 2): {1: [2, 3]}})
+    tree = CandidateTree([{1}, {2, 3}, {2, 3}], {(0, 1): {1: [2, 3]}, (0, 2): {1: [2, 3]}})
     assert not tree.disjoint
     for capacity in (1, 2, 1024):
         matches, _, _ = pipeline_enumerate(tree, plan, CycleModel(capacity=capacity))

@@ -48,7 +48,7 @@ def tail_instances(draw):
 
     groups = {(parent[u], u): rows(parent[u], u) for u in range(1, n)}
     groups.update({(a, b): rows(a, b) for a in range(n) for b in non_tree[a]})
-    return CandidateTree(candidates, groups), plan, prefix, shared
+    return CandidateTree(list(map(set, candidates)), groups), plan, prefix, shared
 
 
 def run(enumerate_fn, tree, plan, capacity):

@@ -61,11 +61,11 @@ def test_factor_matches_direct_formula_on_random_budgets():
 def test_project_fixture_reaches_example_sets():
     tree, plan = helpers.partition_example()
     part_a = helpers.reference_project_tree(tree, plan, 0, [1])
-    assert part_a.candidates == [[1], [3, 5], [6, 8], [9, 10]]
+    assert part_a.candidates == [{1}, {3, 5}, {6, 8}, {9, 10}]
     part_b = helpers.reference_project_tree(tree, plan, 0, [2])
-    assert part_b.candidates == [[2], [4], [6, 7, 8], [9]]
+    assert part_b.candidates == [{2}, {4}, {6, 7, 8}, {9}]
     # at its fixpoint the second chunk loses 6 and 8: neither has a partner in C(1) = {4}
-    assert [project_tree(tree, 0, {v}).candidates for v in (1, 2)] == [part_a.candidates, [[2], [4], [7], [9]]]
+    assert [project_tree(tree, 0, {v}).candidates for v in (1, 2)] == [part_a.candidates, [{2}, {4}, {7}, {9}]]
 
 
 def test_project_full_part_is_identity():
@@ -113,7 +113,7 @@ def test_project_handles_child_before_parent_order():
     plan = QueryPlan(parent=[None, 0, 1, 0], non_tree=[[], [], [3], [2]], order=[0, 3, 2, 1])
     assert plan.bfs_order == (0, 1, 3, 2)  # derived breadth-first, not from the order
     tree = CandidateTree(
-        candidates=[[10], [11, 14, 16], [12, 15], [13]],
+        candidates=[{10}, {11, 14, 16}, {12, 15}, {13}],
         groups={
             (0, 1): {10: [11, 14]},
             (1, 2): {11: [12], 14: [15], 16: [12]},
@@ -123,9 +123,9 @@ def test_project_handles_child_before_parent_order():
         },
     )
     sub = helpers.reference_project_tree(tree, plan, 0, [10])
-    assert sub.candidates[3] == [13]
-    assert sub.candidates[2] == [12]  # 15 has no link to the retained 13
-    assert sub.candidates[1] == [11, 14, 16]  # 16 retained via its child link
+    assert sub.candidates[3] == {13}
+    assert sub.candidates[2] == {12}  # 15 has no link to the retained 13
+    assert sub.candidates[1] == {11, 14, 16}  # 16 retained via its child link
     assert sub.groups[(1, 2)] == {11: [12], 16: [12]}
 
 
@@ -217,8 +217,26 @@ def test_fixed_k_splits_into_k_parts():
     config = PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2)
     parts = collect_partitions(tree, plan, config)
     assert len(parts) == 2
-    assert parts[0].candidates[0] == [1]
-    assert parts[1].candidates[0] == [2]
+    assert parts[0].candidates[0] == {1}
+    assert parts[1].candidates[0] == {2}
+
+
+def test_fixed_k_cuts_contiguous_chunks_of_the_ascending_set():
+    tree, plan = helpers.hash_order_example()
+    assert list(tree.candidates[0]) == [64, 1, 33]
+    config = PartitionConfig(size_budget=tree.size_bytes - 1, fixed_k=2)
+    assert [part.candidates[0] for part in collect_partitions(tree, plan, config)] == [{1, 33}, {64}]
+
+
+def test_a_chunk_holds_the_fixpoint_sets_themselves():
+    # the part and the sets the fixpoint shrank are the chunk's own; the unchanged set is the parent's object
+    tree, plan = helpers.partition_example()
+    part = {1}
+    chunk = project_tree(tree, 0, part)
+    assert chunk.candidates == [{1}, {3, 5}, {6, 8}, {9, 10}]
+    assert chunk.candidates[0] is part
+    assert chunk.candidates[3] is tree.candidates[3]
+    assert all(type(c) is set for c in chunk.candidates)
 
 
 def test_config_validation():
@@ -430,7 +448,7 @@ def test_singleton_vertex_passes_its_tree_on_unprojected(monkeypatch):
     example, plan = helpers.partition_example()
     tree = project_tree(example, 0, {1})
     config = PartitionConfig(degree_budget=1)
-    assert tree.candidates[0] == [1] and not within_budgets(tree, config)
+    assert tree.candidates[0] == {1} and not within_budgets(tree, config)
     assert not submatch.partition.skips(tree, plan, 0, config)
     original_partition, original_project = submatch.partition.partition_tree, submatch.partition.project_tree
     calls, projected = [], []
@@ -469,7 +487,7 @@ def test_skip_rule_on_child_before_parent_order():
     for row_of_10 in ([11, 14], [11, 14, 16]):
         tree = helpers.reference_refine_tree(
             CandidateTree(
-                candidates=[[10], [11, 14, 16], [12, 15], [13]],
+                candidates=[{10}, {11, 14, 16}, {12, 15}, {13}],
                 groups={
                     (0, 1): {10: row_of_10},
                     (1, 2): {11: [12], 14: [15], 16: [12]},
@@ -487,7 +505,7 @@ def test_skip_rule_on_child_before_parent_order():
                     assert skipped == helpers.reference_skips(tree, plan, index, config)
                     if skipped:
                         skips.append((tree.candidates[1], degree_budget, size_budget - tree.size_bytes, u))
-    assert skips == [([11, 16], 1, 0, 3), ([11, 16], 1, 0, 2)]
+    assert skips == [({11, 16}, 1, 0, 3), ({11, 16}, 1, 0, 2)]
 
 
 def assert_projections_share_unchanged(monkeypatch, tree, plan, config):

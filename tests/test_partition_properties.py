@@ -36,7 +36,7 @@ def test_refined_chunk_is_the_refined_projection(seed, depth, draw):
     embeddings = [dict(zip(plan.order, e)) for e in brute_force_embeddings(query, data, plan.order)]
     for _ in range(depth):
         u = draw.draw(st.sampled_from(plan.order))
-        part = draw.draw(st.lists(st.sampled_from(tree.candidates[u]), min_size=1, unique=True))
+        part = draw.draw(st.lists(st.sampled_from(sorted(tree.candidates[u])), min_size=1, unique=True))
         chunk = project_tree(tree, u, set(part))
         reference = helpers.reference_refine_tree(helpers.reference_project_tree(tree, plan, u, part))
         embeddings = [e for e in embeddings if e[u] in part]
@@ -67,7 +67,7 @@ def test_chunk_carries_the_measure_of_each_group(seed, depth, draw):
     assume(all(tree.candidates))
     for _ in range(depth):
         u = draw.draw(st.sampled_from(plan.order))
-        chunk = project_tree(tree, u, set(draw.draw(st.lists(st.sampled_from(tree.candidates[u]), min_size=1, unique=True))))
+        chunk = project_tree(tree, u, set(draw.draw(st.lists(st.sampled_from(sorted(tree.candidates[u])), min_size=1, unique=True))))
         assume(chunk is not None)
         assert chunk.group_metrics == {key: measure_group(lists) for key, lists in chunk.groups.items()}
         tree = chunk
@@ -90,7 +90,7 @@ def test_skip_rule_is_the_projected_floor_rule(seed, draw):
     assume(all(tree.candidates))
     index = draw.draw(st.integers(0, plan.num_vertices - 1))
     for u in plan.order[: draw.draw(st.integers(0, index))]:
-        tree = project_tree(tree, u, {draw.draw(st.sampled_from(tree.candidates[u]))})
+        tree = project_tree(tree, u, {draw.draw(st.sampled_from(sorted(tree.candidates[u])))})
         assume(tree is not None)
     config = PartitionConfig(
         size_budget=max(17, tree.size_bytes + draw.draw(st.integers(-8, 64))),

@@ -94,7 +94,7 @@ def test_host_match_empty_candidates():
     from submatch import project_tree
 
     sub = project_tree(tree, 0, {1})
-    sub = CandidateTree(sub.candidates[:3] + [[]], {**sub.groups, (1, 3): {}})
+    sub = CandidateTree(sub.candidates[:3] + [set()], {**sub.groups, (1, 3): {}})
     assert host_match(sub, plan) == []
 
 
