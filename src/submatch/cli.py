@@ -145,12 +145,13 @@ def _check_cycles(*cycles: float) -> None:
 
 
 def _write_trace(path: str, traces) -> None:
+    """The trace as CSV: round is the row's position and t_v is p_o, one visited task per output."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "depth", "p_o", "t_v", "t_n", "accepted"])
             for i, row in enumerate(traces):
-                writer.writerow([i, row.depth, row.outputs, row.visited_tasks, row.edge_tasks, row.accepted])
+                writer.writerow([i, row.depth, row.outputs, row.outputs, row.edge_tasks, row.accepted])
     except OSError as exc:
         raise CliError("io", f"cannot write trace file: {exc}")
 
@@ -159,12 +160,12 @@ def _cmd_run(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
     (state,), (config,), model = _built_from(args, [args.delta], [args.fixed_k])
-    trace = [] if args.trace else None
-    if args.trace:
-        _write_trace(args.trace, trace)  # an unwritable path fails here, before the job
+    trace = None if args.trace is None else []
+    if trace is not None:
+        _write_trace(args.trace, trace)  # an unwritable or empty path fails here, before the job
     stats = _job({}, data, query, config, state, "share", model, trace)
     _check_cycles(stats.cycles_basic, stats.cycles_task, stats.cycles_sep)
-    if args.trace:
+    if trace is not None:
         _write_trace(args.trace, trace)
     print(json.dumps(stats.to_report()))
     return 0

@@ -40,18 +40,6 @@ that would have built them are replayed from the rows' lengths alone
 (_tail_rounds), so the trace, task counts and buffer peak are those of the
 round-by-round run, and the modelled cycles cannot move.
 
-An input's surviving extensions are built as partial + (v,) per
-candidate when there are few of them, and by zipping one repeat() per
-prefix slot with the candidate list when there are more than
-_ZIP_CUTOVER. zip makes each tuple in C with one allocation instead of
-two, but costs about 1 us to set up per input, so it pays only on long
-lists: measured, the two cost the same at 16-32 candidates. A job at
-the default port limit (16) reads no longer list, so it always keeps
-the comprehension; zipping every chunk instead made the split-3k
-benchmark about 4% slower end to end (higher in 9 of 10 alternating
-runs on a 2-vCPU x86 VM). Both build equal tuples in candidate order,
-so which one runs changes neither the matches nor their order.
-
 The three pipeline variants (basic, task, sep) find the same matches
 in the same rounds, so the matcher takes no variant. They exist only in
 the accounting: cycle_estimate prices one run's task counts under each,
@@ -64,7 +52,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import product
 from typing import NamedTuple, Sequence
 
 from .candidate_tree import CandidateTree
@@ -76,9 +64,6 @@ VARIANTS = ("basic", "task", "sep")
 # edge-task generation, edge check.
 DEFAULT_LATENCIES = (2.0, 2.0, 1.0, 1.0, 1.0, 1.0)
 DEFAULT_CAPACITY = 1024
-# Post-filter chunk length above which an input's extensions are built by
-# zip instead of a comprehension (see pipeline_enumerate).
-_ZIP_CUTOVER = 16
 
 
 @dataclass(frozen=True)
@@ -119,10 +104,13 @@ class CycleModel:
 
 
 class RoundTrace(NamedTuple):
-    round: int
+    """What one round decided; the round's number is its position in the trace.
+
+    outputs is p_o and t_v (one visited task per output by the model), edge_tasks is t_n.
+    """
+
     depth: int
     outputs: int
-    visited_tasks: int
     edge_tasks: int
     accepted: int
 
@@ -153,11 +141,9 @@ def pipeline_enumerate(
     outputs are checked against every earlier non-tree row (each looked
     up once per input) and, unless the tree is known to have disjoint
     candidate sets (tree.disjoint), against the input itself. Survivors
-    are filed in bulk, in candidate order; an input with more than
-    _ZIP_CUTOVER of them has its tuples built by zip rather than one
-    concatenation each (see the module docstring). The round's task
-    counts are closed forms: one visited task per output and one edge
-    task per output and earlier non-tree neighbor. With disjoint
+    are filed in bulk, as partial + (v,) in candidate order. The round's
+    task counts are closed forms: one visited task per output and one
+    edge task per output and earlier non-tree neighbor. With disjoint
     candidate sets, partials that reach the plan's free tail get their
     answers as one product each, and the tail's rounds are replayed from
     row lengths (see the module docstring). The frozen model is only
@@ -192,7 +178,6 @@ def pipeline_enumerate(
     tail = order_length if may_repeat else plan.tail_start
     tail_stages = [stage[:2] for stage in stages[tail:]]
 
-    round_no = 0
     depth = 0  # every level deeper than this one is empty
     while True:
         while depth and not levels[depth]:
@@ -221,18 +206,14 @@ def pipeline_enumerate(
                     chunk = [v for v in chunk if v in row]
                 if may_repeat:
                     chunk = [v for v in chunk if v not in partial]
-                if len(chunk) > _ZIP_CUTOVER:
-                    survivors += zip(*map(repeat, partial), chunk)
-                else:
-                    survivors += [partial + (v,) for v in chunk]
+                survivors += [partial + (v,) for v in chunk]
             front_offset[depth] = offset
 
             edge_tasks = outputs * len(checks)
             results_generated += outputs
             edge_tasks_generated += edge_tasks
             if trace is not None:
-                trace.append(RoundTrace(round_no, depth, outputs, outputs, edge_tasks, len(survivors)))
-            round_no += 1
+                trace.append(RoundTrace(depth, outputs, edge_tasks, len(survivors)))
         elif cursor < len(roots):
             survivors = [(v,) for v in roots[cursor : cursor + capacity]]
             cursor += capacity
@@ -252,8 +233,7 @@ def pipeline_enumerate(
             rounds, tail_peak = _tail_rounds(lengths, capacity)
             results_generated += sum(out for _, out in rounds)
             if trace is not None:
-                trace += [RoundTrace(round_no + i, tail + r, out, out, 0, out) for i, (r, out) in enumerate(rounds)]
-            round_no += len(rounds)
+                trace += [RoundTrace(tail + r, out, 0, out) for r, out in rounds]
             peak = max(peak, tail_peak)
         elif survivors:
             depth += 1

@@ -129,10 +129,9 @@ def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTr
     parent's disjointness, since it only shrinks sets.
     """
     sets = list(tree.candidates)
-    if len(part_set) < len(sets[u]):
-        sets[u] = part_set
-        if not arc_fixpoint(sets, tree.arcs, [(x, u) for x in tree.arcs[u]]):
-            return None
+    sets[u] = part_set
+    if not arc_fixpoint(sets, tree.arcs, [(x, u) for x in tree.arcs[u]]):
+        return None
     retained = {w: keep for w, (keep, old) in enumerate(zip(sets, tree.candidates)) if keep is not old}
     groups, metrics = {}, {}
     for key, lists in tree.groups.items():

