@@ -2,8 +2,8 @@
 
 Subcommands:
   run       match one query end to end, JSON report on stdout
-  compare   sweep variants / share thresholds / partition factors, CSV;
-            one job per distinct (share threshold, factor), priced per variant
+  compare   sweep share thresholds and partition factors, CSV; each row is
+            one job, reported as run reports it
   gen       write a seeded random graph file
 """
 
@@ -19,9 +19,11 @@ from .graph import GraphFormatError, load_graph, save_graph
 from .kernel import DEFAULT_CAPACITY, DEFAULT_LATENCIES, CycleModel
 from .partition import PartitionConfig, UnsplittableTreeError
 from .randgraph import powerlaw_graph, random_graph
-from .scheduler import JOB_VARIANTS, JobStats, SchedulerState, run_job
+from .scheduler import JobStats, SchedulerState, run_job
 
-COMPARE_FIELDS = ("variant", "delta", "k", "embeddings", "partitions", "cycles", "wall_ms")
+COMPARE_FIELDS = (
+    "delta", "k", "embeddings", "partitions", "w_c", "w_f", "cycles_basic", "cycles_task", "cycles_sep", "wall_ms",
+)
 
 
 class CliError(Exception):
@@ -81,10 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--k", dest="fixed_k", type=_int, default=None, help="fix the partition factor (>= 2)")
     run_p.add_argument("--trace", help="write the per-round kernel trace CSV here")
 
-    cmp_p = sub.add_parser("compare", help="sweep variants, share thresholds, or partition factors")
+    cmp_p = sub.add_parser("compare", help="sweep share thresholds and partition factors")
     _add_config_flags(cmp_p)
-    cmp_p.add_argument("--variant", default="basic,task,sep", help="comma list of variants")
-    cmp_p.add_argument("--delta", default="0.1", help="comma list of host shares")
+    cmp_p.add_argument("--delta", default="0", help="comma list of host shares")
     cmp_p.add_argument("--k", dest="fixed_k", default="auto", help="comma list of partition factors or 'auto'")
 
     gen_p = sub.add_parser("gen", help="generate a random labeled graph file")
@@ -124,23 +125,17 @@ def _built_from(args, deltas: list[float], fixed_ks: list[int | None]) -> tuple[
         raise CliError("config", str(exc))
 
 
-def _job(jobs: dict, data, query, config, state, variant, model, trace=None) -> JobStats:
-    """Stats of the job a `variant` report or row reads, run once per effective delta and config in `jobs`.
-
-    Delta applies under share only, and variants differ only in pricing.
-    """
-    key = (state.delta if variant == "share" else 0.0, config)
-    if key not in jobs:
-        try:
-            _, jobs[key] = run_job(data, query, config, SchedulerState(key[0]), variant, model=model, trace=trace)
-        except (UnsplittableTreeError, ValueError) as exc:
-            raise CliError("run", str(exc))
-    return jobs[key]
+def _job(data, query, config, state, model, trace=None) -> JobStats:
+    """Stats of one job, priced under every variant; a job that cannot run is a run error."""
+    try:
+        return run_job(data, query, config, state, model=model, trace=trace)[1]
+    except (UnsplittableTreeError, ValueError) as exc:
+        raise CliError("run", str(exc))
 
 
-def _check_cycles(*cycles: float) -> None:
+def _check_cycles(stats: JobStats) -> None:
     """Every latency is finite, but latencies times a job's task counts can overflow."""
-    if not all(map(math.isfinite, cycles)):
+    if not all(map(math.isfinite, (stats.cycles_basic, stats.cycles_task, stats.cycles_sep))):
         raise CliError("config", "the cycle estimate overflows; lower --l-consts or --dram-ratio")
 
 
@@ -163,10 +158,10 @@ def _cmd_run(args) -> int:
     trace = None if args.trace is None else []
     if trace is not None:
         _write_trace(args.trace, trace)  # an unwritable or empty path fails here, before the job
-    stats = _job({}, data, query, config, state, "share", model, trace)
-    _check_cycles(stats.cycles_basic, stats.cycles_task, stats.cycles_sep)
+    stats = _job(data, query, config, state, model, trace)
     if trace is not None:
-        _write_trace(args.trace, trace)
+        _write_trace(args.trace, trace)  # the rounds the job ran, even if its price then overflows
+    _check_cycles(stats)
     print(json.dumps(stats.to_report()))
     return 0
 
@@ -179,34 +174,24 @@ def _cmd_compare(args) -> int:
     data = _load(args.data, "data")
     query = _load(args.query, "query")
     # every value is parsed and built into its state, config and model before the header
-    variants = _split_list(args.variant)
-    for variant in variants:
-        if variant not in JOB_VARIANTS:
-            raise CliError("config", f"unknown variant {variant!r}")
     try:
         deltas = [_float(text) for text in _split_list(args.delta)]
         k_texts = _split_list(args.fixed_k)
         fixed_ks = [None if text == "auto" else _int(text) for text in k_texts]
     except ValueError as exc:
         raise CliError("config", f"bad --delta or --k value: {exc}")
-    for flag, values in (("--variant", variants), ("--delta", deltas), ("--k", k_texts)):
+    for flag, values in (("--delta", deltas), ("--k", k_texts)):
         if not values:
             raise CliError("config", f"{flag} lists no value")
     states, configs, model = _built_from(args, deltas, fixed_ks)
 
     writer = csv.writer(sys.stdout)
     writer.writerow(COMPARE_FIELDS)
-    jobs: dict = {}
-    for variant in variants:
-        for state in states:
-            for k_text, config in zip(k_texts, configs):
-                stats = _job(jobs, data, query, config, state, variant, model)
-                cycles = getattr(stats, f"cycles_{'sep' if variant == 'share' else variant}")
-                _check_cycles(cycles)
-                writer.writerow([
-                    variant, state.delta, k_text, stats.embeddings, stats.partitions, round(cycles),
-                    round(stats.wall_ms, 3),
-                ])
+    for state in states:
+        for k_text, config in zip(k_texts, configs):
+            stats = _job(data, query, config, state, model)
+            _check_cycles(stats)
+            writer.writerow([state.delta, k_text, *stats.to_report().values()])
     return 0
 
 

@@ -43,8 +43,7 @@ round-by-round run, and the modelled cycles cannot move.
 The three pipeline variants (basic, task, sep) find the same matches
 in the same rounds, so the matcher takes no variant. They exist only in
 the accounting: cycle_estimate prices one run's task counts under each,
-and the variants differ only in how they count stage overlap. The
-CLI's CPU-sharing variant, share, is priced as sep by compare alone.
+and the variants differ only in how they count stage overlap.
 """
 
 from __future__ import annotations
@@ -86,15 +85,6 @@ class CycleModel:
             raise ValueError("stage latencies must be finite and >= 1")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-
-    @property
-    def per_result_latency(self) -> float:
-        """Cycles a single partial spends in the four per-result stages."""
-        return sum(self.latencies[:4])
-
-    @property
-    def per_edge_task_latency(self) -> float:
-        return sum(self.latencies[4:])
 
     def scaled(self, ratio: float) -> "CycleModel":
         """Copy with all latencies multiplied (models slower memory, so ratio >= 1)."""
@@ -310,32 +300,23 @@ def _tail_rounds(lengths: Sequence[Sequence[int]], capacity: int) -> tuple[list[
             r += 1
 
 
-def _issue_cycles(variant: str, n: int, m: int) -> int:
-    """Cycles to issue n results and m edge tasks, one item per stage per cycle.
-
-    basic runs the four per-result and two edge-task stages back to
-    back; task overlaps {expand | visited check}, then runs the edge
-    stream beside collection; sep also overlaps collection with
-    expansion, leaving the expansion stream plus the bottleneck stream.
-    """
-    if variant == "basic":
-        return 4 * n + 2 * m
-    if variant == "task":
-        return 2 * n + max(n, m)
-    return n + max(n, m)
-
-
 def cycle_estimate(model: CycleModel, variant: str, results: int, edge_tasks: int) -> float:
-    """Closed-form cycle cost of one run's task counts under the given pipeline variant.
+    """Closed-form cycle cost of one run's n results and m edge tasks under the given pipeline variant.
 
-    basic: stages are pipelined within a round (at most model.capacity
-    results) but run one after another. task: the expand and
-    visited-check stages overlap, then edge work and collection. sep:
-    duplicated task generators let all stages overlap.
+    Each stage issues one item per cycle. basic runs the four
+    per-result and two edge-task stages back to back, and pays their
+    latencies once per round of at most model.capacity results. task
+    overlaps {expand | visited check}, then runs the edge stream beside
+    collection. sep's duplicated task generators also overlap
+    collection with expansion, leaving the expansion stream plus the
+    bottleneck stream.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     n, m = results, edge_tasks
     if variant == "basic":
-        return (n * model.per_result_latency + m * model.per_edge_task_latency) / model.capacity + _issue_cycles(variant, n, m)
-    return _issue_cycles(variant, n, m)
+        fill = (n * sum(model.latencies[:4]) + m * sum(model.latencies[4:])) / model.capacity
+        return fill + (4 * n + 2 * m)
+    if variant == "task":
+        return 2 * n + max(n, m)
+    return n + max(n, m)

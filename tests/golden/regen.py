@@ -1,11 +1,13 @@
 """Rewrite the golden records of bundled queries' jobs.
 
 outputs.json holds every bundled query's job on the 3k benchmark graph.
-Each file of FILES_30K holds one benchmark workload's queries on the
-30k benchmark graph, relabelled by each seed in SEEDS_30K, with the
-inputs and budgets built by perfbench/inputs.py (imported read-only):
-outputs_30k.json the split-30k workload, outputs_unsplit_30k.json the
-unsplit-30k one (one partition per query, long kernel lists). Run from
+Each file of FILES_30K holds every bundled query's job on the 30k
+benchmark graph, relabelled by each seed in SEEDS_30K, with the inputs
+and budgets built by perfbench/inputs.py (imported read-only):
+outputs_30k.json at default budgets (split-30k's q1, q4, q5 and q6 and
+the five queries no workload runs at 30k), outputs_unsplit_30k.json
+with the degree budget lifted to the graph's max degree, as unsplit-30k
+runs them (one partition per query, long kernel lists). Run from
 the repository root after a change that is meant to move trees,
 answers, traces or cycles: PYTHONPATH=src python tests/golden/regen.py
 tests/test_golden.py reads outputs.json, and CI's "Golden outputs at
@@ -27,17 +29,17 @@ from submatch.fixtures import QUERY_NAMES  # noqa: E402
 
 SEEDS_30K = (1357, 2718)
 GRAPH_SEED_30K = 1357
-FILES_30K = {"outputs_30k.json": "split-30k", "outputs_unsplit_30k.json": "unsplit-30k"}
+FILES_30K = {"outputs_30k.json": False, "outputs_unsplit_30k.json": True}  # file: unsplit
 
 
-def entries_30k(workload_name: str, seed: int) -> dict:
-    """The named workload's entries on the 30k graph relabelled by `seed`, at the workload's budgets."""
+def entries_30k(unsplit: bool, seed: int) -> dict:
+    """Every bundled query's entry on the 30k graph relabelled by `seed`, split or unsplit."""
     sys.path.insert(0, str(HERE.parent.parent / "perfbench"))
     try:
         import inputs
     finally:
         del sys.path[0]
-    workload = inputs.WORKLOADS[workload_name]
+    workload = inputs.Workload(30000, QUERY_NAMES, unsplit)
     made = inputs.make_inputs(workload, seed, GRAPH_SEED_30K)
     return {name: helpers.golden_entry(made.data, name, made.config) for name in workload.queries}
 
@@ -48,8 +50,8 @@ def write(path: Path, entries: dict) -> None:
 
 def main() -> None:
     write(HERE / "outputs.json", {name: helpers.golden_entry(helpers.benchmark_graph(), name) for name in QUERY_NAMES})
-    for file_name, workload_name in FILES_30K.items():
-        write(HERE / file_name, {str(seed): entries_30k(workload_name, seed) for seed in SEEDS_30K})
+    for file_name, unsplit in FILES_30K.items():
+        write(HERE / file_name, {str(seed): entries_30k(unsplit, seed) for seed in SEEDS_30K})
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ from submatch import (
 import submatch.cli
 import submatch.partition
 import submatch.scheduler
-from submatch import kernel
 from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES
 from submatch.fixtures import QUERY_NAMES, data_path
 from submatch.kernel import BufferOverflowError, CycleModel, RoundTrace
@@ -842,21 +841,30 @@ def pipeline_fill_slack(trace: Iterable[RoundTrace], model: CycleModel) -> float
     return sum(_round_fill(r.outputs, r.edge_tasks, max_latency) for r in trace)
 
 
+# Items a round of n outputs and m edge tasks issues under each variant, one item per stage per cycle.
+_ISSUED = {
+    "basic": lambda n, m: 4 * n + 2 * m,  # four per-output and two edge stages, back to back
+    "task": lambda n, m: 2 * n + max(n, m),  # expansion overlaps the visited check, edges run beside collection
+    "sep": lambda n, m: n + max(n, m),  # collection also overlaps expansion
+}
+
+
 def simulate_dataflow_schedule(trace: Iterable[RoundTrace], variant: str, model: CycleModel) -> float:
     """Event-style makespan of a recorded run under a stage schedule.
 
-    The check of submatch.cycle_estimate's closed forms. Each round
-    issues its items as kernel._issue_cycles counts them and pays a
-    fill of its active stages times the largest latency. Makespan is
-    never less than the closed-form estimate minus the fill slack for
-    the same trace.
+    The check of submatch.cycle_estimate's closed forms, sharing no
+    code with them. Each round issues its items as _ISSUED counts them
+    and pays a fill of its active stages times the largest latency.
+    Makespan is never less than the closed-form estimate minus the fill
+    slack for the same trace.
     """
-    if variant not in kernel.VARIANTS:
+    if variant not in _ISSUED:
         raise ValueError(f"unknown variant {variant!r}")
+    issue = _ISSUED[variant]
     max_latency = max(model.latencies)
     total = 0.0
     for r in trace:
-        total += kernel._issue_cycles(variant, r.outputs, r.edge_tasks) + _round_fill(r.outputs, r.edge_tasks, max_latency)
+        total += issue(r.outputs, r.edge_tasks) + _round_fill(r.outputs, r.edge_tasks, max_latency)
     return total
 
 

@@ -179,7 +179,7 @@ def test_criterion_6_cycle_model_ordering_and_bounds():
         # per-round fill term is negligible next to the issue terms
         denom = 4 * n + 2 * m
         if denom:
-            fill_ratio = (n * model.per_result_latency + m * model.per_edge_task_latency) / denom
+            fill_ratio = (n * sum(lat[:4]) + m * sum(lat[4:])) / denom
             model = CycleModel(lat, max(1, int(fill_ratio * rng.uniform(1e10, 1e12))))
             basic = cycle_estimate(model, "basic", n, m)
             task = cycle_estimate(model, "task", n, m)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from submatch import PartitionConfig, SchedulerState, fixtures, load_graph, run_job, save_graph
+from submatch import fixtures, load_graph, run_job, save_graph
 from submatch import cli
 from submatch.cli import main
 
@@ -137,12 +137,22 @@ def test_compare_rejects_trace_as_a_usage_error(capsys, worked_paths, tmp_path):
 
 
 def test_run_rejects_variant_as_a_usage_error(capsys, worked_paths):
-    # run reports all three variants' cycles, so it takes no variant; compare keeps --variant
+    # run reports all three variants' cycles, so it takes no variant
     data, query = worked_paths
     with pytest.raises(SystemExit) as exc:
         main(["run", "--data", data, "--query", query, "--variant", "basic"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --variant" in capsys.readouterr().err
+
+
+def test_compare_rejects_variant_as_a_usage_error(capsys, worked_paths):
+    # a compare row is one job priced under all three variants, as run reports it
+    data, query = worked_paths
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--data", data, "--query", query, "--variant", "basic"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --variant" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -152,8 +162,8 @@ def test_run_rejects_variant_as_a_usage_error(capsys, worked_paths):
         ["--delta", "0.1,nan"],
         ["--k", "x"],
         ["--k", "auto,1"],
-        ["--delta", "2", "--variant", "share"],
-        ["--variant", "basic,fast"],
+        ["--delta", "2"],
+        ["--delta", "0,inf"],
     ],
 )
 def test_compare_rejects_bad_list_values(capsys, worked_paths, flags):
@@ -163,7 +173,7 @@ def test_compare_rejects_bad_list_values(capsys, worked_paths, flags):
     assert json.loads(out)["error"]["type"] == "config"
 
 
-@pytest.mark.parametrize("flag", ["--variant", "--delta", "--k"])
+@pytest.mark.parametrize("flag", ["--delta", "--k"])
 def test_compare_empty_sweep_is_config_error_before_any_output(capsys, worked_paths, flag):
     data, query = worked_paths
     code, out = run_cli(capsys, "compare", "--data", data, "--query", query, "--json", flag, "")
@@ -183,56 +193,48 @@ def test_run_writes_trace_csv(capsys, worked_paths, tmp_path):
     assert [r[0] for r in rows[1:]] == [str(i) for i in range(len(rows) - 1)]
 
 
-def test_compare_variant_sweep_orders_cycles(capsys, worked_paths):
+def test_bare_compare_prices_one_job_under_every_variant(capsys, worked_paths):
     data, query = worked_paths
-    code, out = run_cli(capsys, "compare", "--data", data, "--query", query, "--variant", "basic,task,sep")
+    code, out = run_cli(capsys, "compare", "--data", data, "--query", query)
     assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert [r["variant"] for r in rows] == ["basic", "task", "sep"]
-    cycles = [float(r["cycles"]) for r in rows]
-    assert cycles[0] >= cycles[1] >= cycles[2]
-    assert len({r["embeddings"] for r in rows}) == 1
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert (row["delta"], row["k"], row["embeddings"]) == ("0.0", "auto", "2")
+    # the worked pair's three prices, as run reports them
+    assert [int(row[f"cycles_{v}"]) for v in ("basic", "task", "sep")] == [34, 21, 14]
 
 
-def test_compare_runs_each_distinct_job_once_and_prices_it_per_variant(capsys, bench_path, monkeypatch):
+def test_compare_rows_are_run_reports(capsys, bench_path, monkeypatch):
+    """Each row is one job, in delta then k order, equal to `run --delta d --k k` apart from wall_ms.
+
+    A value listed twice runs twice.
+    """
     calls = []
 
     def counting_run_job(*args, **kwargs):
-        calls.append(args[3].delta)
+        calls.append((args[3].delta, args[2].fixed_k))
         return run_job(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_job", counting_run_job)
-    variants, deltas, ks = ("basic", "task", "sep", "share"), ("0", "0.1"), ("auto", "2")
-    code, out = run_cli(
-        capsys, "compare", "--data", bench_path, "--query", str(fixtures.data_path("q1")),
-        "--variant", ",".join(variants), "--delta", ",".join(deltas), "--k", ",".join(ks), "--delta-s", "3000",
-    )
+    deltas, ks = ("0", "0.1", "0"), ("auto", "2")
+    inputs = ("--data", bench_path, "--query", str(fixtures.data_path("q1")), "--delta-s", "3000")
+    code, out = run_cli(capsys, "compare", *inputs, "--delta", ",".join(deltas), "--k", ",".join(ks))
     assert code == 0
-    assert len(calls) == 4  # (effective delta, k): (0, auto), (0, 2), (0.1, auto), (0.1, 2)
+    assert calls == [(0.0, None), (0.0, 2), (0.1, None), (0.1, 2), (0.0, None), (0.0, 2)]
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert [(r["variant"], r["delta"], r["k"]) for r in rows] == [
-        (v, str(float(d)), k) for v, d, k in itertools.product(variants, deltas, ks)
-    ]
-
-    data, query = helpers.benchmark_graph(), helpers.benchmark_queries()["q1"]
-    wall_ms = {}
-    for row in rows:
-        delta = float(row["delta"]) if row["variant"] == "share" else 0.0
-        k = None if row["k"] == "auto" else int(row["k"])
-        assert wall_ms.setdefault((delta, k), row["wall_ms"]) == row["wall_ms"]  # rows sharing a job share wall_ms
-        config = PartitionConfig(size_budget=3000, fixed_k=k)
-        _, stats = run_job(data, query, config, SchedulerState(delta), row["variant"])
-        priced = "sep" if row["variant"] == "share" else row["variant"]  # share is priced as sep
-        expected = [stats.embeddings, stats.partitions, round(getattr(stats, f"cycles_{priced}"))]
-        assert [int(row[f]) for f in ("embeddings", "partitions", "cycles")] == expected
-    assert len(wall_ms) == 4
+    assert [(r["delta"], r["k"]) for r in rows] == [(str(float(d)), k) for d, k in itertools.product(deltas, ks)]
+    for row, (delta, k) in zip(rows, itertools.product(deltas, ks)):
+        _, text = run_cli(capsys, "run", *inputs, "--delta", delta, *(() if k == "auto" else ("--k", k)))
+        report = json.loads(text)
+        assert list(row) == ["delta", "k", *report]
+        fields = [field for field in report if field != "wall_ms"]
+        assert [row[field] for field in fields] == [str(report[field]) for field in fields]
 
 
 def test_compare_delta_sweep_keeps_embeddings_constant(capsys, bench_path):
     query = str(fixtures.data_path("q1"))
     code, out = run_cli(
         capsys, "compare", "--data", bench_path, "--query", query,
-        "--variant", "share", "--delta", "0,0.05,0.1,0.15,0.2",
+        "--delta", "0,0.05,0.1,0.15,0.2",
         "--delta-s", "3000",
     )
     assert code == 0
@@ -246,7 +248,7 @@ def test_compare_k_sweep_automatic_is_no_worse(capsys, bench_path):
     query = str(fixtures.data_path("q8"))
     code, out = run_cli(
         capsys, "compare", "--data", bench_path, "--query", query,
-        "--variant", "sep", "--k", "auto,2,4,6,8,10", "--delta-s", "3294",
+        "--k", "auto,2,4,6,8,10", "--delta-s", "3294",
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -446,6 +448,22 @@ def test_option_values_are_checked_by_the_objects_they_build(capsys, worked_path
     code, out = run_cli(capsys, command, "--data", data, "--query", query, "--json", *flags)
     assert code == 1
     assert json.loads(out) == {"error": {"type": "config", "message": message}}  # the whole output
+
+
+def test_run_writes_the_trace_of_a_job_whose_price_overflows(capsys, worked_paths, tmp_path):
+    """The job's rounds reach the trace file before the cycle check fails the run."""
+    data, query = worked_paths
+    priced, overflowed = tmp_path / "priced.csv", tmp_path / "overflowed.csv"
+    code, _ = run_cli(capsys, "run", "--data", data, "--query", query, "--trace", str(priced))
+    assert code == 0
+    code, out = run_cli(
+        capsys, "run", "--data", data, "--query", query, "--trace", str(overflowed),
+        "--l-consts", "1e308,1e308,1e308,1e308,1,1",
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "config"
+    assert len(priced.read_text().splitlines()) == 1 + 3  # the header and the job's three rounds
+    assert overflowed.read_bytes() == priced.read_bytes()
 
 
 def test_run_unwritable_trace_path_is_io_error(capsys, worked_paths, tmp_path):

@@ -388,7 +388,6 @@ def test_cycle_estimate_frozen_example():
     # second, independent evaluation of the closed forms
     n, m, l_f, l_t, cap = 100, 100, 20.0, 10.0, 1000
     model = CycleModel((5.0, 5.0, 5.0, 5.0, 5.0, 5.0), cap)
-    assert model.per_result_latency == l_f and model.per_edge_task_latency == l_t
     assert cycle_estimate(model, "basic", n, m) == (n * l_f + m * l_t) / cap + 4 * n + 2 * m == 603
     assert cycle_estimate(model, "task", n, m) == 2 * n + max(n, m) == 300
     assert cycle_estimate(model, "sep", n, m) == n + max(n, m) == 200
