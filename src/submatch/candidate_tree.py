@@ -20,10 +20,11 @@ times smaller).
 
 From there, arc_fixpoint applies one rule "keep the v in C(u) with a
 data neighbour in C(x)" along query arcs (u, x), first in, first out:
-the tree arcs bottom-up (x = each child), then top-down (x = parent),
-which on a tree is the fixpoint, then the non-tree arcs. An arc that
-shrinks C(u) queues again every arc into u but the one back from x,
-until no set shrinks (arc consistency). The partition chunks are
+the tree arcs bottom-up (x = each child, along the plan's parent-first
+matching order backwards), then top-down (x = parent, along it
+forwards), which on a tree is the fixpoint, then the non-tree arcs. An
+arc that shrinks C(u) queues again every arc into u but the one back
+from x, until no set shrinks (arc consistency). The partition chunks are
 refined by the same routine over a tree's stored lists
 (partition.project_tree, revising CandidateTree.candidates over
 CandidateTree.arcs). The query is
@@ -202,11 +203,12 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
     by_label = data.neighbours_by_label
     labels = query.labels
     support = [{y: (by_label[labels[y]], True) for y in query.adj[x]} for x in range(query.num_vertices)]
-    # Bottom-up then top-down checks each tree arc once and leaves the tree
-    # arcs consistent; the non-tree arcs follow, and only arcs into a set
-    # that shrinks are checked again.
-    arcs = [(u, c) for u in reversed(plan.bfs_order) for c in plan.children[u]]
-    arcs += [(u, plan.parent[u]) for u in plan.bfs_order[1:]]
+    # Bottom-up (the parent-first order backwards) then top-down checks each
+    # tree arc once and leaves the tree arcs consistent; the non-tree arcs
+    # follow, and only arcs into a set that shrinks are checked again.
+    parent, below_root = plan.parent, plan.order[1:]
+    arcs = [(parent[c], c) for c in reversed(below_root)]
+    arcs += [(c, parent[c]) for c in below_root]
     arcs += [(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]]
     if not arc_fixpoint(cand, support, arcs):
         # the query is connected, so one empty set empties them all
@@ -218,7 +220,8 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
         has, rows = cand[b].__contains__, by_label[labels[b]]
         return {v: row for v in sorted(cand[a]) if (row := list(filter(has, rows[v])))}
 
-    stored = [(plan.parent[u], u) for u in plan.bfs_order[1:]]
+    # tree groups by ascending child, so each source keys its arcs children first, ascending
+    stored = [(p, c) for c, p in enumerate(parent) if p is not None]
     stored += [(u, un) for u in range(query.num_vertices) for un in plan.non_tree[u]]
     return CandidateTree(cand, {(a, b): group(a, b) for a, b in stored})
 
@@ -226,19 +229,16 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
 def estimate_workload(tree: CandidateTree, plan: QueryPlan) -> int:
     """Count the tree-only candidate walks from the root, bottom up.
 
-    counts[u][v] is 1 for leaves and otherwise the product over children
-    of the sum of counts over v's stored list toward that child; the
-    workload sums the root candidates' counts.
+    Every count starts at 1. Each tree edge (p, c), along the matching
+    order backwards so that c's counts are final, multiplies the count of
+    each candidate v of p by the sum of c's counts over v's stored list
+    toward c. The workload sums the root candidates' counts.
     """
-    counts: list[dict[int, int]] = [{} for _ in range(plan.num_vertices)]
-    for u in reversed(plan.bfs_order):
+    counts = [dict.fromkeys(cands, 1) for cands in tree.candidates]
+    for c in reversed(plan.order[1:]):
+        p = plan.parent[c]
         # every stored list holds only candidates of its child, all counted already
-        kids = [(counts[c].__getitem__, tree.groups.get((u, c), {})) for c in plan.children[u]]
-        for v in tree.candidates[u]:
-            value = 1
-            for count, lists in kids:
-                value *= sum(map(count, lists.get(v, ())))
-                if value == 0:
-                    break
-            counts[u][v] = value
+        count, lists, into = counts[c].__getitem__, tree.groups.get((p, c), {}), counts[p]
+        for v in into:
+            into[v] *= sum(map(count, lists.get(v, ())))
     return sum(counts[plan.root].values())

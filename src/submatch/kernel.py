@@ -42,8 +42,9 @@ round-by-round run, and the modelled cycles cannot move.
 
 The three pipeline variants (basic, task, sep) find the same matches
 in the same rounds, so the matcher takes no variant. They exist only in
-the accounting: cycle_estimate prices one run's task counts under each,
-and the variants differ only in how they count stage overlap.
+the accounting: one cycle_estimate call prices a run's task counts
+under all three, and the variants differ only in how they count stage
+overlap.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ from typing import NamedTuple, Sequence
 
 from .candidate_tree import CandidateTree
 from .plan import QueryPlan
-
-VARIANTS = ("basic", "task", "sep")
 
 # Stage latency indices: read buffer, expand, visited check, collect,
 # edge-task generation, edge check.
@@ -300,8 +299,8 @@ def _tail_rounds(lengths: Sequence[Sequence[int]], capacity: int) -> tuple[list[
             r += 1
 
 
-def cycle_estimate(model: CycleModel, variant: str, results: int, edge_tasks: int) -> float:
-    """Closed-form cycle cost of one run's n results and m edge tasks under the given pipeline variant.
+def cycle_estimate(model: CycleModel, results: int, edge_tasks: int) -> tuple[float, float, float]:
+    """Closed-form cycle cost of one run's n results and m edge tasks: (basic, task, sep).
 
     Each stage issues one item per cycle. basic runs the four
     per-result and two edge-task stages back to back, and pays their
@@ -311,12 +310,6 @@ def cycle_estimate(model: CycleModel, variant: str, results: int, edge_tasks: in
     collection with expansion, leaving the expansion stream plus the
     bottleneck stream.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     n, m = results, edge_tasks
-    if variant == "basic":
-        fill = (n * sum(model.latencies[:4]) + m * sum(model.latencies[4:])) / model.capacity
-        return fill + (4 * n + 2 * m)
-    if variant == "task":
-        return 2 * n + max(n, m)
-    return n + max(n, m)
+    fill = (n * sum(model.latencies[:4]) + m * sum(model.latencies[4:])) / model.capacity
+    return fill + (4 * n + 2 * m), 2 * n + max(n, m), n + max(n, m)

@@ -28,13 +28,16 @@ class QueryPlan:
     Three tables are given: parent (parent[root] is None), non_tree
     (every query edge is either a tree edge or appears in both
     endpoints' non_tree lists) and the matching order. The constructor
-    derives the rest from them: root; children, ascending; bfs_order,
-    breadth-first over children from the root, so parents first;
-    position, the inverse permutation of order; earlier_non_tree[u], u's
-    non-tree neighbours before it in the order; and tail_start, where
-    the order's free tail begins: the longest suffix, of two or more
-    vertices, whose every vertex has its tree parent before the suffix
-    and no earlier non-tree neighbour; num_vertices when there is none.
+    raises ValueError unless the order is parent-first: order[0] has no
+    tree parent and every later vertex's tree parent comes earlier in
+    the order. Both tree sweeps of the index build and the workload DP
+    walk this one order. The constructor derives the rest: root,
+    parent.index(None); position, the inverse permutation of order;
+    earlier_non_tree[u], u's non-tree neighbours before it in the order;
+    and tail_start, where the order's free tail begins: the longest
+    suffix, of two or more vertices, whose every vertex has its tree
+    parent before the suffix and no earlier non-tree neighbour;
+    num_vertices when there is none.
 
     local_filter is ``(query, data, lists)`` when the plan was built by
     build_query_plan: lists[u] is candidates_by_local_features(data,
@@ -48,8 +51,6 @@ class QueryPlan:
     order: tuple[int, ...]
     local_filter: tuple[Graph, Graph, list[list[int]]] | None = field(default=None, compare=False, repr=False)
     root: int = field(init=False)
-    children: tuple[tuple[int, ...], ...] = field(init=False)
-    bfs_order: tuple[int, ...] = field(init=False)
     position: tuple[int, ...] = field(init=False)
     earlier_non_tree: tuple[tuple[int, ...], ...] = field(init=False)
     tail_start: int = field(init=False)
@@ -58,15 +59,11 @@ class QueryPlan:
         store = partial(object.__setattr__, self)  # the dataclass is frozen
         parent, order = tuple(self.parent), tuple(self.order)
         n = len(order)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for u, p in enumerate(parent):
-            if p is not None:
-                children[p].append(u)
-        bfs_order = [parent.index(None)]
-        for u in bfs_order:
-            bfs_order += children[u]
-        position = [0] * n
+        position = [n] * n  # n until placed
         for i, u in enumerate(order):
+            p = parent[u]
+            if not ((p is not None and position[p] < i) if i else p is None):
+                raise ValueError(f"order {list(order)} is not parent-first at vertex {u}")
             position[u] = i
         non_tree = tuple(map(tuple, self.non_tree))
         earlier = tuple(tuple(un for un in non_tree[u] if position[un] < position[u]) for u in range(n))
@@ -82,9 +79,7 @@ class QueryPlan:
         store("parent", parent)
         store("non_tree", non_tree)
         store("order", order)
-        store("root", bfs_order[0])
-        store("children", tuple(map(tuple, children)))
-        store("bfs_order", tuple(bfs_order))
+        store("root", parent.index(None))
         store("position", tuple(position))
         store("earlier_non_tree", earlier)
         store("tail_start", tail_start)

@@ -150,14 +150,15 @@ def run_job(
 
     embeddings = runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
     wall_ms = (time.perf_counter() - start) * 1000.0
+    cycles_basic, cycles_task, cycles_sep = cycle_estimate(model, results_generated, edge_tasks_generated)
     stats = JobStats(
         embeddings=len(embeddings),
         partitions=partitions,
         w_c=w_c,
         w_f=w_f,
-        cycles_basic=cycle_estimate(model, "basic", results_generated, edge_tasks_generated),
-        cycles_task=cycle_estimate(model, "task", results_generated, edge_tasks_generated),
-        cycles_sep=cycle_estimate(model, "sep", results_generated, edge_tasks_generated),
+        cycles_basic=cycles_basic,
+        cycles_task=cycles_task,
+        cycles_sep=cycles_sep,
         wall_ms=wall_ms,
         host_trees=partitions - kernel_trees,
         kernel_trees=kernel_trees,

@@ -10,15 +10,18 @@ with the degree budget lifted to the graph's max degree, as unsplit-30k
 runs them (one partition per query, long kernel lists). Run from
 the repository root after a change that is meant to move trees,
 answers, traces or cycles: PYTHONPATH=src python tests/golden/regen.py
-tests/test_golden.py reads outputs.json, and CI's "Golden outputs at
-30k" step compares each file of FILES_30K with entries_30k; neither
-rewrites.
+With --check it rewrites nothing: it compares each file of FILES_30K
+with fresh entries_30k, prints one match/DIFFER line per entry and
+each file's time, and exits 1 on any difference or missing entry (CI's
+"Golden outputs at 30k" step). tests/test_golden.py reads outputs.json.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -48,7 +51,32 @@ def write(path: Path, entries: dict) -> None:
     path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
 
 
+def check() -> list:
+    """Compare each file of FILES_30K with fresh entries; return what differs or is missing."""
+    failed: list = []
+    for file_name, unsplit in FILES_30K.items():
+        start = time.perf_counter()
+        golden = json.loads((HERE / file_name).read_text())
+        failed += [] if sorted(golden) == sorted(map(str, SEEDS_30K)) else [file_name]
+        for seed in SEEDS_30K:
+            recorded = golden.get(str(seed), {})
+            entries = entries_30k(unsplit, seed)
+            for name, entry in entries.items():
+                same = entry == recorded.get(name)
+                print(file_name, seed, name, entry["trees"], "trees", entry["embeddings"], "embeddings",
+                      "match" if same else "DIFFER")
+                failed += [] if same else [(file_name, seed, name)]
+            failed += [(file_name, seed, name) for name in recorded if name not in entries]
+        print(f"- golden {file_name}: {len(SEEDS_30K)} seeds in {time.perf_counter() - start:.1f} s")
+    print("failed:", failed)
+    return failed
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Rewrite the golden records, or with --check compare the 30k ones.")
+    parser.add_argument("--check", action="store_true", help="compare each 30k file with fresh entries; rewrite nothing")
+    if parser.parse_args().check:
+        sys.exit(bool(check()))
     write(HERE / "outputs.json", {name: helpers.golden_entry(helpers.benchmark_graph(), name) for name in QUERY_NAMES})
     for file_name, unsplit in FILES_30K.items():
         write(HERE / file_name, {str(seed): entries_30k(unsplit, seed) for seed in SEEDS_30K})

@@ -350,21 +350,17 @@ def reference_candidate_tree(data, query, plan):
 
 
 def _earlier_links(plan, w):
-    """Query neighbours of w earlier in the order, with their list keys.
+    """Query neighbours of w earlier in the order, each with the key of its lists toward w.
 
-    Yields (earlier vertex, adjacency key, whether the key's lists are
-    indexed by w's own candidates). Tree lists are stored parent-first,
-    so a tree child that precedes w in the order flips the indexing.
+    The order is parent-first, so w's tree parent is one of them and
+    none of its tree children is.
     """
     p = plan.parent[w]
-    if p is not None and plan.position[p] < plan.position[w]:
-        yield p, (p, w), False
-    for c in plan.children[w]:
-        if plan.position[c] < plan.position[w]:
-            yield c, (w, c), True
+    if p is not None:
+        yield p, (p, w)
     for un in plan.non_tree[w]:
         if plan.position[un] < plan.position[w]:
-            yield un, (un, w), False
+            yield un, (un, w)
 
 
 def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
@@ -393,14 +389,10 @@ def reference_project_tree(tree, plan, u, part, *, allow_empty=False):
     for pos in range(pos_u + 1, plan.num_vertices):
         w = plan.order[pos]
         linked = set()
-        for w_from, key, keyed_by_w in _earlier_links(plan, w):
+        for w_from, key in _earlier_links(plan, w):
             lists = tree.groups.get(key, {})
-            if keyed_by_w:
-                keep = retained[w_from]
-                linked.update(v for v, row in lists.items() if any(x in keep for x in row))
-            else:
-                for v_from in retained[w_from]:
-                    linked.update(lists.get(v_from, ()))
+            for v_from in retained[w_from]:
+                linked.update(lists.get(v_from, ()))
         retained[w] = linked & tree.candidates[w]
 
     groups = {}

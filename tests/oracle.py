@@ -79,7 +79,10 @@ def brute_force_tree_walks(tree, plan) -> int:
     if widest > MAX_CANDIDATES_PER_VERTEX:
         raise OracleGuardError(f"candidate set of size {widest} exceeds oracle limit {MAX_CANDIDATES_PER_VERTEX}")
 
-    bfs = plan.bfs_order
+    # its own breadth-first walk of the tree, independent of the matching order
+    bfs = [plan.parent.index(None)]
+    for u in bfs:
+        bfs += [c for c, p in enumerate(plan.parent) if p == u]
     chosen: dict[int, int] = {}
     count = 0
 

@@ -171,9 +171,7 @@ def test_criterion_6_cycle_model_ordering_and_bounds():
         lat = tuple(float(rng.randint(1, 32)) for _ in range(6))
         # any capacity preserves the variant ordering
         model = CycleModel(lat, rng.choice([1, 8, 1024, 10**6]))
-        basic = cycle_estimate(model, "basic", n, m)
-        task = cycle_estimate(model, "task", n, m)
-        sep = cycle_estimate(model, "sep", n, m)
+        basic, task, sep = cycle_estimate(model, n, m)
         assert sep <= task <= basic
         # the improvement bounds hold in the intended regime, where the
         # per-round fill term is negligible next to the issue terms
@@ -181,9 +179,7 @@ def test_criterion_6_cycle_model_ordering_and_bounds():
         if denom:
             fill_ratio = (n * sum(lat[:4]) + m * sum(lat[4:])) / denom
             model = CycleModel(lat, max(1, int(fill_ratio * rng.uniform(1e10, 1e12))))
-            basic = cycle_estimate(model, "basic", n, m)
-            task = cycle_estimate(model, "task", n, m)
-            sep = cycle_estimate(model, "sep", n, m)
+            basic, task, sep = cycle_estimate(model, n, m)
             assert sep <= task <= basic
             if basic:
                 assert 1.0 - task / basic <= 0.5 + eps
@@ -203,10 +199,9 @@ def test_criterion_7_event_simulation_consistency():
         _, results, edge_tasks = pipeline_enumerate(tree, plan, model, trace=trace)
         slack = pipeline_fill_slack(trace, model)
         makespans = {}
-        for variant in VARIANTS:
+        for variant, closed in zip(VARIANTS, cycle_estimate(model, results, edge_tasks)):
             event = simulate_dataflow_schedule(trace, variant, model)
             makespans[variant] = event
-            closed = cycle_estimate(model, variant, results, edge_tasks)
             assert closed > 0, f"{name} produced no work"
             assert abs((event - slack) - closed) <= 0.15 * closed, (
                 f"{name}/{variant}: event {event} - slack {slack} vs closed {closed}"
@@ -264,7 +259,7 @@ def test_memory_latency_scaling_note():
     previous = -1.0
     for ratio in (1.0, 2.0, 4.0, 7.0, 8.0):
         scaled = model.scaled(ratio)
-        cycles = cycle_estimate(scaled, "basic", results, edge_tasks) + simulate_dataflow_schedule(trace, "basic", scaled)
+        cycles = cycle_estimate(scaled, results, edge_tasks)[0] + simulate_dataflow_schedule(trace, "basic", scaled)
         assert cycles > previous
         previous = cycles
     report("note", "slow-memory ratio scales modeled cycles monotonically", started)

@@ -101,19 +101,17 @@ def assert_refined_fixpoint(tree, plan):
     """Re-running refinement must remove nothing: no empty child list,
     no candidate without a surviving parent link, no stale entries."""
     cand_sets = tree.candidates
-    for u in range(plan.num_vertices):
-        for c in plan.children[u]:
-            lists = tree.groups.get((u, c), {})
-            for v in tree.candidates[u]:
-                row = lists.get(v, ())
-                assert row, f"candidate {v} of {u} has empty list toward child {c}"
-                assert all(w in cand_sets[c] for w in row)
-        p = plan.parent[u]
-        if p is not None:
-            linked = set()
-            for vp in tree.candidates[p]:
-                linked.update(tree.groups.get((p, u), {}).get(vp, ()))
-            assert cand_sets[u] <= linked
+    for c, u in enumerate(plan.parent):
+        if u is None:
+            continue
+        lists = tree.groups.get((u, c), {})
+        linked = set()
+        for v in tree.candidates[u]:
+            row = lists.get(v, ())
+            assert row, f"candidate {v} of {u} has empty list toward child {c}"
+            assert all(w in cand_sets[c] for w in row)
+            linked.update(row)
+        assert cand_sets[c] <= linked
 
 
 def test_refinement_is_idempotent():
@@ -156,7 +154,7 @@ def test_workload_fixture_totals_seven():
     # the plan from its three given tables derives the rest
     tree, _ = helpers.partition_example()
     plan = QueryPlan([None, 0, 0, 1], [[], [2], [1], []], [0, 1, 2, 3])
-    assert (plan.root, plan.children, plan.bfs_order) == (0, ((1, 2), (3,), (), ()), (0, 1, 2, 3))
+    assert (plan.root, plan.position, plan.earlier_non_tree) == (0, (0, 1, 2, 3), ((), (), (1,), ()))
     assert estimate_workload(tree, plan) == brute_force_tree_walks(tree, plan) == 7
     assert [estimate_workload(helpers.reference_project_tree(tree, plan, 0, [v]), plan) for v in (1, 2)] == [4, 3]
 

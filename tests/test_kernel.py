@@ -379,20 +379,17 @@ def test_counters_match_trace_totals():
 
 
 def test_cycle_estimate_zero_counters():
-    model = CycleModel(capacity=1024)
-    for variant in ("basic", "task", "sep"):
-        assert cycle_estimate(model, variant, 0, 0) == 0
+    assert cycle_estimate(CycleModel(capacity=1024), 0, 0) == (0, 0, 0)
 
 
 def test_cycle_estimate_frozen_example():
     # second, independent evaluation of the closed forms
     n, m, l_f, l_t, cap = 100, 100, 20.0, 10.0, 1000
     model = CycleModel((5.0, 5.0, 5.0, 5.0, 5.0, 5.0), cap)
-    assert cycle_estimate(model, "basic", n, m) == (n * l_f + m * l_t) / cap + 4 * n + 2 * m == 603
-    assert cycle_estimate(model, "task", n, m) == 2 * n + max(n, m) == 300
-    assert cycle_estimate(model, "sep", n, m) == n + max(n, m) == 200
-    with pytest.raises(ValueError, match="unknown variant 'serial'"):
-        cycle_estimate(model, "serial", n, m)  # not a pipeline variant
+    basic, task, sep = cycle_estimate(model, n, m)
+    assert basic == (n * l_f + m * l_t) / cap + 4 * n + 2 * m == 603
+    assert task == 2 * n + max(n, m) == 300
+    assert sep == n + max(n, m) == 200
 
 
 def test_variant_ordering_for_any_counters():
@@ -401,9 +398,7 @@ def test_variant_ordering_for_any_counters():
         latencies = tuple(float(rng.randint(1, 32)) for _ in range(6))
         n, m = rng.randint(0, 10**6), rng.randint(0, 10**6)
         model = CycleModel(latencies, rng.choice([1, 8, 1024, 10**6]))
-        basic = cycle_estimate(model, "basic", n, m)
-        task = cycle_estimate(model, "task", n, m)
-        sep = cycle_estimate(model, "sep", n, m)
+        basic, task, sep = cycle_estimate(model, n, m)
         assert sep <= task <= basic
 
 

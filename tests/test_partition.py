@@ -104,29 +104,37 @@ def test_project_singletons_cover_and_restrict():
                 assert union[w] == set(tree.candidates[w])
 
 
-def test_project_handles_child_before_parent_order():
-    # cycle query planned with an order that maps a tree child before its
-    # parent; candidate 16 is reachable only through that child link
-    from submatch.plan import QueryPlan
-    from submatch.candidate_tree import CandidateTree
-
-    plan = QueryPlan(parent=[None, 0, 1, 0], non_tree=[[], [], [3], [2]], order=[0, 3, 2, 1])
-    assert plan.bfs_order == (0, 1, 3, 2)  # derived breadth-first, not from the order
-    tree = CandidateTree(
-        candidates=[{10}, {11, 14, 16}, {12, 15}, {13}],
-        groups={
-            (0, 1): {10: [11, 14]},
-            (1, 2): {11: [12], 14: [15], 16: [12]},
-            (0, 3): {10: [13]},
-            (2, 3): {12: [13]},
-            (3, 2): {13: [12]},
-        },
-    )
+def test_project_keeps_a_candidate_linked_only_through_a_non_tree_neighbour():
+    # candidate 16 of vertex 1 is reachable only through the non-tree link from 2
+    tree, plan = cycle_example([11, 14])
     sub = helpers.reference_project_tree(tree, plan, 0, [10])
     assert sub.candidates[3] == {13}
     assert sub.candidates[2] == {12}  # 15 has no link to the retained 13
-    assert sub.candidates[1] == {11, 14, 16}  # 16 retained via its child link
+    assert sub.candidates[1] == {11, 14, 16}  # 16 retained via its non-tree link
     assert sub.groups[(1, 2)] == {11: [12], 16: [12]}
+
+
+def cycle_example(row_of_10):
+    """A hand-built tree and plan of the cycle query 0-1-2-3, with `row_of_10` as 10's row toward vertex 1.
+
+    The plan is parent-first, with tree edges 0-1, 0-3 and 3-2 and the
+    non-tree edge 1-2.
+    """
+    from submatch.plan import QueryPlan
+    from submatch.candidate_tree import CandidateTree
+
+    plan = QueryPlan(parent=[None, 0, 3, 0], non_tree=[[], [2], [1], []], order=[0, 3, 2, 1])
+    tree = CandidateTree(
+        candidates=[{10}, {11, 14, 16}, {12, 15}, {13}],
+        groups={
+            (0, 1): {10: row_of_10},
+            (0, 3): {10: [13]},
+            (3, 2): {13: [12]},
+            (1, 2): {11: [12], 14: [15], 16: [12]},
+            (2, 1): {12: [11, 16], 15: [14]},
+        },
+    )
+    return tree, plan
 
 
 def test_partition_noop_when_within_budgets():
@@ -470,33 +478,20 @@ def test_singleton_vertex_passes_its_tree_on_unprojected(monkeypatch):
     assert emitted == helpers.reference_partitions(tree, plan, 0, config)
 
 
-def test_skip_rule_on_child_before_parent_order():
-    """The skip rule reads a tree child placed before its parent as an earlier neighbour.
+def test_skip_rule_reads_an_earlier_non_tree_neighbour():
+    """The skip rule on a vertex whose earlier neighbours are its tree parent and a non-tree neighbour.
 
-    The plan and tree of test_project_handles_child_before_parent_order,
+    The plan and tree of
+    test_project_keeps_a_candidate_linked_only_through_a_non_tree_neighbour,
     taken to their fixpoint, and the same tree with 16 also linked from
     10, so 1 keeps two candidates. In the second, Z(3) = {3, 2} and
     Z(2) = {2} leave group (0, 1) whole, and its degree 2 decides a skip
     at degree budget 1.
     """
-    from submatch.plan import QueryPlan
-    from submatch.candidate_tree import CandidateTree
-
-    plan = QueryPlan(parent=[None, 0, 1, 0], non_tree=[[], [], [3], [2]], order=[0, 3, 2, 1])
     skips = []
     for row_of_10 in ([11, 14], [11, 14, 16]):
-        tree = helpers.reference_refine_tree(
-            CandidateTree(
-                candidates=[{10}, {11, 14, 16}, {12, 15}, {13}],
-                groups={
-                    (0, 1): {10: row_of_10},
-                    (1, 2): {11: [12], 14: [15], 16: [12]},
-                    (0, 3): {10: [13]},
-                    (2, 3): {12: [13]},
-                    (3, 2): {13: [12]},
-                },
-            )
-        )
+        tree, plan = cycle_example(row_of_10)
+        tree = helpers.reference_refine_tree(tree)
         for degree_budget in (1, 2):
             for size_budget in (tree.size_bytes - 1, tree.size_bytes):
                 config = PartitionConfig(size_budget=size_budget, degree_budget=degree_budget)

@@ -17,7 +17,7 @@ from submatch import (
     save_graph,
 )
 from submatch.cli import main
-from submatch.plan import DisconnectedQueryError
+from submatch.plan import DisconnectedQueryError, QueryPlan
 
 import helpers
 from oracle import brute_force_embeddings
@@ -81,6 +81,19 @@ def test_order_is_connected_and_rooted():
             if p is not None:
                 assert plan.position[p] < plan.position[u]
             seen.add(u)
+
+
+@pytest.mark.parametrize(
+    "parent, non_tree, order",
+    [
+        ([None, 0, 1, 0], [[], [], [3], [2]], [0, 3, 2, 1]),  # tree child 2 before its parent 1
+        ([None, 0, 1], [[], [], []], [1, 0, 2]),  # the path 0-1-2, not started at its root
+        ([None, None], [[], []], [0, 1]),  # two roots
+    ],
+)
+def test_plan_rejects_an_order_that_is_not_parent_first(parent, non_tree, order):
+    with pytest.raises(ValueError, match="is not parent-first at vertex"):
+        QueryPlan(parent, non_tree, order)
 
 
 def test_disconnected_query_rejected():
