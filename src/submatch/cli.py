@@ -70,7 +70,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="six stage latencies, comma separated")
     p.add_argument("--dram-ratio", dest="dram_ratio", type=_float, default=1.0,
                    help="latency multiplier modeling slow external memory (about 7 is typical)")
-    p.add_argument("--json", action="store_true", help="report errors as JSON on stdout")
+    p.add_argument("--json", action="store_true", help="report errors as JSON on stdout (run always does)")
 
 
 def build_parser() -> argparse.ArgumentParser:

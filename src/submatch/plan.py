@@ -28,13 +28,14 @@ class QueryPlan:
     Three tables are given: parent (parent[root] is None), non_tree
     (every query edge is either a tree edge or appears in both
     endpoints' non_tree lists) and the matching order. The constructor
-    raises ValueError unless the order is parent-first: order[0] has no
-    tree parent and every later vertex's tree parent comes earlier in
-    the order. Both tree sweeps of the index build and the workload DP
-    walk this one order. The constructor derives the rest: root,
-    parent.index(None); position, the inverse permutation of order;
-    earlier_non_tree[u], u's non-tree neighbours before it in the order;
-    and tail_start, where the order's free tail begins: the longest
+    raises ValueError unless the order is a permutation of the vertices,
+    non_tree has one list per vertex, and the order is parent-first:
+    order[0] has no tree parent and every later vertex's tree parent
+    comes earlier in the order. Both tree sweeps of the index build and
+    the workload DP walk this one order. The constructor derives the
+    rest: root, parent.index(None); position, the inverse permutation of
+    order; earlier_non_tree[u], u's non-tree neighbours before it in the
+    order; and tail_start, where the order's free tail begins: the longest
     suffix, of two or more vertices, whose every vertex has its tree
     parent before the suffix and no earlier non-tree neighbour;
     num_vertices when there is none.
@@ -57,15 +58,16 @@ class QueryPlan:
 
     def __post_init__(self) -> None:
         store = partial(object.__setattr__, self)  # the dataclass is frozen
-        parent, order = tuple(self.parent), tuple(self.order)
-        n = len(order)
+        parent, order, non_tree = tuple(self.parent), tuple(self.order), tuple(map(tuple, self.non_tree))
+        n = len(parent)
+        if sorted(order) != list(range(n)) or len(non_tree) != n:
+            raise ValueError(f"order {list(order)} and {len(non_tree)} non_tree lists do not cover the {n} vertices once")
         position = [n] * n  # n until placed
         for i, u in enumerate(order):
             p = parent[u]
             if not ((p is not None and position[p] < i) if i else p is None):
                 raise ValueError(f"order {list(order)} is not parent-first at vertex {u}")
             position[u] = i
-        non_tree = tuple(map(tuple, self.non_tree))
         earlier = tuple(tuple(un for un in non_tree[u] if position[un] < position[u]) for u in range(n))
         tail_start = n
         latest_parent = 0  # latest parent position over order[t:]

@@ -15,11 +15,10 @@ _DRAW_BATCH = 4096
 def _unrank_pair(index: int, n: int) -> tuple[int, int]:
     """Map a linear index into the upper-triangle pair (u, v), u < v."""
     # offset(u) = u*n - u*(u+1)/2 rows precede row u; invert by quadratic.
+    # isqrt rounds down, so the estimate is the true row or the one after it.
     u = int((2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * index)) // 2)
-    while u * n - u * (u + 1) // 2 > index:
+    if u * n - u * (u + 1) // 2 > index:
         u -= 1
-    while (u + 1) * n - (u + 1) * (u + 2) // 2 <= index:
-        u += 1
     v = index - (u * n - u * (u + 1) // 2) + u + 1
     return u, v
 

@@ -309,6 +309,19 @@ def test_oracle_is_a_usage_error(capsys, worked_paths):
     assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
 
+def test_l_consts_of_other_than_six_values_is_a_usage_error(capsys, worked_paths):
+    data, query = worked_paths
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--data", data, "--query", query, "--l-consts", "1,2,3"])
+    assert exc.value.code == 2
+    assert "expected six comma-separated values" in capsys.readouterr().err
+
+
+def test_bare_command_prints_help_and_exits_two(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
 def test_oracle_hidden_from_help():
     import submatch.cli as cli
 

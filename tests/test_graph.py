@@ -77,6 +77,11 @@ def test_round_trip_identity_on_random_graphs(tmp_path):
         ("t 2 1\nv 0 0 9\nv 1 0 1\ne 0 1\n", "declares degree", 2),
         ("t 2 0\nv 0 0 0\n", "never declared", None),
         ("v 0 0 0\n", "before header", 1),
+        ("t 2 0\nt 2 0\nv 0 0 0\nv 1 0 0\n", "duplicate header", 2),
+        ("t -1 0\n", "negative count in header", 1),
+        ("t 1 0\nv 0 -1 0\n", "negative label -1", 2),
+        ("e 0 1\n", "edge line before header", 1),
+        ("# only a comment\n", "missing 't <|V|> <|E|>' header", None),
         # int() reads these fields as 2, 1, 10, 1, 1 and 0, which would load
         ("t \u0662 1\nv 0 0 1\nv 1 0 1\ne 0 1\n", "counts must be integers", 1),
         ("t 2 1\nv \u0661 0 1\nv 0 0 1\ne 0 1\n", "fields must be integers", 2),

@@ -96,6 +96,20 @@ def test_plan_rejects_an_order_that_is_not_parent_first(parent, non_tree, order)
         QueryPlan(parent, non_tree, order)
 
 
+@pytest.mark.parametrize(
+    "parent, non_tree, order",
+    [
+        ([None, 0, 0], [[], [], []], [0, 1, 1]),  # vertex 2 missing, vertex 1 twice
+        ([None, 0, 0], [[], [], []], [0, 1]),  # vertex 2 missing
+        ([None, 0], [[], []], [0, 1, 1]),  # longer than parent
+        ([None, 0, 1], [[], []], [0, 1, 2]),  # no non_tree list for vertex 2
+    ],
+)
+def test_plan_rejects_an_order_or_non_tree_that_does_not_cover_every_vertex_once(parent, non_tree, order):
+    with pytest.raises(ValueError, match="do not cover the .* vertices once"):
+        QueryPlan(parent, non_tree, order)
+
+
 def test_disconnected_query_rejected():
     query = Graph.from_edges([0, 0, 1, 1], [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedQueryError):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -50,3 +51,8 @@ def test_dense_target_reaches_the_attempt_cap():
 def test_benchmark_graph_bytes_are_pinned():
     text = graph_to_text(helpers.benchmark_graph())
     assert hashlib.sha256(text.encode()).hexdigest() == "1fe4dc95217d16a610b338f0a620e2b6590523d0abd593668d85bb92c7f838a1"
+
+
+def test_unrank_pair_maps_each_index_to_its_pair_in_lexicographic_order():
+    for n in range(61):
+        assert [randgraph._unrank_pair(i, n) for i in range(n * (n - 1) // 2)] == list(combinations(range(n), 2)), n
