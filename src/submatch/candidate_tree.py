@@ -7,16 +7,15 @@ edge the analogous groups in both directions. Any embedding can be
 enumerated by walking these lists alone, never touching the data graph.
 
 Construction first refines the candidate sets alone. It starts from the
-local-feature filter (same label, at least the query degree; the plan's
-own lists when the plan was built for this query and data graph),
-pre-filtered by neighbour labels: v stays a candidate of u only if v has
-a data neighbour of every label among u's query neighbours, tested on
-the data graph's label masks (Graph.neighbour_labels, one bit per
-distinct data label, built once per data graph by its first job). Arc
-consistency implies that test, so the fixpoint and every stored list are
-those of the unfiltered start; only the work of reaching them shrinks
-(the start sets of q0..q8 on the 30,000-vertex bench graph are 2.4-5.5
-times smaller).
+local-feature filter (same label, at least the query degree; its lists
+are cached on the data graph), pre-filtered by neighbour labels: v stays
+a candidate of u only if v has a data neighbour of every label among u's
+query neighbours, tested on the data graph's label masks
+(Graph.neighbour_labels, one bit per distinct data label, built once per
+data graph by its first job). Arc consistency implies that test, so the
+fixpoint and every stored list are those of the unfiltered start; only
+the work of reaching them shrinks (the start sets of q0..q8 on the
+30,000-vertex bench graph are 2.4-5.5 times smaller).
 
 From there, arc_fixpoint applies one rule "keep the v in C(u) with a
 data neighbour in C(x)" along query arcs (u, x), first in, first out:
@@ -129,31 +128,23 @@ def measure_group(lists: dict[int, list[int]]) -> tuple[int, int]:
     return LIST_HEADER_BYTES * len(lengths) + ENTRY_BYTES * sum(lengths), max(lengths, default=0)
 
 
-def start_candidates(data: Graph, query: Graph, plan: QueryPlan | None = None) -> list[set[int]]:
+def start_candidates(data: Graph, query: Graph) -> list[set[int]]:
     """The local filter's candidates of each u whose neighbour labels cover u's.
 
-    The local filter's lists are the plan's own when build_query_plan made
-    it for this same (query, data) pair, so a job filters once; otherwise
-    they are computed here. A candidate v of u then stays only if
-    ``data.neighbour_labels[v]`` has the bit of every label among u's
-    query neighbours. Arc consistency implies this test, so it only
-    shrinks the sets the refinement starts from. A query label is mapped
-    to its bit through ``data.label_rank``; a label the data graph lacks
-    gets a bit above every data rank, which no mask has, so its query
-    neighbours keep no candidates.
+    A candidate v of u stays only if ``data.neighbour_labels[v]`` has
+    the bit of every label among u's query neighbours. Arc consistency
+    implies this test, so it only shrinks the sets the refinement starts
+    from. A query label is mapped to its bit through ``data.label_rank``;
+    a label the data graph lacks gets a bit above every data rank, which
+    no mask has, so its query neighbours keep no candidates.
     """
-    cached = plan.local_filter if plan is not None else None
-    if cached is not None and cached[0] is query and cached[1] is data:
-        local = cached[2]
-    else:
-        local = [candidates_by_local_features(data, query, u) for u in range(query.num_vertices)]
     masks = data.neighbour_labels
     rank = data.label_rank
     absent = len(rank)
     cand = []
-    for u, lst in enumerate(local):
+    for u in range(query.num_vertices):
         need = reduce(or_, (1 << rank.get(query.labels[x], absent) for x in query.adj[u]), 0)
-        cand.append({v for v in lst if masks[v] & need == need})
+        cand.append({v for v in candidates_by_local_features(data, query, u) if masks[v] & need == need})
     return cand
 
 
@@ -199,7 +190,7 @@ def arc_fixpoint(sets: list, support: list[dict], arcs) -> bool:
 
 def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> CandidateTree:
     """Construct and refine the candidate tree for (query, data)."""
-    cand = start_candidates(data, query, plan)
+    cand = start_candidates(data, query)
     by_label = data.neighbours_by_label
     labels = query.labels
     support = [{y: (by_label[labels[y]], True) for y in query.adj[x]} for x in range(query.num_vertices)]

@@ -73,8 +73,10 @@ class Graph:
     size follows the number of distinct labels, not their values.
 
     ``neighbours_by_label`` builds every label's vertex set on first
-    use too, but fills its rows one by one, as jobs look them up. None
-    of these caches takes part in equality or hashing.
+    use too, but fills its rows one by one, as jobs look them up, and
+    ``local_filter`` keeps each (label, least degree) candidate list
+    that ``candidates_by_local_features`` makes. None of these caches
+    takes part in equality or hashing.
     """
 
     labels: tuple[int, ...]
@@ -144,6 +146,11 @@ class Graph:
         absent = _LabelRows(self.adj, ())
         rows = {lab: _LabelRows(self.adj, vertices) for lab, vertices in self.vertices_by_label.items()}
         return defaultdict(lambda: absent, rows)
+
+    @cached_property
+    def local_filter(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(label, least degree) -> the label's vertices of at least that degree, ascending."""
+        return {}
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (src, dst) with src < dst, sorted."""
@@ -234,9 +241,12 @@ def _first_defect(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str] |
     return None
 
 
-def _reject_int(field: str) -> int:
-    """load_graph's int() for a line holding a non-ASCII character or '_', which int() would read as digits."""
-    raise ValueError(f"{field!r} is not in ASCII digits")
+# load_graph's record kinds: kind -> (name, form, field count, what the fields are called)
+_RECORDS = {
+    "t": ("header", "'t <|V|> <|E|>'", 3, "counts"),
+    "v": ("vertex line", "'v <id> <label> <degree>'", 4, "fields"),
+    "e": ("edge line", "'e <src> <dst>'", 3, "endpoints"),
+}
 
 
 def load_graph(path) -> Graph:
@@ -261,28 +271,26 @@ def load_graph(path) -> Graph:
                     continue
                 parts = line.split()
                 kind = parts[0]
-                parse = int if line.isascii() and "_" not in line else _reject_int
+                if kind not in _RECORDS:
+                    raise GraphFormatError(f"unknown record type {kind!r}", lineno)
+                name, form, count, called = _RECORDS[kind]
+                if (kind == "t") != (header is None):  # one header, before every other record
+                    raise GraphFormatError("duplicate header" if kind == "t" else f"{name} before header", lineno)
+                if len(parts) != count:
+                    raise GraphFormatError(f"malformed {name}, expected {form}", lineno)
+                try:
+                    if not line.isascii() or "_" in line:  # int() would read other scripts' digits and '_' as digits
+                        raise ValueError(line)
+                    fields = list(map(int, parts[1:]))
+                except ValueError:
+                    raise GraphFormatError(f"malformed {name}, {called} must be integers", lineno)
                 if kind == "t":
-                    if header is not None:
-                        raise GraphFormatError("duplicate header", lineno)
-                    if len(parts) != 3:
-                        raise GraphFormatError("malformed header, expected 't <|V|> <|E|>'", lineno)
-                    try:
-                        nv, ne = parse(parts[1]), parse(parts[2])
-                    except ValueError:
-                        raise GraphFormatError("malformed header, counts must be integers", lineno)
+                    nv, ne = fields
                     if nv < 0 or ne < 0:
                         raise GraphFormatError("negative count in header", lineno)
                     header = (nv, ne)
                 elif kind == "v":
-                    if header is None:
-                        raise GraphFormatError("vertex line before header", lineno)
-                    if len(parts) != 4:
-                        raise GraphFormatError("malformed vertex line, expected 'v <id> <label> <degree>'", lineno)
-                    try:
-                        vid, lab, deg = parse(parts[1]), parse(parts[2]), parse(parts[3])
-                    except ValueError:
-                        raise GraphFormatError("malformed vertex line, fields must be integers", lineno)
+                    vid, lab, deg = fields
                     if not 0 <= vid < header[0]:
                         raise GraphFormatError(f"vertex id {vid} outside 0..{header[0] - 1}", lineno)
                     if vid in vertices:
@@ -290,21 +298,12 @@ def load_graph(path) -> Graph:
                     if lab < 0:
                         raise GraphFormatError(f"negative label {lab}", lineno)
                     vertices[vid] = (lab, deg, lineno)
-                elif kind == "e":
-                    if header is None:
-                        raise GraphFormatError("edge line before header", lineno)
-                    if len(parts) != 3:
-                        raise GraphFormatError("malformed edge line, expected 'e <src> <dst>'", lineno)
-                    try:
-                        a, b = parse(parts[1]), parse(parts[2])
-                    except ValueError:
-                        raise GraphFormatError("malformed edge line, endpoints must be integers", lineno)
+                else:
+                    a, b = fields
                     if a > b:
                         raise GraphFormatError(f"edge ({a}, {b}) must be written src < dst", lineno)
                     edges.append((a, b))
                     edge_lines.append(lineno)
-                else:
-                    raise GraphFormatError(f"unknown record type {kind!r}", lineno)
 
         if header is None:
             raise GraphFormatError("missing 't <|V|> <|E|>' header")
@@ -350,9 +349,12 @@ def candidates_by_local_features(data: Graph, query: Graph, u: int) -> list[int]
     """Data vertices matching u's label with at least u's degree, ascending.
 
     This is the weakest sound per-vertex filter: any embedding must map u
-    to a vertex with the same label and at least as many neighbors. Only
-    u's label class is scanned, from the data graph's label index.
+    to a vertex with the same label and at least as many neighbors. The
+    first lookup of a (label, degree) pair scans that label's class, from
+    the data graph's label index, and keeps the result in
+    ``data.local_filter``; every call returns a new list.
     """
-    deg = query.degrees[u]
-    degrees = data.degrees
-    return [v for v in data.vertices_by_label.get(query.labels[u], ()) if degrees[v] >= deg]
+    label, deg = key = query.labels[u], query.degrees[u]
+    if key not in data.local_filter:
+        data.local_filter[key] = tuple(v for v in data.vertices_by_label.get(label, ()) if data.degrees[v] >= deg)
+    return list(data.local_filter[key])

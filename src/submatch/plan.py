@@ -23,34 +23,29 @@ class DisconnectedQueryError(ValueError):
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Spanning tree plus matching order for one query graph.
+    """Spanning tree plus matching order for one query graph, as vertex-id tables.
 
-    Three tables are given: parent (parent[root] is None), non_tree
-    (every query edge is either a tree edge or appears in both
-    endpoints' non_tree lists) and the matching order. The constructor
-    raises ValueError unless the order is a permutation of the vertices,
-    non_tree has one list per vertex, and the order is parent-first:
-    order[0] has no tree parent and every later vertex's tree parent
-    comes earlier in the order. Both tree sweeps of the index build and
-    the workload DP walk this one order. The constructor derives the
-    rest: root, parent.index(None); position, the inverse permutation of
-    order; earlier_non_tree[u], u's non-tree neighbours before it in the
-    order; and tail_start, where the order's free tail begins: the longest
+    Three tables are given: parent (parent[root] is None), non_tree (every
+    query edge is either a tree edge or appears in both endpoints'
+    non_tree lists) and the matching order; a plan holds no graph. The
+    constructor raises ValueError unless the order is a permutation of the
+    vertices, non_tree has one list per vertex, every entry names a
+    vertex, each non-tree link joins two vertices that no tree edge joins
+    and is listed once at each end, and the order is parent-first:
+    order[0] has no tree parent and every later vertex's tree parent comes
+    earlier in the order. Both tree sweeps of the index build and the
+    workload DP walk this one order. The constructor derives the rest:
+    root, parent.index(None); position, the inverse permutation of order;
+    earlier_non_tree[u], u's non-tree neighbours before it in the order;
+    and tail_start, where the order's free tail begins: the longest
     suffix, of two or more vertices, whose every vertex has its tree
     parent before the suffix and no earlier non-tree neighbour;
     num_vertices when there is none.
-
-    local_filter is ``(query, data, lists)`` when the plan was built by
-    build_query_plan: lists[u] is candidates_by_local_features(data,
-    query, u), which chose the root and the order, kept so that the index
-    build reuses it for that same (query, data) pair instead of filtering
-    again. It takes no part in equality.
     """
 
     parent: tuple[int | None, ...]
     non_tree: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
-    local_filter: tuple[Graph, Graph, list[list[int]]] | None = field(default=None, compare=False, repr=False)
     root: int = field(init=False)
     position: tuple[int, ...] = field(init=False)
     earlier_non_tree: tuple[tuple[int, ...], ...] = field(init=False)
@@ -62,6 +57,13 @@ class QueryPlan:
         n = len(parent)
         if sorted(order) != list(range(n)) or len(non_tree) != n:
             raise ValueError(f"order {list(order)} and {len(non_tree)} non_tree lists do not cover the {n} vertices once")
+        links = {(u, w) for u in range(n) for w in non_tree[u]}
+        tree = {(u, p) for u, p in enumerate(parent) if p is not None}
+        if not {p for _, p in tree}.union(w for _, w in links) <= set(range(n)):
+            raise ValueError(f"parent {list(parent)} or non_tree {list(non_tree)} names a vertex outside 0..{n - 1}")
+        once = len(links) == sum(map(len, non_tree))
+        if not once or not links.isdisjoint(tree) or any(w == u or (w, u) not in links for u, w in links):
+            raise ValueError(f"non_tree {list(non_tree)} does not list each non-tree link once, on both sides")
         position = [n] * n  # n until placed
         for i, u in enumerate(order):
             p = parent[u]
@@ -137,4 +139,4 @@ def build_query_plan(query: Graph, data: Graph) -> QueryPlan:
 
     order = list(dict.fromkeys(u for _, path in paths for u in path))  # each vertex where it first appears
 
-    return QueryPlan(parent, non_tree, order, (query, data, local))
+    return QueryPlan(parent, non_tree, order)

@@ -1,7 +1,5 @@
 import random
 
-import submatch.candidate_tree
-import submatch.plan
 from submatch import (
     Graph,
     PartitionConfig,
@@ -82,7 +80,7 @@ def test_refinement_that_empties_one_set_empties_every_set():
     data = Graph.from_edges([0, 1, 2, 1, 2, 3], [(0, 1), (1, 2), (3, 4), (4, 5)])
     query = Graph.from_edges([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
     plan = build_query_plan(query, data)
-    assert start_candidates(data, query, plan) == [{0}, {1}, {4}, {5}]
+    assert start_candidates(data, query) == [{0}, {1}, {4}, {5}]
     tree = build_candidate_tree(data, query, plan)
     assert tree.candidates == [set(), set(), set(), set()]
     assert all(not lists for lists in tree.groups.values())
@@ -296,26 +294,30 @@ def test_index_on_a_shared_graph_equals_the_index_on_a_fresh_one():
         assert dump_tree(warm) == dump_tree(cold), name
 
 
-def test_index_build_reuses_the_plans_local_filter(monkeypatch):
-    calls = []
-
-    def counted(data, query, u):
-        calls.append(u)
-        return candidates_by_local_features(data, query, u)
-
-    monkeypatch.setattr(submatch.plan, "candidates_by_local_features", counted)
-    monkeypatch.setattr(submatch.candidate_tree, "candidates_by_local_features", counted)
-    data = helpers.benchmark_graph()
-    for name, query in sorted(helpers.benchmark_queries().items()):
-        calls.clear()
+def test_local_filter_is_cached_on_the_data_graph_and_returns_new_lists():
+    # every call is a new list equal to the linear scan, and once each job
+    # has run, running them all again adds no (label, degree) entry
+    bench = helpers.benchmark_graph()
+    data = Graph(bench.labels, bench.adj)  # a copy with empty caches
+    queries = sorted(helpers.benchmark_queries().items())
+    for name, query in queries:
         run_job(data, query, PartitionConfig(), SchedulerState(), "share")
-        assert sorted(calls) == list(range(query.num_vertices)), name
+        for u in range(query.num_vertices):
+            label, degree = query.labels[u], query.degrees[u]
+            scan = [v for v in range(data.num_vertices) if data.labels[v] == label and data.degrees[v] >= degree]
+            first = candidates_by_local_features(data, query, u)
+            assert first == scan and data.local_filter[label, degree] == tuple(scan), (name, u)
+            first.clear()
+            assert candidates_by_local_features(data, query, u) == scan, (name, u)
+    before = dict(data.local_filter)
+    for name, query in queries:
+        run_job(data, query, PartitionConfig(), SchedulerState(), "share")
+    assert data.local_filter == before
 
 
 def test_plan_for_another_graph_or_query_does_not_lend_its_local_filter():
     # a plan is a valid order for any data graph and for any relabelling
-    # of its query; its local-filter lists are not, so they are reused
-    # only for the (query, data) pair the plan was built for
+    # of its query, and it carries no candidate lists into the index build
     rng = random.Random(71)
     for data, query, plan, _ in helpers.solvable_instances(20, 26_000, max_data=40):
         denser = helpers.add_random_edges(data, rng.randint(5, 20), rng)

@@ -187,7 +187,7 @@ def test_run_writes_trace_csv(capsys, worked_paths, tmp_path):
     trace_path = tmp_path / "trace.csv"
     code, _ = run_cli(capsys, "run", "--data", data, "--query", query, "--trace", str(trace_path))
     assert code == 0
-    rows = list(csv.reader(trace_path.open()))
+    rows = list(csv.reader(trace_path.read_text().splitlines()))
     assert rows[0] == ["round", "depth", "p_o", "t_v", "t_n", "accepted"]
     assert len(rows) > 1
     assert [r[0] for r in rows[1:]] == [str(i) for i in range(len(rows) - 1)]

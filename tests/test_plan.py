@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -108,6 +110,57 @@ def test_plan_rejects_an_order_that_is_not_parent_first(parent, non_tree, order)
 def test_plan_rejects_an_order_or_non_tree_that_does_not_cover_every_vertex_once(parent, non_tree, order):
     with pytest.raises(ValueError, match="do not cover the .* vertices once"):
         QueryPlan(parent, non_tree, order)
+
+
+@pytest.mark.parametrize(
+    "parent, non_tree, order",
+    [
+        ([None, 5], [[], []], [0, 1]),  # parent past the last vertex
+        ([None, -3], [[], []], [0, 1]),  # negative parent
+        ([None, 0], [[7], []], [0, 1]),  # non-tree entry past the last vertex
+    ],
+)
+def test_plan_rejects_a_parent_or_non_tree_entry_that_names_no_vertex(parent, non_tree, order):
+    with pytest.raises(ValueError, match="names a vertex outside 0..1"):
+        QueryPlan(parent, non_tree, order)
+
+
+@pytest.mark.parametrize(
+    "parent, non_tree, order",
+    [
+        ([None, 0], [[1], []], [0, 1]),  # the tree edge 0-1, at one end only
+        ([None, 0, 0], [[2], [], []], [0, 1, 2]),  # the tree edge 0-2, at one end only
+        ([None, 0, 0], [[1], [0], []], [0, 1, 2]),  # the tree edge 0-1, at both ends
+        ([None, 0, 0], [[], [2], [1, 1]], [0, 1, 2]),  # the link 1-2 twice at vertex 2
+        ([None, 0, 0], [[], [2], []], [0, 1, 2]),  # the link 1-2 at one end only
+        ([None, 0, 0], [[], [1], []], [0, 1, 2]),  # a self-loop at vertex 1
+    ],
+)
+def test_plan_rejects_a_non_tree_table_that_does_not_list_each_link_once_at_both_ends(parent, non_tree, order):
+    with pytest.raises(ValueError, match="does not list each non-tree link once, on both sides"):
+        QueryPlan(parent, non_tree, order)
+
+
+def test_plan_accepts_a_non_tree_link_listed_once_at_both_ends():
+    plan = QueryPlan([None, 0, 0], [[], [2], [1]], [0, 1, 2])
+    assert plan.non_tree == ((), (2,), (1,)) and plan.earlier_non_tree == ((), (), (1,))
+
+
+def test_a_plan_keeps_no_graph_alive():
+    # with the cyclic collector off, a graph dies only when nothing refers to it
+    data, query = helpers.make_instance(3131)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        plan = build_query_plan(query, data)
+        build_candidate_tree(data, query, plan)
+        refs = [weakref.ref(data), weakref.ref(query)]
+        del data, query
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert plan.num_vertices > 1
 
 
 def test_disconnected_query_rejected():
