@@ -206,10 +206,10 @@ def build_candidate_tree(data: Graph, query: Graph, plan: QueryPlan) -> Candidat
         cand = [set() for _ in cand]
 
     def group(a: int, b: int) -> dict[int, list[int]]:
-        # C(b) holds only vertices of b's label, so its partners of v are
-        # the ones among v's ascending label-b row, already in order.
+        # C(b) holds only vertices of b's label, so its partners of v are the ones
+        # among v's ascending label-b row, in order; the fixpoint leaves each v one.
         has, rows = cand[b].__contains__, by_label[labels[b]]
-        return {v: row for v in sorted(cand[a]) if (row := list(filter(has, rows[v])))}
+        return {v: list(filter(has, rows[v])) for v in sorted(cand[a])}
 
     # tree groups by ascending child, so each source keys its arcs children first, ascending
     stored = [(p, c) for c, p in enumerate(parent) if p is not None]

@@ -19,11 +19,9 @@ from .graph import GraphFormatError, load_graph, save_graph
 from .kernel import DEFAULT_CAPACITY, DEFAULT_LATENCIES, CycleModel
 from .partition import PartitionConfig, UnsplittableTreeError
 from .randgraph import powerlaw_graph, random_graph
-from .scheduler import JobStats, SchedulerState, run_job
+from .scheduler import REPORT_FIELDS, JobStats, SchedulerState, run_job
 
-COMPARE_FIELDS = (
-    "delta", "k", "embeddings", "partitions", "w_c", "w_f", "cycles_basic", "cycles_task", "cycles_sep", "wall_ms",
-)
+COMPARE_FIELDS = ("delta", "k", *REPORT_FIELDS)
 
 
 class CliError(Exception):
@@ -62,9 +60,9 @@ def _parse_l_consts(text: str) -> tuple[float, ...]:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="data graph file")
     p.add_argument("--query", required=True, help="query graph file")
-    p.add_argument("--delta-s", dest="delta_s", type=_int, default=262144, help="tree size budget in bytes")
-    p.add_argument("--delta-d", dest="delta_d", type=_int, default=16, help="adjacency list length budget")
-    p.add_argument("--port-max", dest="port_max", type=_int, default=16, help="hard cap on list length")
+    p.add_argument("--delta-s", dest="delta_s", type=_int, default=PartitionConfig.size_budget, help="tree size budget in bytes")
+    p.add_argument("--delta-d", dest="delta_d", type=_int, default=PartitionConfig.degree_budget, help="adjacency list length budget")
+    p.add_argument("--port-max", dest="port_max", type=_int, default=PartitionConfig.port_limit, help="hard cap on list length")
     p.add_argument("--no", dest="capacity", type=_int, default=DEFAULT_CAPACITY, help="per-round expansion bound")
     p.add_argument("--l-consts", dest="l_consts", type=_parse_l_consts, default=DEFAULT_LATENCIES,
                    help="six stage latencies, comma separated")
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one query end to end")
     _add_config_flags(run_p)
-    run_p.add_argument("--delta", type=_float, default=0.1, help="host workload share in [0,1]")
+    run_p.add_argument("--delta", type=_float, default=SchedulerState.delta, help="host workload share in [0,1]")
     run_p.add_argument("--k", dest="fixed_k", type=_int, default=None, help="fix the partition factor (>= 2)")
     run_p.add_argument("--trace", help="write the per-round kernel trace CSV here")
 

@@ -39,7 +39,8 @@ def paused_collector(fn):
     The collector is turned back on only if it was on at the call, also
     when fn raises, so pauses nest. The wrapper allocates nothing after
     turning it back on, so the collection that fn's allocations make due
-    starts at the caller's next allocation, not inside the call.
+    starts after the call, not inside it: at the caller's next allocation
+    before Python 3.12, at the interpreter's next periodic check from it.
     """
 
     @wraps(fn)

@@ -18,18 +18,19 @@ is one goes on unchanged, as a skipped tree does.
 
 A split at u is made only where a chunk could fit. At the fixpoint,
 cutting C(u) to nothing empties a set Z(u) that the plan alone fixes:
-u, and each later vertex whose earlier neighbours all lie in Z(u).
-Every other set keeps all its candidates, since one unchanged earlier
-neighbour reaches each of them. So the floor, the cut to the empty
-part before any fixpoint (each later vertex keeping what the retained
-sets of its earlier neighbours reach), stores exactly the groups with
-neither end in Z(u), unchanged, and the same cut to any part contains
-it. When one of them is over the degree budget, the tree fits the size
-budget, and no stored list into u or an earlier order vertex is over
-the degree budget (only splits at or before u could shorten those), u
-is left unsplit (skips) and recursion advances with the same tree: a
-cut would only multiply the pieces. A chunk need not contain the floor
-once at its fixpoint, so a skip can cost pieces, never an embedding.
+u, and each later vertex whose earlier neighbours (its tree parent and
+its plan.earlier_non_tree) all lie in Z(u). Every other set keeps all
+its candidates, since one unchanged earlier neighbour reaches each of
+them. So the floor, the cut to the empty part before any fixpoint (each
+later vertex keeping what the retained sets of its earlier neighbours
+reach), stores exactly the groups with neither end in Z(u), unchanged,
+and the same cut to any part contains it. When one of them is over the
+degree budget, the tree fits the size budget, and no stored list into u
+or an earlier order vertex is over the degree budget (only splits at or
+before u could shorten those), u is left unsplit (skips) and recursion
+advances with the same tree: a cut would only multiply the pieces. A
+chunk need not contain the floor once at its fixpoint, so a skip can
+cost pieces, never an embedding.
 Every vertex of a tree that exhausts the order was cut to a singleton
 (every list into it holds at most one entry) or skipped (every list
 into it was within the degree budget, and chunks only shorten lists),
@@ -37,17 +38,18 @@ so only the size budget can still be violated there.
 
 Everything a chunk reads is carried by the tree (CandidateTree): the
 candidate sets the fixpoint revises, its arc table (built once per
-tree, shared by the k sibling chunks and by a skip) and its per-group
-(bytes, longest list) metrics, so a chunk costs in proportion to what
-it restricts. The fixpoint's final sets are the chunk's own; unchanged
-sets, and groups with both ends unchanged (with their metrics entries),
-are shared by reference (trees are immutable once built). Every other
-group is cut once, from the final sets, and returned with its measure.
-The cut reads the rows the fixpoint guarantees (each retained candidate
-has a stored row that keeps a partner), so it looks up and drops
-nothing in vain: a row that loses no target is kept whole, any other is
-filtered. The chunk's constructor only sums size_bytes and max_degree;
-tree_metrics in tests/helpers.py is the from-scratch check.
+tree, shared by the k sibling chunks) and its per-group (bytes, longest
+list) metrics, so a chunk costs in proportion to what it restricts. The
+fixpoint's final sets are the chunk's own; unchanged sets, and groups
+with both ends unchanged (with their metrics entries), are shared by
+reference (trees are immutable once built). Every other group is cut
+once, its retained sources' rows toward its final target set, and
+returned with its measure. The cut reads the rows the fixpoint
+guarantees (each retained candidate has a stored row that keeps a
+partner), so it looks up and drops nothing in vain: a row that loses no
+target (every row, if the target set is unchanged) is kept whole, any
+other is filtered. The chunk's constructor only sums size_bytes and
+max_degree; tree_metrics in tests/helpers.py is the from-scratch check.
 """
 
 from __future__ import annotations
@@ -100,20 +102,17 @@ def partition_factor(tree: CandidateTree, config: PartitionConfig, u: int) -> in
     return max(1, min(k, len(tree.candidates[u])))
 
 
-def _restrict(lists: dict[int, list[int]], keep_a: set[int] | None, keep_b: set[int] | None):
-    """One adjacency group cut to the retained source set keep_a and target set keep_b (None: unchanged), with its measure.
+def _restrict(lists: dict[int, list[int]], keep_a: set[int] | None, targets: set[int]):
+    """One adjacency group cut to the retained source set keep_a (None: unchanged) and the final target set, with its measure.
 
     The chunk is at its fixpoint, so each retained source has a row that
-    keeps a target. With keep_b None the group is the parent's rows of
-    keep_a; otherwise a row that loses no target is shared whole and any
-    other is filtered (stored rows are sorted, so filtered ones are too).
+    keeps a target. A row that loses no target is shared whole, as every
+    row is when the target set is unchanged; any other is filtered
+    (stored rows are sorted, so filtered ones are too).
     """
-    if keep_b is None:
-        new = {v: lists[v] for v in keep_a}
-    else:
-        has = keep_b.__contains__
-        rows = lists.items() if keep_a is None else zip(keep_a, map(lists.__getitem__, keep_a))
-        new = {v: row if keep_b.issuperset(row) else list(filter(has, row)) for v, row in rows}
+    has = targets.__contains__
+    rows = lists.items() if keep_a is None else zip(keep_a, map(lists.__getitem__, keep_a))
+    new = {v: row if targets.issuperset(row) else list(filter(has, row)) for v, row in rows}
     return new, measure_group(new)
 
 
@@ -124,9 +123,10 @@ def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTr
     the arcs into u (the tree is at its fixpoint), and None is returned
     as soon as a set empties, before any group is cut. The final sets
     are the chunk's candidates. Each group with an end whose set shrank
-    is then cut once by _restrict, which returns its measure; the rest
-    are shared with their metrics entries, and the chunk inherits the
-    parent's disjointness, since it only shrinks sets.
+    is then cut once by _restrict, toward its final target set, which
+    returns its measure; the rest are shared with their metrics entries,
+    and the chunk inherits the parent's disjointness, since it only
+    shrinks sets.
     """
     sets = list(tree.candidates)
     sets[u] = part_set
@@ -136,21 +136,20 @@ def project_tree(tree: CandidateTree, u: int, part_set: set[int]) -> CandidateTr
     groups, metrics = {}, {}
     for key, lists in tree.groups.items():
         a, b = key
-        keep_a, keep_b = retained.get(a), retained.get(b)
-        if keep_a is None and keep_b is None:
-            groups[key], metrics[key] = lists, tree.group_metrics[key]
+        if a in retained or b in retained:
+            groups[key], metrics[key] = _restrict(lists, retained.get(a), sets[b])
         else:
-            groups[key], metrics[key] = _restrict(lists, keep_a, keep_b)
+            groups[key], metrics[key] = lists, tree.group_metrics[key]
     return CandidateTree(sets, groups, metrics, tree.disjoint)
 
 
 def skips(tree: CandidateTree, plan: QueryPlan, index: int, config: PartitionConfig) -> bool:
     """Whether u = plan.order[index] is left unsplit, by the Z(u) rule of the module docstring.
 
-    Earlier neighbours are read from tree.arcs, and group degrees from
+    Earlier neighbours are read from the plan, and group degrees from
     tree.group_metrics. The tree must be at its fixpoint.
     """
-    position, budget, arcs = plan.position, config.degree_budget, tree.arcs
+    position, budget, parent, earlier = plan.position, config.degree_budget, plan.parent, plan.earlier_non_tree
     if tree.size_bytes > config.size_budget:
         return False
     degrees = [(key, degree) for key, (_, degree) in tree.group_metrics.items() if degree > budget]
@@ -158,7 +157,7 @@ def skips(tree: CandidateTree, plan: QueryPlan, index: int, config: PartitionCon
         return False
     emptied = {plan.order[index]}
     for w in plan.order[index + 1 :]:
-        if all(w_from in emptied for w_from in arcs[w] if position[w_from] < position[w]):
+        if parent[w] in emptied and emptied.issuperset(earlier[w]):
             emptied.add(w)
     return any(emptied.isdisjoint(key) for key, _ in degrees)
 

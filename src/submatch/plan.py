@@ -28,18 +28,18 @@ class QueryPlan:
     Three tables are given: parent (parent[root] is None), non_tree (every
     query edge is either a tree edge or appears in both endpoints'
     non_tree lists) and the matching order; a plan holds no graph. The
-    constructor raises ValueError unless the order is a permutation of the
-    vertices, non_tree has one list per vertex, every entry names a
-    vertex, each non-tree link joins two vertices that no tree edge joins
-    and is listed once at each end, and the order is parent-first:
-    order[0] has no tree parent and every later vertex's tree parent comes
-    earlier in the order. Both tree sweeps of the index build and the
-    workload DP walk this one order. The constructor derives the rest:
-    root, parent.index(None); position, the inverse permutation of order;
-    earlier_non_tree[u], u's non-tree neighbours before it in the order;
-    and tail_start, where the order's free tail begins: the longest
-    suffix, of two or more vertices, whose every vertex has its tree
-    parent before the suffix and no earlier non-tree neighbour;
+    constructor raises ValueError unless every entry is an int, the order
+    is a permutation of the vertices, non_tree has one list per vertex,
+    every entry names a vertex, each non-tree link joins two vertices that
+    no tree edge joins and is listed once at each end, and the order is
+    parent-first: order[0] has no tree parent and every later vertex's
+    tree parent comes earlier in the order. Both tree sweeps of the index
+    build and the workload DP walk this one order. The constructor derives
+    the rest: root, parent.index(None); position, the inverse permutation
+    of order; earlier_non_tree[u], u's non-tree neighbours before it in
+    the order; and tail_start, where the order's free tail begins: the
+    longest suffix, of two or more vertices, whose every vertex has its
+    tree parent before the suffix and no earlier non-tree neighbour;
     num_vertices when there is none.
     """
 
@@ -55,6 +55,9 @@ class QueryPlan:
         store = partial(object.__setattr__, self)  # the dataclass is frozen
         parent, order, non_tree = tuple(self.parent), tuple(self.order), tuple(map(tuple, self.non_tree))
         n = len(parent)
+        entries = [*order, *(p for p in parent if p is not None), *(w for row in non_tree for w in row)]
+        if not all(isinstance(entry, int) for entry in entries):
+            raise ValueError(f"parent {list(parent)}, non_tree {list(non_tree)} or order {list(order)} holds a non-int")
         if sorted(order) != list(range(n)) or len(non_tree) != n:
             raise ValueError(f"order {list(order)} and {len(non_tree)} non_tree lists do not cover the {n} vertices once")
         links = {(u, w) for u in range(n) for w in non_tree[u]}

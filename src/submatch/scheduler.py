@@ -22,6 +22,7 @@ from .partition import PartitionConfig, partition_tree
 from .plan import QueryPlan, build_query_plan
 
 JOB_VARIANTS = ("basic", "task", "sep", "share")
+REPORT_FIELDS = ("embeddings", "partitions", "w_c", "w_f", "cycles_basic", "cycles_task", "cycles_sep", "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -73,17 +74,8 @@ class JobStats:
     edge_tasks_generated: int
 
     def to_report(self) -> dict:
-        """The stable external JSON schema, cycles at 1-cycle precision."""
-        return {
-            "embeddings": self.embeddings,
-            "partitions": self.partitions,
-            "w_c": self.w_c,
-            "w_f": self.w_f,
-            "cycles_basic": round(self.cycles_basic),
-            "cycles_task": round(self.cycles_task),
-            "cycles_sep": round(self.cycles_sep),
-            "wall_ms": round(self.wall_ms, 3),
-        }
+        """The stable external JSON schema, REPORT_FIELDS in order: counts and cycles as ints, wall_ms to 3 decimals."""
+        return {name: round(getattr(self, name), 3 if name == "wall_ms" else None) for name in REPORT_FIELDS}
 
 
 @paused_collector

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from submatch import fixtures, load_graph, run_job, save_graph
+from submatch import PartitionConfig, SchedulerState, fixtures, load_graph, run_job, save_graph
 from submatch import cli
 from submatch.cli import main
 
@@ -320,6 +320,15 @@ def test_l_consts_of_other_than_six_values_is_a_usage_error(capsys, worked_paths
 def test_bare_command_prints_help_and_exits_two(capsys):
     assert main([]) == 2
     assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_budget_and_share_defaults_are_the_library_defaults(command):
+    args = cli.build_parser().parse_args([command, "--data", "d", "--query", "q"])
+    config = PartitionConfig()
+    assert (args.delta_s, args.delta_d, args.port_max) == (config.size_budget, config.degree_budget, config.port_limit)
+    if command == "run":
+        assert args.delta == SchedulerState().delta
 
 
 def test_oracle_hidden_from_help():

@@ -141,6 +141,20 @@ def test_plan_rejects_a_non_tree_table_that_does_not_list_each_link_once_at_both
         QueryPlan(parent, non_tree, order)
 
 
+@pytest.mark.parametrize(
+    "parent, non_tree, order",
+    [
+        ([None, 0.0], [[], []], [0, 1]),  # a float parent
+        ([None, 0], [[], []], [0.0, 1]),  # a float in the order
+        ([None, 0, 0], [[], [2.0], [1]], [0, 1, 2]),  # a float non-tree entry
+        ([None, 0], [[], []], [0, "1"]),  # a string in the order, which sorted() cannot compare
+    ],
+)
+def test_plan_rejects_an_entry_that_is_not_an_int(parent, non_tree, order):
+    with pytest.raises(ValueError, match="holds a non-int"):
+        QueryPlan(parent, non_tree, order)
+
+
 def test_plan_accepts_a_non_tree_link_listed_once_at_both_ends():
     plan = QueryPlan([None, 0, 0], [[], [2], [1]], [0, 1, 2])
     assert plan.non_tree == ((), (2,), (1,)) and plan.earlier_non_tree == ((), (), (1,))

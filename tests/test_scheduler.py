@@ -176,6 +176,7 @@ def test_job_stats_report_schema():
         "cycles_sep",
         "wall_ms",
     ]
+    assert tuple(report) == scheduler.REPORT_FIELDS
     assert all(isinstance(v, (int, float)) for v in report.values())
 
 
