@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from .graph import GraphFormatError, load_graph, save_graph
@@ -131,10 +130,12 @@ def _job(data, query, config, state, model, trace=None) -> JobStats:
         raise CliError("run", str(exc))
 
 
-def _check_cycles(stats: JobStats) -> None:
-    """Every latency is finite, but latencies times a job's task counts can overflow."""
-    if not all(map(math.isfinite, (stats.cycles_basic, stats.cycles_task, stats.cycles_sep))):
-        raise CliError("config", "the cycle estimate overflows; lower --l-consts or --dram-ratio")
+def _report(stats: JobStats) -> dict:
+    """The job's report; a price that overflows is a config error."""
+    try:
+        return stats.to_report()
+    except ValueError as exc:
+        raise CliError("config", f"{exc}; lower --l-consts or --dram-ratio")
 
 
 def _write_trace(path: str, traces) -> None:
@@ -159,8 +160,7 @@ def _cmd_run(args) -> int:
     stats = _job(data, query, config, state, model, trace)
     if trace is not None:
         _write_trace(args.trace, trace)  # the rounds the job ran, even if its price then overflows
-    _check_cycles(stats)
-    print(json.dumps(stats.to_report()))
+    print(json.dumps(_report(stats)))
     return 0
 
 
@@ -188,8 +188,7 @@ def _cmd_compare(args) -> int:
     for state in states:
         for k_text, config in zip(k_texts, configs):
             stats = _job(data, query, config, state, model)
-            _check_cycles(stats)
-            writer.writerow([state.delta, k_text, *stats.to_report().values()])
+            writer.writerow([state.delta, k_text, *_report(stats).values()])
     return 0
 
 

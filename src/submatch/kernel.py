@@ -5,7 +5,8 @@ level of the buffer, expands them through the candidate tree, validates
 the new mappings (visited check against the source prefix, edge check
 against stored non-tree lists), and files survivors back into the buffer
 or into the match set. Per round at most `capacity` new partials are
-produced, and expanding deepest-first keeps every buffer level within
+produced, and they fill the level below the deepest non-empty one,
+which is empty, so a level holds one round's survivors and stays within
 that same bound. Both the bound and the stage latencies belong to the
 frozen CycleModel a run reads; the run's task counts are returned.
 
@@ -18,14 +19,14 @@ same matches, task counts, trace and buffer peaks.
 Matches come out strictly increasing with no sort. Stored lists are
 sorted, roots stream in ascending order (the root set is sorted once
 per call) and every level is FIFO, so each level holds its partials in
-increasing order; a level is refilled only once every deeper level has
-drained, so all extensions of one partial are filed before any
-extension of a later one. The visited
-check runs only when the tree is not known to have pairwise disjoint
-candidate sets (CandidateTree.disjoint, proved once per index and
-inherited by every partition chunk): every stored list holds
-candidates of its target vertex alone, so with disjoint sets (every
-query label distinct) no candidate can repeat a vertex of its partial.
+increasing order; a level is filled only when it is empty, so all
+extensions of one partial are filed before any extension of a later
+one. The visited check runs only when the tree is not known to have
+pairwise disjoint candidate sets (CandidateTree.disjoint, proved once
+per index and inherited by every partition chunk): every stored list
+holds candidates of its target vertex alone, so with disjoint sets
+(every query label distinct) no candidate can repeat a vertex of its
+partial.
 
 A free tail (QueryPlan.tail_start) is expanded in one step. In it,
 every vertex's parent is matched before the tail and no vertex has a
@@ -78,6 +79,8 @@ class CycleModel:
 
     def __post_init__(self):
         object.__setattr__(self, "latencies", tuple(self.latencies))
+        if not isinstance(self.capacity, int):
+            raise ValueError(f"capacity {self.capacity!r} is not an int")
         if len(self.latencies) != 6:
             raise ValueError("expected six stage latencies")
         if not all(1 <= l < math.inf for l in self.latencies):
@@ -104,10 +107,6 @@ class RoundTrace(NamedTuple):
     accepted: int
 
 
-class BufferOverflowError(RuntimeError):
-    """A buffer level would exceed its capacity; internal invariant broken."""
-
-
 def pipeline_enumerate(
     tree: CandidateTree,
     plan: QueryPlan,
@@ -118,31 +117,29 @@ def pipeline_enumerate(
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """Enumerate every embedding of the tree's search space.
 
-    `capacity` is model.capacity. Root candidates are streamed in
-    ascending order into level 1 at most `capacity` at a time, and only
-    once everything deeper has drained, so no level ever exceeds
-    `capacity`; filing past it raises BufferOverflowError. Each
-    round pops inputs FIFO from the deepest non-empty level until the
-    next one could take the round past `capacity` outputs; an input
-    whose list alone is longer expands its first `capacity` candidates
-    and stays at the front of its level with a resume offset. The
-    round runs as one pass over the admitted inputs: an input's
-    outputs are checked against every earlier non-tree row (each looked
-    up once per input) and, unless the tree is known to have disjoint
-    candidate sets (tree.disjoint), against the input itself. Survivors
-    are filed in bulk, as partial + (v,) in candidate order. The round's
-    task counts are closed forms: one visited task per output and one
-    edge task per output and earlier non-tree neighbor. With disjoint
-    candidate sets, partials that reach the plan's free tail get their
-    answers as one product each, and the tail's rounds are replayed from
-    row lengths (see the module docstring). The frozen model is only
-    read: the run returns its matches, the results it generated (every
-    expanded partial, valid or not) and the edge tasks it generated.
-    When given, `buffer_stats` receives one (peak level occupancy,
-    capacity) pair.
-    A 1-vertex query runs no round: its root candidates are the matches.
-    Matches are returned strictly increasing without a sort (see the
-    module docstring).
+    `capacity` is model.capacity. Root candidates are streamed in ascending
+    order into level 1 at most `capacity` at a time, once every level has
+    drained, and a round's survivors fill the empty level below the one it
+    expanded, so a level holds one round's survivors, at most `capacity`.
+    Each round pops inputs FIFO from the deepest non-empty level until the
+    next one could take the round past `capacity` outputs; an input whose
+    list alone is longer expands its first `capacity` candidates and stays
+    at the front of its level with a resume offset. The round runs as one
+    pass over the admitted inputs: an input's outputs are checked against
+    every earlier non-tree row (each looked up once per input) and, unless
+    the tree is known to have disjoint candidate sets (tree.disjoint),
+    against the input itself. Survivors are filed in bulk, as
+    partial + (v,) in candidate order. The round's task counts are closed
+    forms: one visited task per output and one edge task per output and
+    earlier non-tree neighbor. With disjoint candidate sets, partials that
+    reach the plan's free tail get their answers as one product each, and
+    the tail's rounds are replayed from row lengths (see the module
+    docstring). The frozen model is only read: the run returns its matches,
+    the results it generated (every expanded partial, valid or not) and the
+    edge tasks it generated. When given, `buffer_stats` receives one (peak
+    level occupancy, capacity) pair. A 1-vertex query runs no round: its
+    root candidates are the matches. Matches are returned strictly
+    increasing without a sort (see the module docstring).
     """
     capacity = model.capacity
     order_length = plan.num_vertices
@@ -226,13 +223,8 @@ def pipeline_enumerate(
             peak = max(peak, tail_peak)
         elif survivors:
             depth += 1
-            level = levels[depth]
-            if len(level) + len(survivors) > capacity:
-                raise BufferOverflowError(
-                    f"level {depth} holds {len(level)} of {capacity}; {len(survivors)} more do not fit"
-                )
-            level.extend(survivors)
-            peak = max(peak, len(level))
+            levels[depth].extend(survivors)  # the level is empty: it holds this round alone
+            peak = max(peak, len(survivors))
 
     if buffer_stats is not None:
         buffer_stats.append((peak, capacity))
@@ -294,7 +286,7 @@ def _tail_rounds(lengths: Sequence[Sequence[int]], capacity: int) -> tuple[list[
         offsets[r] = offset
         rounds.append((r, outputs))
         if filed and r + 1 < width:
-            queues[r + 1].extend(filed)
+            queues[r + 1].extend(filed)  # the queue is empty: it holds this round alone
             peak = max(peak, outputs)
             r += 1
 

@@ -71,6 +71,9 @@ class PartitionConfig:
     fixed_k: int | None = None
 
     def __post_init__(self):
+        values = (self.size_budget, self.degree_budget, self.port_limit, self.fixed_k)
+        if not all(map(isinstance, values, (int, int, int, int | None))):
+            raise ValueError(f"{self!r} holds a non-int value")
         if self.degree_budget < 1:
             raise ValueError("degree_budget must be >= 1")
         if self.degree_budget > self.port_limit:

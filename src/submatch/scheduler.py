@@ -10,6 +10,7 @@ and cycles, so routing is accounting alone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -74,7 +75,12 @@ class JobStats:
     edge_tasks_generated: int
 
     def to_report(self) -> dict:
-        """The stable external JSON schema, REPORT_FIELDS in order: counts and cycles as ints, wall_ms to 3 decimals."""
+        """The stable external JSON schema, REPORT_FIELDS in order: counts and cycles as ints, wall_ms to 3 decimals.
+
+        Finite latencies times a job's task counts can overflow: a price that is not finite raises ValueError.
+        """
+        if not all(map(math.isfinite, (self.cycles_basic, self.cycles_task, self.cycles_sep))):
+            raise ValueError("the cycle estimate overflows")
         return {name: round(getattr(self, name), 3 if name == "wall_ms" else None) for name in REPORT_FIELDS}
 
 

@@ -45,7 +45,7 @@ import submatch.partition
 import submatch.scheduler
 from submatch.candidate_tree import BASE_HEADER_BYTES, ENTRY_BYTES, LIST_HEADER_BYTES
 from submatch.fixtures import QUERY_NAMES, data_path
-from submatch.kernel import BufferOverflowError, CycleModel, RoundTrace
+from submatch.kernel import CycleModel, RoundTrace
 
 from oracle import brute_force_embeddings
 
@@ -628,6 +628,10 @@ class TaskBatch:
 class _Pending(NamedTuple):
     partial: tuple[int, ...]
     offset: int  # resume position into the candidate list (continuations)
+
+
+class BufferOverflowError(RuntimeError):
+    """A buffer level would exceed its capacity; internal invariant broken."""
 
 
 class ResultBuffer:

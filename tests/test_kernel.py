@@ -14,12 +14,20 @@ from submatch import (
     pipeline_enumerate,
 )
 from submatch import kernel
-from submatch.kernel import BufferOverflowError
 from submatch.scheduler import host_match
 from submatch import fixtures
 
 import helpers
-from helpers import ResultBuffer, VisitedTask, _Pending, generate_batch, synchronize, validate_edges, validate_visited
+from helpers import (
+    BufferOverflowError,
+    ResultBuffer,
+    VisitedTask,
+    _Pending,
+    generate_batch,
+    synchronize,
+    validate_edges,
+    validate_visited,
+)
 
 
 def partition_a():
@@ -245,6 +253,25 @@ def test_fused_rounds_equal_staged_reference():
             assert fused == staged, (name, capacity)
 
 
+def test_staged_reference_files_every_round_into_an_empty_level(monkeypatch):
+    """The level a round's survivors go to is empty when they arrive, so it holds one round: at most capacity."""
+    filings = []
+    real = helpers.synchronize
+
+    def synchronize(batch, buffer, matches, order_length):
+        level = len(batch.outputs[0]) if batch.outputs else order_length  # where the round's survivors go
+        if level < order_length:
+            assert buffer.occupancy(level) == 0, level
+            filings.append(level)
+        return real(batch, buffer, matches, order_length)
+
+    monkeypatch.setattr(helpers, "synchronize", synchronize)
+    for name, tree, plan in _kernel_trees():
+        for capacity in (1, 8, 1024):
+            helpers.reference_pipeline_enumerate(tree, plan, CycleModel(capacity=capacity))
+    assert filings
+
+
 def test_only_free_tails_are_built_by_product(monkeypatch):
     pools = []
 
@@ -415,6 +442,12 @@ def test_scaling_rejects_faster_or_non_finite_memory(ratio):
     """Latencies of 4 halved stay >= 1, but would model memory faster than the default."""
     with pytest.raises(ValueError, match="dram-ratio must be finite and >= 1"):
         CycleModel((4.0,) * 6).scaled(ratio)
+
+
+@pytest.mark.parametrize("capacity", [2.5, 8.0, "8", None])
+def test_model_rejects_a_capacity_that_is_not_an_int(capacity):
+    with pytest.raises(ValueError, match="is not an int"):
+        CycleModel(capacity=capacity)
 
 
 def test_model_validation_and_scaling():

@@ -258,6 +258,23 @@ def test_config_validation():
         PartitionConfig(fixed_k=1)
 
 
+@pytest.mark.parametrize(
+    "budgets",
+    [
+        {"degree_budget": 15.5},
+        {"fixed_k": 2.5},
+        {"degree_budget": "16"},
+        {"size_budget": 262_144.0},
+        {"port_limit": None},
+        {"fixed_k": "auto"},
+    ],
+)
+def test_config_rejects_a_value_that_is_not_an_int(budgets):
+    """Checked before any comparison, so a float or a string is a ValueError, not a later TypeError."""
+    with pytest.raises(ValueError, match="holds a non-int value"):
+        PartitionConfig(**budgets)
+
+
 def test_within_budgets_matches_metrics():
     tree, _ = helpers.partition_example()
     assert within_budgets(tree, PartitionConfig())

@@ -180,6 +180,15 @@ def test_job_stats_report_schema():
     assert all(isinstance(v, (int, float)) for v in report.values())
 
 
+def test_report_of_a_job_whose_price_overflows_is_a_value_error():
+    """Every latency is finite, but their products with the job's task counts overflow."""
+    model = CycleModel((1e308,) * 4 + (1, 1))
+    _, stats = run_job(helpers.worked_data(), helpers.worked_query(), PartitionConfig(), SchedulerState(), model=model)
+    assert stats.cycles_basic == float("inf")
+    with pytest.raises(ValueError, match="the cycle estimate overflows"):
+        stats.to_report()
+
+
 def test_run_job_rejects_unknown_variant():
     data, query = helpers.worked_data(), helpers.worked_query()
     with pytest.raises(ValueError):
